@@ -156,7 +156,7 @@ def _require_p(args) -> float:
 
 def cmd_make_machine(args) -> int:
     machine = _build_zoo_machine(args)
-    _emit(json.dumps(machine.to_json_dict(), indent=2) + "\n", args.out)
+    _emit(machine.to_json_text(), args.out)
     return EXIT_OK
 
 
@@ -460,14 +460,14 @@ def cmd_construct_nmachine(args) -> int:
 def cmd_transform(args) -> int:
     machine = load_machine(args.machine, tol=args.tol)
     mapped = tf.apply_map(machine, tf.two_state_map(args.a, args.b))
-    _emit(json.dumps(mapped.to_json_dict(), indent=2) + "\n", args.out)
+    _emit(mapped.to_json_text(), args.out)
     return EXIT_OK
 
 
 def cmd_wigner(args) -> int:
     rep = qm.wigner_qubit_representation(args.p)
     machine = qm.wigner_as_machine(rep)
-    _emit(json.dumps(machine.to_json_dict(), indent=2) + "\n", args.out)
+    _emit(machine.to_json_text(), args.out)
     return EXIT_OK
 
 

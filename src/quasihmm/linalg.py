@@ -1,9 +1,11 @@
 """Small dense real linear algebra helpers.
 
-Everything here operates on plain ``numpy`` arrays of modest size (the models
-in this package have at most a few hundred states).  Direct methods only:
-quasi-stochastic matrices can have complex spectrum outside the unit disk, so
-power iteration is deliberately avoided.
+Everything here operates on plain dense ``numpy`` arrays, up to the few
+thousand states of the largest models in this package (truncated SNS
+predictive machines), so each operation is one O(n^3) factorization at
+most.  Direct methods only: quasi-stochastic matrices can have complex spectrum
+outside the unit disk, so power iteration is deliberately avoided, and no
+eigenvalues are computed where a linear solve decides the question.
 """
 
 from __future__ import annotations
@@ -22,6 +24,13 @@ from .errors import (
 STRUCT_TOL = 1e-10
 #: eigen-residual checks
 EIGEN_TOL = 1e-8
+#: ``left_fixed_vector`` rejects a bordered system whose 1-norm condition
+#: number exceeds this over ``eigen_tol``.  For the two-state flip chain and
+#: the three-state cycle moving with probability p the condition number is
+#: about 1/p and 2/p, so the limit sits between p = 3e-9 (rejected) and
+#: p = 1e-8 (accepted): a unit eigenvalue within about ``eigen_tol`` of
+#: another eigenvalue counts as repeated.
+DEGENERACY_COND = 2.5
 
 
 def _as_matrix(m) -> np.ndarray:
@@ -43,33 +52,39 @@ def left_fixed_vector(m, tol: float = STRUCT_TOL, eigen_tol: float = EIGEN_TOL) 
     """Left eigenvector of ``m`` at eigenvalue 1, normalized to unit sum.
 
     ``m`` must be quasi-stochastic (each row sums to 1; signed entries are
-    fine).  The vector is found by a direct bordered solve of ``v (m - I) = 0``
-    with the normalization ``sum(v) = 1`` appended.  If the eigenvalue 1 has
-    algebraic multiplicity above one there is no canonical choice, so the
-    degenerate case is rejected rather than silently picking a representative.
+    fine).  Because ``m 1 = 1``, the bordered matrix
+
+        B = [[I - m^T, 1], [1^T, 0]]
+
+    is nonsingular exactly when the eigenvalue 1 is algebraically simple, and
+    then the last column of ``B^-1`` holds the fixed vector (Meyer 1975, SIAM
+    Rev. 17:443).  One inversion therefore yields both the vector and the
+    exact 1-norm condition number of ``B``, which grows like the inverse of
+    the gap between 1 and the rest of the spectrum.  A singular ``B``, or one
+    with condition number above ``DEGENERACY_COND / eigen_tol``, means the
+    eigenvalue 1 is (numerically) repeated; there is then no canonical
+    choice, so the degenerate case is rejected rather than silently picking
+    a representative.
     """
     a = _as_matrix(m)
     res = row_sum_residual(a)
     if res > tol:
         raise ValueError(f"matrix is not quasi-stochastic: row-sum residual {res:.3e}")
 
-    # detection tolerance scales with the matrix norm: eigensolver error grows
-    # with it, while the unit eigenvalue itself is exact (rows sum to 1)
-    scale = max(1.0, float(np.max(np.abs(a).sum(axis=1))))
-    eigvals = np.linalg.eigvals(a)
-    near_one = np.sum(np.abs(eigvals - 1.0) <= scale * max(eigen_tol, 100 * np.finfo(float).eps))
-    if near_one == 0:
-        raise NoUnitEigenvalue(f"no eigenvalue within {eigen_tol:g} of 1")
-    if near_one > 1:
-        raise DegenerateFixedSpace(f"eigenvalue 1 has multiplicity {near_one}")
-
     n = a.shape[0]
-    # v (a - I) = 0 row-stacked with the normalization row; least squares on
-    # the (n+1) x n system is exact because the solution space is 1-dimensional.
-    system = np.vstack([(a - np.eye(n)).T, np.ones((1, n))])
-    rhs = np.zeros(n + 1)
-    rhs[-1] = 1.0
-    v, *_ = np.linalg.lstsq(system, rhs, rcond=None)
+    bordered = np.ones((n + 1, n + 1))
+    bordered[:n, :n] = np.eye(n) - a.T
+    bordered[n, n] = 0.0
+    try:
+        inv = np.linalg.inv(bordered)
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateFixedSpace(f"eigenvalue 1 is not simple: {exc}") from exc
+    cond = float(np.abs(bordered).sum(axis=0).max() * np.abs(inv).sum(axis=0).max())
+    if not cond <= DEGENERACY_COND / eigen_tol:
+        raise DegenerateFixedSpace(
+            f"eigenvalue 1 is not numerically simple: bordered condition number {cond:.3e}"
+        )
+    v = inv[:n, n]
 
     residual = float(np.max(np.abs(v @ a - v)))
     if residual > 10 * eigen_tol:

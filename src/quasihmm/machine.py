@@ -78,6 +78,8 @@ class Machine:
     stationary: np.ndarray
     groups: tuple[int, ...] | None = None
     stationary_residual: float = field(default=0.0, compare=False)
+    #: derived values remembered across calls (classification, fidelities)
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     # -- basic structure ------------------------------------------------
 
@@ -144,15 +146,19 @@ class Machine:
     # -- classification and validation ------------------------------------
 
     def classify(self, tol: float = linalg.STRUCT_TOL) -> MachineClass:
-        classical = bool(np.min(self.stationary) >= -tol) and all(
-            np.min(self.matrices[x]) >= -tol for x in self.alphabet
-        )
-        unifilar = all(
-            np.count_nonzero(np.abs(self.matrices[x][j]) > tol) <= 1
-            for x in self.alphabet
-            for j in range(self.n_states)
-        )
-        return MachineClass(classical=classical, unifilar=unifilar)
+        """Sign and unifilarity of the transitions at tolerance ``tol``;
+        remembered per ``tol``, since the machine never changes."""
+        key = ("classify", tol)
+        if key not in self._memo:
+            classical = bool(np.min(self.stationary) >= -tol) and all(
+                np.min(self.matrices[x]) >= -tol for x in self.alphabet
+            )
+            unifilar = all(
+                np.count_nonzero(np.abs(self.matrices[x]) > tol, axis=1).max(initial=0) <= 1
+                for x in self.alphabet
+            )
+            self._memo[key] = MachineClass(classical=classical, unifilar=unifilar)
+        return self._memo[key]
 
     def validate(
         self, tol: float = linalg.STRUCT_TOL, eigen_tol: float = linalg.EIGEN_TOL
@@ -197,8 +203,15 @@ class Machine:
         Entry ``(j, k)`` is ``sum_w sqrt(P(w|j) P(w|k))`` over all words of
         the given length.  For unifilar machines each word has a single
         contributing path, so the sum telescopes into an exact transfer-matrix
-        recursion and any horizon is cheap; otherwise words are enumerated
-        (subject to ``cap``).  Requires nonnegative transitions.
+        recursion (``fidelity_step``) and any horizon is cheap; otherwise
+        words are enumerated (subject to ``cap``).  Requires nonnegative
+        transitions.
+
+        The machine remembers the last two horizons it computed: the
+        recursion to ``horizon`` yields ``horizon - 1`` on the way, so a
+        measure that compares the two (``excess_entropy_half``,
+        ``gram_from_machine``) runs it once, and further measures at the same
+        horizon reuse it.  The returned array is read-only.
         """
         if not self.classify().classical:
             raise QuasiMachineUnsupported(
@@ -206,15 +219,78 @@ class Machine:
             )
         if horizon < 0:
             raise ValueError("horizon must be nonnegative")
+        memo = self._memo.setdefault("fidelity", {})
+        key = (horizon, cap)
+        if key in memo:
+            return memo[key]
         if self.classify().unifilar:
-            roots = [np.sqrt(np.clip(self.matrices[x], 0.0, None)) for x in self.alphabet]
-            fid = np.ones((self.n_states, self.n_states))
+            prev, fid = None, np.ones((self.n_states, self.n_states))
             for _ in range(horizon):
-                fid = sum(s @ fid @ s.T for s in roots)
-            return fid
-        _, futures = self.conditional_future_matrix(horizon, cap)
-        roots = np.sqrt(np.clip(futures, 0.0, None))
-        return roots @ roots.T
+                prev, fid = fid, self.fidelity_step(fid)
+            memo.clear()
+            if prev is not None:
+                prev.setflags(write=False)
+                memo[(horizon - 1, cap)] = prev
+        else:
+            _, futures = self.conditional_future_matrix(horizon, cap)
+            roots = np.sqrt(np.clip(futures, 0.0, None))
+            fid = roots @ roots.T
+            while len(memo) > 1:
+                del memo[next(iter(memo))]
+        fid.setflags(write=False)
+        memo[key] = fid
+        return fid
+
+    def fidelity_step(self, fid: np.ndarray) -> np.ndarray:
+        """One step of the unifilar overlap recursion,
+        ``sum_x sqrt(T[x]) @ fid @ sqrt(T[x]).T``.
+
+        Each ``sqrt(T[x])`` is held as per-row slots (target, amplitude), one
+        slot per nonzero entry of the widest row, so the step is a gather of
+        ``fid`` and two scalings, O(n^2) instead of O(n^3).  With one nonzero
+        per row (every unifilar machine at zero tolerance) the products are
+        formed in the order of the matrix product and the result is
+        bit-identical to it.
+        """
+
+        def accumulate(total, term):
+            if total is None:
+                return term
+            total += term
+            return total
+
+        out = None
+        for targets, amps in self._root_slots():
+            for t_q, a_q in zip(targets, amps):
+                inner = None
+                for t_p, a_p in zip(targets, amps):
+                    term = fid[np.ix_(t_p, t_q)]
+                    term *= a_p[:, None]
+                    inner = accumulate(inner, term)
+                inner *= a_q[None, :]
+                out = accumulate(out, inner)
+        return out
+
+    def _root_slots(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per symbol, ``sqrt(T[x])`` (negative entries clipped) as slot
+        arrays ``(targets, amps)`` of shape (slots, n): slot s of row j holds
+        amplitude ``amps[s, j]`` toward state ``targets[s, j]``; rows with
+        fewer nonzeros are padded with amplitude 0."""
+        if "root_slots" not in self._memo:
+            n = self.n_states
+            slots = []
+            for x in self.alphabet:
+                root = np.sqrt(np.clip(self.matrices[x], 0.0, None))
+                rows, cols = np.nonzero(root)
+                rank = np.arange(rows.size) - np.searchsorted(rows, rows)
+                width = int(rank.max()) + 1 if rows.size else 1
+                targets = np.zeros((width, n), dtype=np.intp)
+                amps = np.zeros((width, n))
+                targets[rank, rows] = cols
+                amps[rank, rows] = root[rows, cols]
+                slots.append((targets, amps))
+            self._memo["root_slots"] = slots
+        return self._memo["root_slots"]
 
     # -- persistence -------------------------------------------------------
 
@@ -229,8 +305,54 @@ class Machine:
             doc["groups"] = list(self.groups)
         return doc
 
+    def to_json_text(self) -> str:
+        """The machine file: the same bytes as
+        ``json.dumps(self.to_json_dict(), indent=2) + "\n"``.
+
+        The standard encoder falls back to pure Python whenever it indents
+        and holds every number as a separate chunk until the end.  Here each
+        matrix row is encoded in one join of ``float.__repr__`` (the function
+        that encoder uses for finite floats, the only ones ``make_machine``
+        admits), and the pieces are joined once.
+        """
+
+        def array(items: list[str], pad: str) -> list[str]:
+            if not items:
+                return ["[]"]
+            inner = "\n" + pad + "  "
+            return ["[" + inner, ("," + inner).join(items), "\n" + pad + "]"]
+
+        def numbers(values: np.ndarray, pad: str) -> list[str]:
+            return array(list(map(float.__repr__, values.tolist())), pad)
+
+        def obj(fields: list[tuple[str, list[str]]], pad: str) -> list[str]:
+            if not fields:
+                return ["{}"]
+            inner = "\n" + pad + "  "
+            pieces = ["{"]
+            for i, (key, value) in enumerate(fields):
+                pieces.append(("," if i else "") + inner + json.dumps(key) + ": ")
+                pieces.extend(value)
+            pieces.append("\n" + pad + "}")
+            return pieces
+
+        matrices = [
+            (x, array(["".join(numbers(row, "      ")) for row in np.asarray(self.matrices[x])],
+                      "    "))
+            for x in self.alphabet
+        ]
+        fields = [
+            ("alphabet", array(list(map(json.dumps, self.alphabet)), "  ")),
+            ("states", array(list(map(json.dumps, self.states)), "  ")),
+            ("matrices", obj(matrices, "  ")),
+            ("stationary", numbers(np.asarray(self.stationary), "  ")),
+        ]
+        if self.groups is not None:
+            fields.append(("groups", array(list(map(str, self.groups)), "  ")))
+        return "".join(obj(fields, "") + ["\n"])
+
     def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_json_dict(), indent=2) + "\n")
+        Path(path).write_text(self.to_json_text())
 
 
 def make_machine(
@@ -278,6 +400,8 @@ def make_machine(
         pi = np.asarray(stationary, dtype=float)
         if pi.shape != (n,):
             raise MachineFormatError(f"stationary vector has shape {pi.shape}, expected ({n},)")
+        if not np.all(np.isfinite(pi)):
+            raise StationaryMismatch("stationary vector has NaN or infinite entries")
         if abs(pi.sum() - 1.0) > tol:
             raise StationaryMismatch(f"stationary sums to {pi.sum():.12g}, expected 1")
         residual = float(np.max(np.abs(pi @ total - pi)))

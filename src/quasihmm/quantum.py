@@ -163,9 +163,7 @@ def validate_unitary_relation(
         raise ValueError("unitary relation check requires a unifilar machine")
     gram = gram_from_machine(m, horizon, cap)
     overlaps = gram.overlaps
-    roots = [np.sqrt(np.clip(m.matrices[x], 0.0, None)) for x in m.alphabet]
-    evolved = sum(s @ overlaps @ s.T for s in roots)
-    residual = float(np.max(np.abs(evolved - overlaps)))
+    residual = float(np.max(np.abs(m.fidelity_step(overlaps) - overlaps)))
     if residual > tol:
         raise IsometryViolated(f"overlap preservation residual {residual:.3e}")
     return UnitaryCheckReport(

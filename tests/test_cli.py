@@ -309,6 +309,14 @@ class TestConstructNMachine:
         assert doc["saturated"] is False
         assert doc["c_n2"] > doc["c_mu2"]
 
+    def test_golden_mean_bad_generic_split_optimizes(self, capsys):
+        code, out, _ = run(
+            capsys, "construct-nmachine", "--process", "golden-mean-bad", "--p", "0.4",
+            "--split", "2,1", "--optimize", "--seed", "1",
+        )
+        assert code == 0
+        assert json.loads(out)["checks"]["passed"] is True
+
     def test_optimize_flag(self, capsys):
         code, out, _ = run(
             capsys, "construct-nmachine", "--process", "perturbed-coin",

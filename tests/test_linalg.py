@@ -8,6 +8,7 @@ from quasihmm.linalg import (
     solve_linear,
     symmetric_eigenvalues,
 )
+from quasihmm.processes import sns_epsilon_truncated
 
 
 class TestLeftFixedVector:
@@ -48,6 +49,49 @@ class TestLeftFixedVector:
         with pytest.raises(errors.NonFiniteEntries):
             left_fixed_vector([[np.nan, 1.0], [0.5, 0.5]])
 
+    @pytest.mark.parametrize("chain", ["flip", "cycle"])
+    @pytest.mark.parametrize("p", [1e-10, 1e-9, 3e-9])
+    def test_nearly_reducible_chain_is_degenerate(self, chain, p):
+        with pytest.raises(errors.DegenerateFixedSpace):
+            left_fixed_vector(_slow_chain(chain, p))
+
+    @pytest.mark.parametrize("chain", ["flip", "cycle"])
+    @pytest.mark.parametrize("p", [1e-8, 3e-8, 1e-6])
+    def test_slow_but_simple_chain_is_accepted(self, chain, p):
+        # the degeneracy boundary lies between p = 3e-9 and p = 1e-8
+        v = left_fixed_vector(_slow_chain(chain, p))
+        assert v == pytest.approx(np.full(len(v), 1 / len(v)), abs=1e-6)
+
+    def test_agrees_with_least_squares_on_stochastic_matrices(self, rng):
+        for _ in range(50):
+            n = int(rng.integers(2, 40))
+            m = rng.uniform(0.0, 1.0, (n, n)) * (rng.uniform(size=(n, n)) < 0.5)
+            m += np.eye(n, k=1) + np.eye(n, k=1 - n)  # irreducible
+            m /= m.sum(axis=1, keepdims=True)
+            assert np.max(np.abs(left_fixed_vector(m) - _lstsq_fixed_vector(m))) <= 1e-13
+
+    def test_agrees_with_least_squares_on_sns_predictive_model(self):
+        total = sns_epsilon_truncated(0.9).transition_matrix()
+        diff = left_fixed_vector(total) - _lstsq_fixed_vector(total)
+        assert np.max(np.abs(diff)) <= 1e-13
+
+    def test_agrees_with_least_squares_on_signed_matrices(self, rng):
+        # both solves are backward stable, so they agree within the forward
+        # error bound eps * cond * |v| of the bordered system
+        for _ in range(200):
+            n = int(rng.integers(2, 12))
+            m = rng.uniform(-0.4, 1.0, (n, n))
+            m /= m.sum(axis=1, keepdims=True)
+            try:
+                v = left_fixed_vector(m)
+            except (errors.DegenerateFixedSpace, errors.NoUnitEigenvalue, ValueError):
+                continue
+            bordered = np.ones((n + 1, n + 1))
+            bordered[:n, :n] = np.eye(n) - m.T
+            bordered[n, n] = 0.0
+            bound = 64 * np.finfo(float).eps * np.linalg.cond(bordered, 1) * np.max(np.abs(v))
+            assert np.max(np.abs(v - _lstsq_fixed_vector(m))) <= max(1e-13, bound)
+
     def test_random_quasi_stochastic_roundtrip(self, rng):
         for _ in range(50):
             n = int(rng.integers(2, 7))
@@ -59,6 +103,25 @@ class TestLeftFixedVector:
                 continue
             assert float(np.max(np.abs(v @ m - v))) <= 1e-7  # 10x eigen tolerance
             assert v.sum() == pytest.approx(1.0, abs=1e-10)
+
+
+def _slow_chain(chain: str, p: float) -> np.ndarray:
+    """Two-state flip chain or three-state cycle that moves with probability p."""
+    if chain == "flip":
+        return np.array([[1 - p, p], [p, 1 - p]])
+    return np.array([[1 - p, p, 0.0], [0.0, 1 - p, p], [p, 0.0, 1 - p]])
+
+
+def _lstsq_fixed_vector(m) -> np.ndarray:
+    """Reference fixed vector: least squares on v (m - I) = 0 stacked with
+    sum(v) = 1."""
+    m = np.asarray(m, dtype=float)
+    n = m.shape[0]
+    system = np.vstack([(m - np.eye(n)).T, np.ones((1, n))])
+    rhs = np.zeros(n + 1)
+    rhs[-1] = 1.0
+    v, *_ = np.linalg.lstsq(system, rhs, rcond=None)
+    return v / v.sum()
 
 
 class TestSolveLinear:

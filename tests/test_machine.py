@@ -16,12 +16,25 @@ from quasihmm.machine import (
     same_process,
     word_distribution_distance,
 )
+from quasihmm.nmachine import (
+    build_split_machine,
+    perturbed_coin_ideal_params,
+    perturbed_coin_split_spec,
+)
 from quasihmm.processes import (
+    even_process_epsilon,
     golden_mean_epsilon,
     perturbed_coin_epsilon,
+    perturbed_coin_rjmc,
+    sns_epsilon_truncated,
     sns_g_machine,
     unbiased_coin,
 )
+
+_UNIFILAR = [
+    perturbed_coin_epsilon(0.3), golden_mean_epsilon(0.4), even_process_epsilon(),
+    unbiased_coin(), sns_epsilon_truncated(0.9),
+]
 
 
 @pytest.fixture
@@ -149,6 +162,17 @@ class TestClassify:
         assert not cls.classical and not cls.unifilar
 
 
+    def test_classification_is_remembered_per_tolerance(self):
+        # the 0.05 entry is a second branch at the default tolerance only
+        t0 = [[0.6, 0.05], [0.0, 0.0]]
+        t1 = [[0.0, 0.35], [1.0, 0.0]]
+        m = make_machine(("0", "1"), ("a", "b"), {"0": t0, "1": t1})
+        assert m.classify() is m.classify()
+        assert not m.classify().unifilar
+        assert m.classify(tol=0.1).unifilar
+        assert not m.classify().unifilar
+
+
 class TestValidate:
     def test_well_formed_machine_has_no_violations(self, coin):
         assert coin.validate() == []
@@ -180,6 +204,14 @@ class TestValidate:
         with pytest.raises(errors.MachineFormatError):
             make_machine(("0",), ("a",), {"0": [[0.9]]})
 
+    def test_make_machine_rejects_non_finite_stationary(self, coin):
+        with pytest.raises(errors.StationaryMismatch):
+            make_machine(
+                coin.alphabet, coin.states,
+                {x: np.asarray(coin.matrices[x]) for x in coin.alphabet},
+                stationary=[float("nan"), 0.5],
+            )
+
     def test_make_machine_rejects_bad_stationary(self, coin):
         with pytest.raises(errors.StationaryMismatch):
             make_machine(
@@ -210,6 +242,37 @@ class TestFutureFidelity:
         fid = coin.future_fidelity_matrix(9)
         assert np.allclose(np.diag(fid), 1.0, atol=1e-12)
 
+    @pytest.mark.parametrize("machine", _UNIFILAR, ids=lambda m: f"{m.n_states}-states")
+    def test_slot_recursion_is_bit_identical_to_dense_products(self, machine):
+        assert machine.classify().unifilar
+        for horizon in (0, 1, 7, 12):
+            assert np.array_equal(
+                machine.future_fidelity_matrix(horizon), _dense_fidelity(machine, horizon)
+            )
+
+    def test_rows_with_several_nonzeros_get_several_slots(self):
+        # unifilar at the default tolerance, yet with a second exact nonzero
+        t0 = [[0.6 - 1e-12, 1e-12], [0.0, 0.0]]
+        t1 = [[0.0, 0.4], [1.0, 0.0]]
+        m = make_machine(("0", "1"), ("a", "b"), {"0": t0, "1": t1})
+        assert m.classify().unifilar
+        got = m.future_fidelity_matrix(9)
+        assert np.max(np.abs(got - _dense_fidelity(m, 9))) <= 1e-15
+
+    def test_horizon_pair_equals_separate_calls(self):
+        for make in (lambda: sns_epsilon_truncated(0.5), lambda: sns_g_machine(0.45)):
+            paired = make()
+            upper = paired.future_fidelity_matrix(8)
+            lower = paired.future_fidelity_matrix(7)
+            assert np.array_equal(upper, make().future_fidelity_matrix(8))
+            assert np.array_equal(lower, make().future_fidelity_matrix(7))
+
+    def test_remembered_matrices_are_read_only(self, coin):
+        fid = coin.future_fidelity_matrix(4)
+        assert fid is coin.future_fidelity_matrix(4)
+        with pytest.raises(ValueError):
+            fid[0, 0] = 0.0
+
     def test_quasi_machine_rejected(self):
         t0 = [[1.2, -0.2], [0.0, 0.0]]
         t1 = [[0.0, 0.0], [0.5, 0.5]]
@@ -230,7 +293,43 @@ class TestProcessEquality:
         assert d > 1e-3
 
 
+def _dense_fidelity(machine, horizon):
+    """Reference overlap recursion with dense square-root matrices."""
+    roots = [np.sqrt(np.clip(machine.matrices[x], 0.0, None)) for x in machine.alphabet]
+    fid = np.ones((machine.n_states, machine.n_states))
+    for _ in range(horizon):
+        fid = sum(s @ fid @ s.T for s in roots)
+    return fid
+
+
+def _json_text_machines():
+    zoo = [
+        perturbed_coin_epsilon(0.3), perturbed_coin_rjmc(0.7), golden_mean_epsilon(0.4),
+        sns_g_machine(0.5), sns_epsilon_truncated(0.5), sns_epsilon_truncated(0.9),
+        even_process_epsilon(), unbiased_coin(),
+    ]
+    coin = perturbed_coin_epsilon(0.3)
+    split = build_split_machine(
+        coin, perturbed_coin_split_spec(0.3),
+        dict(zip(("q1", "q2"), perturbed_coin_ideal_params(0.3))),
+    )
+    signed = make_machine(
+        ("0", "1"), ("a", "b", "c"),
+        {"0": [[0.8, 0.2, -0.1], [0.2, 0.8, -0.1], [0.3, 0.3, 0.0]],
+         "1": [[0.0, 0.0, 0.1], [0.0, 0.0, 0.1], [0.1, 0.1, 0.2]]},
+    )
+    return zoo + [split, signed]
+
+
 class TestMachineIO:
+    @pytest.mark.parametrize("machine", _json_text_machines(), ids=lambda m: str(m.states[:2]))
+    def test_json_text_matches_indented_json_dumps(self, machine):
+        assert machine.to_json_text() == json.dumps(machine.to_json_dict(), indent=2) + "\n"
+
+    def test_json_text_of_empty_fields(self):
+        m = Machine(alphabet=(), states=(), matrices={}, stationary=np.zeros(0), groups=())
+        assert m.to_json_text() == json.dumps(m.to_json_dict(), indent=2) + "\n"
+
     def test_round_trip_bit_exact(self, tmp_path, coin):
         path = tmp_path / "coin.json"
         coin.save(path)

@@ -55,6 +55,14 @@ def sns_ideal_machine(p, branch=BRANCH_PLUS):
     return source, built, (gamma, eta)
 
 
+@pytest.fixture(scope="module")
+def golden_mean_split():
+    source = golden_mean_epsilon(0.4)
+    e_half = excess_entropy_half(source, 12).value
+    spec = generic_split_spec(source, (2, 1))
+    return source, optimize_ideal(source, spec, e_half, OptimizeOptions(seed=1))
+
+
 class TestAffine:
     def test_constant(self):
         assert Affine(0.25).evaluate({}) == 0.25
@@ -176,6 +184,30 @@ class TestVerifyProperties:
             matrices={"0": t0, "1": np.array(built.matrices["1"]) - 0.0},
             stationary=np.array(built.stationary),
             groups=built.groups,
+        )
+        with pytest.raises(errors.PropertyViolated):
+            verify_nmachine_properties(source, broken)
+
+    def test_generic_golden_mean_split_ignores_off_support_noise(self, golden_mean_split):
+        # the optimized shares leave rounding noise of either sign on words a
+        # source state forbids; its square root once made the half-order
+        # gap about 3e-9
+        source, result = golden_mean_split
+        report = verify_nmachine_properties(source, result.machine)
+        assert report.half_excess_gap <= 1e-14
+
+    def test_corrupted_generic_split_violates(self, golden_mean_split):
+        # send part of the "1" edge of a copy of s0 back to s0: row and
+        # symbol sums hold, but the copy can now emit "11"
+        source, result = golden_mean_split
+        built = result.machine
+        t1 = np.array(built.matrices["1"])
+        t1[0, 2] -= 0.01
+        t1[0, 0] += 0.01
+        broken = Machine(
+            alphabet=built.alphabet, states=built.states,
+            matrices={"0": np.array(built.matrices["0"]), "1": t1},
+            stationary=np.array(built.stationary), groups=built.groups,
         )
         with pytest.raises(errors.PropertyViolated):
             verify_nmachine_properties(source, broken)
