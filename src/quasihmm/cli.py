@@ -175,6 +175,8 @@ MEASURE_CHOICES = (
 )
 
 _CLASSICAL_ONLY = {"c-q2", "c-q-von-neumann", "excess-half", "excess-shannon"}
+#: Renyi orders other than 2 are undefined on a signed stationary vector
+_UNSIGNED_ONLY = {"c-mu1", "c-mu0"}
 
 
 def _one_measure(machine: Machine, name: str, horizon: int) -> ms.MeasureReport:
@@ -214,6 +216,8 @@ def cmd_measures(args) -> int:
         names = list(MEASURE_CHOICES)
         if not machine.classify().classical:
             names = [n for n in names if n not in _CLASSICAL_ONLY]
+        if np.min(machine.stationary) < -ms.DIST_TOL:
+            names = [n for n in names if n not in _UNSIGNED_ONLY]
     elif args.measure:
         names = list(args.measure)
     else:

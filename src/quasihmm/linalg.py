@@ -37,15 +37,18 @@ def _as_matrix(m) -> np.ndarray:
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise NonFiniteEntries("matrix has NaN or infinite entries")
     return a
 
 
+def _row_sum_residual(a: np.ndarray) -> float:
+    return float(np.abs(a.sum(axis=1) - 1.0).max())
+
+
 def row_sum_residual(m) -> float:
     """Largest absolute deviation of a row sum from 1."""
-    a = _as_matrix(m)
-    return float(np.max(np.abs(a.sum(axis=1) - 1.0)))
+    return _row_sum_residual(_as_matrix(m))
 
 
 def left_fixed_vector(m, tol: float = STRUCT_TOL, eigen_tol: float = EIGEN_TOL) -> np.ndarray:
@@ -67,7 +70,7 @@ def left_fixed_vector(m, tol: float = STRUCT_TOL, eigen_tol: float = EIGEN_TOL) 
     a representative.
     """
     a = _as_matrix(m)
-    res = row_sum_residual(a)
+    res = _row_sum_residual(a)
     if res > tol:
         raise ValueError(f"matrix is not quasi-stochastic: row-sum residual {res:.3e}")
 

@@ -395,7 +395,7 @@ def make_machine(
 
     if stationary is None:
         pi = linalg.left_fixed_vector(total, tol=tol)
-        residual = float(np.max(np.abs(pi @ total - pi)))
+        residual = float(np.abs(pi @ total - pi).max())
     else:
         pi = np.asarray(stationary, dtype=float)
         if pi.shape != (n,):

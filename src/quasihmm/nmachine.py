@@ -82,24 +82,138 @@ class SplitSpec:
     copy_counts: tuple[int, ...]
     param_names: tuple[str, ...] = ()
     rules: Mapping[tuple[int, int, str, int], tuple[Affine, ...]] = field(default_factory=dict)
+    #: compiled layouts remembered per source alphabet and states
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def extended_states(self) -> list[tuple[int, int]]:
         return [(k, l) for k, count in enumerate(self.copy_counts) for l in range(count)]
 
-    def shares(
-        self, j: int, l_j: int, symbol: str, k: int, total: float, params: Mapping[str, float]
-    ) -> list[float]:
-        count = self.copy_counts[k]
-        rule = self.rules.get((j, l_j, symbol, k))
-        if rule is None:
-            return [total] + [0.0] * (count - 1)
-        if len(rule) != count - 1:
-            raise SpecMismatch(
-                f"rule for {(j, l_j, symbol, k)} has {len(rule)} shares, "
-                f"expected {count - 1}"
-            )
-        head = [expr.evaluate(params) for expr in rule]
-        return head + [total - sum(head)]
+    def compiled(self, source: Machine) -> "CompiledSplit":
+        """This spec laid out for ``source``'s alphabet and states; built once
+        per (alphabet, states) and remembered."""
+        key = (source.alphabet, source.states)
+        if key not in self._memo:
+            self._memo[key] = CompiledSplit.build(self, source)
+        return self._memo[key]
+
+
+@dataclass(frozen=True)
+class CompiledSplit:
+    """A split spec as index and coefficient arrays for one source layout.
+
+    The extended matrices, stacked per symbol, are one gather from the
+    values ``[source entries, heads, remainders, 0]``.  Head h is
+    ``consts[h] + sum_m coef * theta[param]`` over its terms, added in the
+    order of its ``Affine.coeffs``; remainder r is its source entry less the
+    sum of its heads, added in share order.  Each of ``term_layers`` and
+    ``remainder_layers`` holds the m-th term of every head (m-th head of
+    every remainder) that has one, so the arithmetic is that of
+    ``Affine.evaluate`` and the remainder rule, operation for operation, and
+    the matrices match the per-share construction bit for bit.
+    """
+
+    gather: np.ndarray
+    consts: np.ndarray
+    #: per term position: (head index, parameter index, coefficient)
+    term_layers: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+    remainder_sources: np.ndarray
+    #: per share position: (remainder index, head index)
+    remainder_layers: tuple[tuple[np.ndarray, np.ndarray], ...]
+    labels: tuple[str, ...]
+    groups: tuple[int, ...]
+
+    @classmethod
+    def build(cls, spec: SplitSpec, source: Machine) -> "CompiledSplit":
+        counts = spec.copy_counts
+        n_src = len(counts)
+        extended = spec.extended_states()
+        index = {pair: i for i, pair in enumerate(extended)}
+        param_index = {name: i for i, name in enumerate(spec.param_names)}
+        size = len(extended)
+        # each extended entry as (kind, index): 0 source entry, 1 head,
+        # 2 remainder, 3 zero
+        kinds = np.zeros((len(source.alphabet), size, size), dtype=np.intp)
+        where = np.zeros_like(kinds)
+        consts: list[float] = []
+        remainder_sources: list[int] = []
+        # layer m first appears after layer m - 1, so the dicts keep
+        # the layers in order
+        terms: dict[int, list[tuple[int, int, float]]] = {}
+        remainder_terms: dict[int, list[tuple[int, int]]] = {}
+
+        for s, x in enumerate(source.alphabet):
+            for row, (j, l_j) in enumerate(extended):
+                for k in range(n_src):
+                    entry = (s * n_src + j) * n_src + k
+                    cols = [index[(k, l_k)] for l_k in range(counts[k])]
+                    rule = spec.rules.get((j, l_j, x, k))
+                    if rule is None:
+                        where[s, row, cols[0]] = entry
+                        kinds[s, row, cols[1:]] = 3
+                        continue
+                    if len(rule) != counts[k] - 1:
+                        raise SpecMismatch(
+                            f"rule for {(j, l_j, x, k)} has {len(rule)} shares, "
+                            f"expected {counts[k] - 1}"
+                        )
+                    r = len(remainder_sources)
+                    remainder_sources.append(entry)
+                    for l_k, expr in enumerate(rule):
+                        h = len(consts)
+                        consts.append(expr.const)
+                        for m, (name, coef) in enumerate(expr.coeffs.items()):
+                            if name not in param_index:
+                                raise SpecMismatch(
+                                    f"rule for {(j, l_j, x, k)} uses unknown parameter {name!r}"
+                                )
+                            terms.setdefault(m, []).append((h, param_index[name], coef))
+                        remainder_terms.setdefault(l_k, []).append((r, h))
+                        kinds[s, row, cols[l_k]] = 1
+                        where[s, row, cols[l_k]] = h
+                    kinds[s, row, cols[-1]] = 2
+                    where[s, row, cols[-1]] = r
+
+        n_entries = len(source.alphabet) * n_src * n_src
+        offsets = np.array(
+            [0, n_entries, n_entries + len(consts),
+             n_entries + len(consts) + len(remainder_sources)]
+        )
+        term_layers = tuple(
+            (np.array(h, dtype=np.intp), np.array(i, dtype=np.intp), np.array(c, dtype=float))
+            for h, i, c in (zip(*layer) for layer in terms.values())
+        )
+        remainder_layers = tuple(
+            (np.array(r, dtype=np.intp), np.array(h, dtype=np.intp))
+            for r, h in (zip(*layer) for layer in remainder_terms.values())
+        )
+        return cls(
+            gather=offsets[kinds] + where,
+            consts=np.array(consts, dtype=float),
+            term_layers=term_layers,
+            remainder_sources=np.array(remainder_sources, dtype=np.intp),
+            remainder_layers=remainder_layers,
+            labels=tuple(
+                f"{source.states[k]}.{l}" if counts[k] > 1 else source.states[k]
+                for k, l in extended
+            ),
+            groups=tuple(k for k, _ in extended),
+        )
+
+    def matrices(self, source: Machine, theta: np.ndarray) -> np.ndarray:
+        """Extended matrices, shape (symbols, n, n), at parameter vector
+        ``theta`` (ordered as the spec's ``param_names``)."""
+        entries = np.concatenate([source.matrices[x] for x in source.alphabet], axis=None)
+        heads = np.zeros(len(self.consts))
+        for at, param, coef in self.term_layers:
+            heads[at] += coef * theta[param]
+        heads += self.consts
+        taken = np.zeros(len(self.remainder_sources))
+        for at, head in self.remainder_layers:
+            taken[at] += heads[head]
+        values = np.concatenate(
+            [entries, heads, entries[self.remainder_sources] - taken, [0.0]]
+        )
+        return values[self.gather]
 
 
 def trivial_split_spec(source: Machine) -> SplitSpec:
@@ -137,7 +251,8 @@ def build_split_machine(
     The coarse-graining constraint (shares of each transition summing to the
     source probability) holds by construction; the stationary quasiprobability
     is computed fresh and a degenerate fixed space (possible at isolated
-    parameter values) propagates as an error.
+    parameter values) propagates as an error.  The matrices come from the
+    spec's compiled layout for ``source``, built on first use.
     """
     if len(spec.copy_counts) != source.n_states:
         raise SpecMismatch(
@@ -147,32 +262,14 @@ def build_split_machine(
     if missing:
         raise SpecMismatch(f"missing parameter values: {missing}")
 
-    extended = spec.extended_states()
-    index = {pair: i for i, pair in enumerate(extended)}
-    size = len(extended)
-    matrices = {}
-    for x in source.alphabet:
-        src = np.asarray(source.matrices[x])
-        mat = np.zeros((size, size))
-        for (j, l_j), row in ((pair, index[pair]) for pair in extended):
-            for k in range(source.n_states):
-                shares = spec.shares(j, l_j, x, k, float(src[j, k]), params)
-                for l_k, value in enumerate(shares):
-                    mat[row, index[(k, l_k)]] = value
-        matrices[x] = mat
-
-    labels = tuple(
-        f"{source.states[k]}.{l}" if spec.copy_counts[k] > 1 else source.states[k]
-        for k, l in extended
-    )
-    built = make_machine(source.alphabet, labels, matrices)
-    return Machine(
-        alphabet=built.alphabet,
-        states=built.states,
-        matrices=built.matrices,
-        stationary=built.stationary,
-        groups=tuple(k for k, _ in extended),
-        stationary_residual=built.stationary_residual,
+    compiled = spec.compiled(source)
+    theta = np.array([params[name] for name in spec.param_names], dtype=float)
+    stacked = compiled.matrices(source, theta)
+    return make_machine(
+        source.alphabet,
+        compiled.labels,
+        dict(zip(source.alphabet, stacked)),
+        groups=compiled.groups,
     )
 
 
@@ -183,6 +280,7 @@ def build_split_machine(
 class NMachineCheckReport:
     """Largest residual of each defining identity of a built split machine."""
 
+    stationary_fixed: float
     coarse_graining: float
     symbol_conditionals: float
     word_conditionals: float
@@ -194,6 +292,7 @@ class NMachineCheckReport:
 
     def worst(self) -> float:
         return max(
+            self.stationary_fixed,
             self.coarse_graining,
             self.symbol_conditionals,
             self.word_conditionals,
@@ -206,6 +305,7 @@ class NMachineCheckReport:
 
     def __str__(self) -> str:
         return (
+            f"fixed={self.stationary_fixed:.3e} "
             f"coarse={self.coarse_graining:.3e} symbol={self.symbol_conditionals:.3e} "
             f"word={self.word_conditionals:.3e} dist={self.word_distribution:.3e} "
             f"half-excess={self.half_excess_gap:.3e} (tol {self.tol:g})"
@@ -220,7 +320,8 @@ def verify_nmachine_properties(
 ) -> NMachineCheckReport:
     """Check every construction identity of ``built`` against ``source``.
 
-    Verified, each within ``tol``: coarse-grained stationary weights, symbol
+    Verified, each within ``tol``: the built stationary vector as a fixed
+    point of the built transitions, coarse-grained stationary weights, symbol
     conditionals, word conditionals up to min(horizon, 6), word-distribution
     equality up to ``horizon``, and agreement of the half-order
     state-future mutual information at horizon, summed over the words each
@@ -233,9 +334,12 @@ def verify_nmachine_properties(
     groups = np.asarray(built.groups)
     n_src = source.n_states
 
+    pi = np.asarray(built.stationary)
+    fixed_res = float(np.max(np.abs(pi @ built.transition_matrix() - pi)))
+
     coarse = np.zeros(n_src)
     for k in range(n_src):
-        coarse[k] = np.sum(np.asarray(built.stationary)[groups == k])
+        coarse[k] = np.sum(pi[groups == k])
     coarse_res = float(np.max(np.abs(coarse - np.asarray(source.stationary))))
 
     symbol_res = 0.0
@@ -270,6 +374,7 @@ def verify_nmachine_properties(
     half_gap = abs(half_built - half_src)
 
     report = NMachineCheckReport(
+        stationary_fixed=fixed_res,
         coarse_graining=coarse_res,
         symbol_conditionals=symbol_res,
         word_conditionals=word_res,
@@ -468,7 +573,11 @@ def golden_mean_bad_nmachine(
 
 @dataclass(frozen=True)
 class OptimizeOptions:
-    """Knobs for the deterministic multi-start pattern search."""
+    """Knobs for the deterministic multi-start pattern search.
+
+    ``max_evals`` caps the trial points of the whole search, counting the
+    repeats that the per-start memo answers without a build.
+    """
 
     seed: int = 0
     extra_starts: int = 8
@@ -498,6 +607,11 @@ def optimize_ideal(
     points, not failures.  If even the best point sits below the bound,
     ``NoFeasiblePoint`` is raised; a best point above the bound but away
     from it is returned with ``saturated=False``.
+
+    Each start's search remembers the objective of every point it tried,
+    keyed by the parameter vector's bytes, and answers a repeated point from
+    that memo; ``opts.max_evals`` still counts it as a trial, so the memo
+    changes how many machines are built but not the search or its result.
     """
     names = spec.param_names
     if len(names) > opts.max_params:
@@ -540,8 +654,17 @@ def optimize_ideal(
 
     def search(start: np.ndarray) -> tuple[float, np.ndarray]:
         nonlocal evals
+        # dyadic starts and steps make a search revisit points bit for bit
+        seen: dict[bytes, float] = {}
+
+        def value(vec: np.ndarray) -> float:
+            key = vec.tobytes()
+            if key not in seen:
+                seen[key] = objective(vec)
+            return seen[key]
+
         x = start.copy()
-        fx = objective(x)
+        fx = value(x)
         evals += 1
         step = opts.initial_step
         while step >= opts.min_step and evals < opts.max_evals:
@@ -550,7 +673,7 @@ def optimize_ideal(
                 for sign in (1.0, -1.0):
                     trial = x.copy()
                     trial[i] += sign * step
-                    ft = objective(trial)
+                    ft = value(trial)
                     evals += 1
                     if ft < fx - 1e-15:
                         x, fx = trial, ft

@@ -7,6 +7,11 @@ from conftest import spearman
 from quasihmm import cli
 from quasihmm.machine import load_machine, machine_from_json_dict, same_process
 from quasihmm.measures import perturbed_coin_excess_half
+from quasihmm.nmachine import (
+    build_split_machine,
+    perturbed_coin_ideal_params,
+    perturbed_coin_split_spec,
+)
 from quasihmm.processes import perturbed_coin_epsilon
 
 
@@ -98,6 +103,20 @@ class TestMeasures:
         names = {r["name"] for r in json.loads(out)["reports"]}
         assert "C_mu2" in names and "negativity" in names
         assert "E_half" not in names and "C_q2" not in names
+
+    def test_all_on_signed_stationary_vector(self, capsys, tmp_path):
+        # the ideal split's stationary vector is about [0.790, -0.290, 0.5];
+        # Renyi orders 0 and 1 are undefined on it, so --all leaves them out
+        source = perturbed_coin_epsilon(0.3)
+        q1, q2 = perturbed_coin_ideal_params(0.3)
+        built = build_split_machine(source, perturbed_coin_split_spec(0.3), {"q1": q1, "q2": q2})
+        assert min(built.stationary) < -0.2
+        path = tmp_path / "split.json"
+        built.save(path)
+        code, out, err = run(capsys, "measures", str(path), "--all")
+        assert code == 0, err
+        names = [r["name"] for r in json.loads(out)["reports"]]
+        assert names == ["C_mu2", "negativity", "mana"]
 
     def test_no_measure_requested_is_validation_error(self, capsys, coin_file):
         code, _, err = run(capsys, "measures", coin_file)

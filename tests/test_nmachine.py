@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 
 from conftest import spearman
 from quasihmm import errors
-from quasihmm.machine import Machine, same_process
+from quasihmm import nmachine as nm
+from quasihmm.machine import Machine, make_machine, same_process
 from quasihmm.measures import (
     excess_entropy_half,
     perturbed_coin_excess_half,
@@ -187,6 +189,26 @@ class TestVerifyProperties:
         )
         with pytest.raises(errors.PropertyViolated):
             verify_nmachine_properties(source, broken)
+
+    def test_stale_stationary_vector_violates(self):
+        # move 0.05 of the s1 -> s0 share from copy s0.0 to s0.1: every row,
+        # symbol and coarse-grained sum holds, but the old stationary vector
+        # is no longer a fixed point (residual 0.05 * pi[s1] = 0.025)
+        source, built, _ = pc_ideal_machine(0.3)
+        t0 = np.array(built.matrices["0"])
+        t0[2, 0] -= 0.05
+        t0[2, 1] += 0.05
+        stale = Machine(
+            alphabet=built.alphabet, states=built.states,
+            matrices={"0": t0, "1": np.array(built.matrices["1"])},
+            stationary=np.array(built.stationary), groups=built.groups,
+        )
+        with pytest.raises(errors.PropertyViolated) as info:
+            verify_nmachine_properties(source, stale)
+        report = info.value.report
+        assert report.stationary_fixed == pytest.approx(0.025, abs=1e-12)
+        assert report.worst() == report.stationary_fixed
+        assert "fixed=2.500e-02" in str(report)
 
     def test_generic_golden_mean_split_ignores_off_support_noise(self, golden_mean_split):
         # the optimized shares leave rounding noise of either sign on words a
@@ -453,3 +475,243 @@ class TestOptimizeIdeal:
         spec = generic_split_spec(source, (2, 1))
         with pytest.raises(ValueError):
             optimize_ideal(source, spec, 0.2, OptimizeOptions(max_params=2))
+
+
+# --- reference paths for the compiled split and the memoised search -------------
+
+
+def reference_shares(spec, j, l_j, symbol, k, total, params):
+    """Shares of one source transition among the target's copies, one
+    ``Affine.evaluate`` per head, the last share taking the remainder."""
+    count = spec.copy_counts[k]
+    rule = spec.rules.get((j, l_j, symbol, k))
+    if rule is None:
+        return [total] + [0.0] * (count - 1)
+    head = [expr.evaluate(params) for expr in rule]
+    return head + [total - sum(head)]
+
+
+def reference_build(source, spec, params):
+    """The split machine assembled share by share."""
+    extended = spec.extended_states()
+    index = {pair: i for i, pair in enumerate(extended)}
+    matrices = {}
+    for x in source.alphabet:
+        src = np.asarray(source.matrices[x])
+        mat = np.zeros((len(extended), len(extended)))
+        for row, (j, l_j) in enumerate(extended):
+            for k in range(source.n_states):
+                shares = reference_shares(spec, j, l_j, x, k, float(src[j, k]), params)
+                for l_k, value in enumerate(shares):
+                    mat[row, index[(k, l_k)]] = value
+        matrices[x] = mat
+    labels = tuple(
+        f"{source.states[k]}.{l}" if spec.copy_counts[k] > 1 else source.states[k]
+        for k, l in extended
+    )
+    return make_machine(source.alphabet, labels, matrices, groups=[k for k, _ in extended])
+
+
+def reference_optimize(source, spec, e_half, opts):
+    """``optimize_ideal``'s search evaluating every trial point afresh.
+
+    Returns (parameters, c_n2, trials)."""
+    names = spec.param_names
+    threshold = opts.sat_tol * max(1.0, abs(e_half))
+
+    def entropy_at(vec):
+        try:
+            pi = build_split_machine(source, spec, dict(zip(names, vec))).stationary
+            return -float(np.log2(np.sum(pi * pi)))
+        except (errors.DegenerateFixedSpace, errors.NoUnitEigenvalue,
+                errors.ZeroEntryWithQuasiOrder):
+            return None
+
+    def objective(vec):
+        h2 = entropy_at(vec)
+        if h2 is None or not np.isfinite(h2):
+            return float("inf")
+        return h2 if h2 >= e_half else e_half + 10.0 * (e_half - h2)
+
+    dims = len(names)
+    starts = [np.zeros(dims)]
+    for i, scale in itertools.product(range(dims), (0.25, 0.75)):
+        for sign in (1.0, -1.0):
+            vec = np.zeros(dims)
+            vec[i] = sign * scale
+            starts.append(vec)
+    rng = np.random.default_rng(opts.seed)
+    for _ in range(opts.extra_starts):
+        starts.append(rng.uniform(-opts.start_box, opts.start_box, dims))
+
+    trials = 0
+    results = []
+    for start in starts:
+        x = start.copy()
+        fx = objective(x)
+        trials += 1
+        step = opts.initial_step
+        while step >= opts.min_step and trials < opts.max_evals:
+            improved = False
+            for i in range(dims):
+                for sign in (1.0, -1.0):
+                    trial = x.copy()
+                    trial[i] += sign * step
+                    ft = objective(trial)
+                    trials += 1
+                    if ft < fx - 1e-15:
+                        x, fx = trial, ft
+                        improved = True
+            if not improved:
+                step *= 0.5
+        results.append((fx, x))
+    _, best_x = min(results, key=lambda r: (r[0], tuple(r[1])))
+    best_h2 = entropy_at(best_x)
+    if best_h2 is None or best_h2 < e_half - threshold:
+        raise errors.NoFeasiblePoint("reference search found no feasible point")
+    return dict(zip(names, best_x)), best_h2, trials
+
+
+def assert_same_machine(built, reference):
+    """Equal bit for bit, signed zeros included."""
+    assert built.states == reference.states and built.groups == reference.groups
+    for x in reference.alphabet:
+        assert np.array_equal(built.matrices[x], reference.matrices[x])
+        assert built.matrices[x].tobytes() == reference.matrices[x].tobytes()
+    assert built.stationary.tobytes() == reference.stationary.tobytes()
+    assert built.stationary_residual == reference.stationary_residual
+
+
+def _random_params(spec, rng, scale=1.0):
+    return dict(zip(spec.param_names, rng.uniform(-scale, scale, len(spec.param_names))))
+
+
+class TestCompiledSplitMatchesReference:
+    def test_perturbed_coin_spec(self):
+        rng = np.random.default_rng(0)
+        for p in GRID:
+            source, spec = perturbed_coin_epsilon(p), perturbed_coin_split_spec(p)
+            points = [dict(zip(("q1", "q2"), perturbed_coin_ideal_params(p, branch)))
+                      for branch in (BRANCH_PLUS, BRANCH_MINUS)]
+            points += [_random_params(spec, rng) for _ in range(3)]
+            for params in points:
+                assert_same_machine(build_split_machine(source, spec, params),
+                                    reference_build(source, spec, params))
+
+    def test_sns_spec(self):
+        rng = np.random.default_rng(1)
+        for p in (0.2, 0.5, 0.8):
+            source, spec = sns_g_machine(p), sns_split_spec(p)
+            points = [dict(zip(("gamma", "eta"), sns_ideal_params(p)))]
+            points += [_random_params(spec, rng, 0.3) for _ in range(3)]
+            for params in points:
+                assert_same_machine(build_split_machine(source, spec, params),
+                                    reference_build(source, spec, params))
+
+    def test_golden_mean_bad_spec(self):
+        source, spec = golden_mean_epsilon(0.5), golden_mean_bad_split_spec(0.5)
+        for q in (-0.4, -0.2, 0.0, 0.3):
+            assert_same_machine(build_split_machine(source, spec, {"q": q}),
+                                reference_build(source, spec, {"q": q}))
+
+    @pytest.mark.parametrize("make_source", [
+        lambda: perturbed_coin_epsilon(0.3), lambda: golden_mean_epsilon(0.4),
+        lambda: sns_g_machine(0.6),
+    ])
+    @pytest.mark.parametrize("counts", [(1, 1), (2, 1), (2, 2), (3, 1)])
+    def test_generic_splits(self, make_source, counts):
+        source = make_source()
+        spec = generic_split_spec(source, counts)
+        rng = np.random.default_rng(sum(counts))
+        points = [_random_params(spec, rng, 1.5) for _ in range(4)]
+        signed_zeros = dict(points[0])
+        for name in spec.param_names[::2]:
+            signed_zeros[name] = -0.0
+        points.append(signed_zeros)
+        for params in points:
+            try:
+                reference = reference_build(source, spec, params)
+            except errors.DegenerateFixedSpace:
+                with pytest.raises(errors.DegenerateFixedSpace):
+                    build_split_machine(source, spec, params)
+                continue
+            assert_same_machine(build_split_machine(source, spec, params), reference)
+
+    def test_multi_coefficient_rules(self):
+        # several coefficients per share, constant-only shares and three copies
+        source = perturbed_coin_epsilon(0.3)
+        spec = SplitSpec(
+            copy_counts=(3, 2),
+            param_names=("a", "b", "c"),
+            rules={
+                (0, 0, "0", 0): (Affine(0.7, {"a": 1.0, "b": -0.3, "c": 0.1}),
+                                 Affine(-0.2, {"c": 2.0})),
+                (0, 2, "0", 0): (Affine(0.0, {"b": 1.0, "a": 1.0 / 3.0}), Affine(0.1)),
+                (1, 1, "1", 1): (Affine(0.05, {"a": -1.0, "c": 0.7, "b": 0.2}),),
+                (2, 0, "1", 1): (Affine(0.3, {"a": 1e-17, "b": 1.0}),),
+            },
+        )
+        rng = np.random.default_rng(2)
+        for _ in range(10):
+            params = _random_params(spec, rng)
+            assert_same_machine(build_split_machine(source, spec, params),
+                                reference_build(source, spec, params))
+
+    def test_rule_with_wrong_share_count_rejected(self):
+        spec = SplitSpec(copy_counts=(2, 1), rules={(0, 0, "0", 0): (Affine(), Affine())})
+        with pytest.raises(errors.SpecMismatch):
+            build_split_machine(perturbed_coin_epsilon(0.3), spec, {})
+
+    def test_rule_with_undeclared_parameter_rejected(self):
+        spec = SplitSpec(copy_counts=(2, 1), rules={(0, 0, "0", 0): (Affine(0.0, {"q": 1.0}),)})
+        with pytest.raises(errors.SpecMismatch):
+            build_split_machine(perturbed_coin_epsilon(0.3), spec, {"q": 0.1})
+
+
+def _optimizer_case(name):
+    if name.startswith("perturbed-coin"):
+        p = float(name.rsplit("-", 1)[1])
+        source = perturbed_coin_epsilon(p)
+        return source, perturbed_coin_split_spec(p), perturbed_coin_excess_half(p)
+    source = golden_mean_epsilon(0.5)
+    e_half = excess_entropy_half(source, 12).value
+    if name == "golden-mean-bad":
+        return source, golden_mean_bad_split_spec(0.5), e_half
+    return source, generic_split_spec(source, (2, 1)), e_half
+
+
+class TestMemoisedSearchMatchesReference:
+    # at 500 and 3000 trials the cap stops the search part-way
+    @pytest.mark.parametrize("max_evals", [500, 3000, 20000])
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("case", [
+        "perturbed-coin-0.2", "perturbed-coin-0.3", "perturbed-coin-0.7",
+        "golden-mean-bad", "golden-mean-generic-2-1",
+    ])
+    def test_bit_identical_result(self, case, seed, max_evals):
+        source, spec, e_half = _optimizer_case(case)
+        opts = OptimizeOptions(seed=seed, max_evals=max_evals)
+        params, c_n2, _ = reference_optimize(source, spec, e_half, opts)
+        result = optimize_ideal(source, spec, e_half, opts)
+        assert list(result.parameters) == list(params)
+        got = np.array(list(result.parameters.values()))
+        assert got.tobytes() == np.array(list(params.values())).tobytes()
+        assert result.c_n2 == c_n2
+
+    def test_repeats_are_not_rebuilt(self, monkeypatch):
+        source, spec, e_half = _optimizer_case("perturbed-coin-0.3")
+        opts = OptimizeOptions(seed=7)
+        _, _, trials = reference_optimize(source, spec, e_half, opts)
+        builds = 0
+        build = nm.build_split_machine
+
+        def counting_build(*args, **kwargs):
+            nonlocal builds
+            builds += 1
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(nm, "build_split_machine", counting_build)
+        optimize_ideal(source, spec, e_half, opts)
+        # after the search, the best point is built once to check it and
+        # once for the result
+        assert 0 < builds - 2 < trials
