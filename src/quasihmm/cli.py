@@ -45,6 +45,7 @@ from .errors import (
     SpecMismatch,
     StationaryMismatch,
     TruncationTooCoarse,
+    TruncationTooLarge,
     UnknownSymbol,
     UnsupportedProcess,
     ZeroBaseline,
@@ -64,6 +65,7 @@ _VALIDATION_ERRORS = (
     UnknownSymbol,
     UnsupportedProcess,
     TruncationTooCoarse,
+    TruncationTooLarge,
     StationaryMismatch,
     tf.DimensionMismatch,
     ValueError,

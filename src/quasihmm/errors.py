@@ -57,6 +57,10 @@ class TruncationTooCoarse(QuasiHmmError):
     """Series truncation leaves more tail mass than the configured bound."""
 
 
+class TruncationTooLarge(QuasiHmmError):
+    """Series truncation needs more states than the configured cap."""
+
+
 class UnsupportedProcess(QuasiHmmError):
     """No closed form is available for the requested process."""
 

@@ -13,10 +13,12 @@ Machines are immutable after construction; all operations are read-only.
 
 from __future__ import annotations
 
+import itertools
 import json
+import operator
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -55,6 +57,39 @@ class Violation:
 
     def __str__(self) -> str:
         return f"{self.kind}@{self.index}: residual {self.residual:.3e}"
+
+
+class Words(Sequence):
+    """All words of one length over an alphabet, first symbol most
+    significant (the order of ``itertools.product``).
+
+    A sized, indexable sequence that builds each string only when it is
+    read, by iteration or by index; holding it costs nothing.
+    """
+
+    __slots__ = ("alphabet", "length")
+
+    def __init__(self, alphabet: Sequence[str], length: int):
+        self.alphabet = tuple(alphabet)
+        self.length = length
+
+    def __len__(self) -> int:
+        return len(self.alphabet) ** self.length
+
+    def __iter__(self):
+        return map("".join, itertools.product(self.alphabet, repeat=self.length))
+
+    def __getitem__(self, index) -> str:
+        index = operator.index(index)
+        if index < 0:
+            index += len(self)
+        if not 0 <= index < len(self):
+            raise IndexError("word index out of range")
+        symbols = []
+        for _ in range(self.length):
+            index, digit = divmod(index, len(self.alphabet))
+            symbols.append(self.alphabet[digit])
+        return "".join(reversed(symbols))
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -113,7 +148,10 @@ class Machine:
         probabilities.
 
         Returns ``(words, C)`` where ``C[k, i]`` is the probability of word
-        ``words[i]`` given that the machine starts in state ``k``.
+        ``words[i]`` given that the machine starts in state ``k``.  ``words``
+        is a :class:`Words` sequence, first symbol most significant: its
+        strings are built only when read, so callers that need the columns
+        alone pay nothing for the labels.
         """
         if length < 0:
             raise ValueError("length must be nonnegative")
@@ -121,12 +159,10 @@ class Machine:
             raise EnumerationCapExceeded(
                 f"{len(self.alphabet)}^{length} words exceed the cap {cap}"
             )
-        words = [""]
         futures = np.ones((self.n_states, 1))
         for _ in range(length):
             futures = np.hstack([self.matrices[x] @ futures for x in self.alphabet])
-            words = [x + w for x in self.alphabet for w in words]
-        return words, futures
+        return Words(self.alphabet, length), futures
 
     def word_distribution(self, length: int, cap: int = ENUMERATION_CAP) -> dict[str, float]:
         """Map from every length-``length`` word to its probability."""

@@ -14,11 +14,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateParameter, TruncationTooCoarse
+from .errors import DegenerateParameter, TruncationTooCoarse, TruncationTooLarge
 from .machine import Machine, make_machine
 
 #: default bound on the surviving probability beyond the truncated state set
 DEFAULT_TRUNCATION_EPS = 1e-12
+
+#: cap on the states of a truncated SNS model: at 4096 states one dense
+#: matrix takes 128 MiB, and building and measuring such a model already
+#: needs several of them
+MAX_SNS_STATES = 4096
 
 
 def _check_open_unit(p: float) -> float:
@@ -118,16 +123,75 @@ def sns_surviving(n, p: float):
     return np.where(n >= 1, vals, 1.0)
 
 
-def sns_default_truncation(p: float, eps: float = DEFAULT_TRUNCATION_EPS) -> int:
-    """Smallest N whose surviving probability beyond N+1 drops below ``eps``."""
-    p = _check_open_unit(p)
+def _surviving(n: int, p: float) -> float:
+    """``sns_surviving`` of one integer ``n >= 1`` in Python floats.
+
+    The same operations on the same values as the 0-d array path, so the
+    same bits, without the per-call cost of numpy on a scalar.  The series
+    below add these terms one at a time; an array evaluation of the whole
+    range (``np.power`` on a vector) differs from it in the last bit for
+    some terms.
+    """
+    return p ** (n - 1) * (n * (1 - p) + p)
+
+
+def _truncation_walk(p: float, eps: float, limit: float) -> int:
+    """The walk of :func:`sns_default_truncation`, left early with some
+    n > ``limit`` once the result is known to exceed ``limit``."""
     # Phi(n) ~ n(1-p)p^(n-1) decays geometrically; walk out from a log estimate.
     n = max(2, int(math.log(eps) / math.log(p)) // 2)
-    while sns_surviving(n + 1, p) >= eps:
+    while _surviving(n + 1, p) >= eps:
         n += 1
-    while n > 2 and sns_surviving(n, p) < eps:
+        if n > limit:
+            # Phi(n) >= eps here, so the walk back down would stop at n or above
+            return n
+    while n > 2 and _surviving(n, p) < eps:
         n -= 1
     return n
+
+
+def sns_default_truncation(p: float, eps: float = DEFAULT_TRUNCATION_EPS) -> int:
+    """Smallest N whose surviving probability beyond N+1 drops below ``eps``."""
+    return _truncation_walk(_check_open_unit(p), eps, math.inf)
+
+
+def _sns_truncation(
+    p: float, truncation: int | None, eps: float, allow_coarse: bool
+) -> tuple[int, float]:
+    """Depth N and tail mass Phi(N+1) of a truncated SNS model with states
+    0..N: ``truncation`` when given, else :func:`sns_default_truncation`.
+
+    Every check runs before anything is allocated: N must be at least 2 and
+    the model at most ``MAX_SNS_STATES`` states, and an explicit truncation
+    may leave more than ``eps`` tail mass only with ``allow_coarse``.
+    """
+    if truncation is None:
+        n = _truncation_walk(p, eps, MAX_SNS_STATES - 1)
+        asked = f"tail mass below {eps:g} at p = {p}"
+    else:
+        n = truncation
+        asked = f"truncation {n}"
+    if n + 1 > MAX_SNS_STATES:
+        raise TruncationTooLarge(f"{asked} needs more than {MAX_SNS_STATES} states")
+    if n < 2:
+        raise TruncationTooCoarse("need at least states 0..2")
+    tail = _surviving(n + 1, p)
+    if truncation is not None and tail > eps and not allow_coarse:
+        raise TruncationTooCoarse(
+            f"tail mass {tail:.3e} exceeds {eps:g}; pass allow_coarse=True to override"
+        )
+    return n, tail
+
+
+def sns_root_waiting_grid(n_cut: int, p: float) -> np.ndarray:
+    """Matrix of ``sqrt(phi(m + n))`` for m, n = 0..``n_cut``.
+
+    The waiting time is evaluated once on 0..2 ``n_cut`` and gathered into
+    the Hankel grid; the values are those of evaluating it on the grid.
+    """
+    idx = np.arange(n_cut + 1)
+    root_phi = np.sqrt(sns_waiting_time(np.arange(2 * n_cut + 1), p))
+    return root_phi[idx[:, None] + idx[None, :]]
 
 
 @dataclass(frozen=True)
@@ -162,34 +226,26 @@ def sns_renewal_data(
 
     The mean firing rate is summed numerically from the survival series (the
     geometric tail is cut when terms stop contributing at double precision),
-    so closed-form expectations stay available as independent cross-checks.
-    An explicit ``truncation`` that leaves more than ``eps`` tail mass is
-    rejected unless ``allow_coarse`` is set.
+    so closed-form expectations, such as the firing rate (1 - p)/2, stay
+    available as independent cross-checks.  The series is summed term by
+    term in Python floats, in order from Phi(0).  An explicit
+    ``truncation`` that leaves more than ``eps`` tail mass is rejected unless
+    ``allow_coarse`` is set, and a model of more than ``MAX_SNS_STATES``
+    states is rejected with :class:`TruncationTooLarge` before the series
+    is summed.
     """
     p = _check_open_unit(p)
-    n = truncation if truncation is not None else sns_default_truncation(p, eps)
-    if n < 2:
-        raise TruncationTooCoarse("need at least states 0..2")
-    if truncation is not None and not allow_coarse and sns_surviving(n + 1, p) > eps:
-        raise TruncationTooCoarse(
-            f"tail mass {float(sns_surviving(n + 1, p)):.3e} exceeds {eps:g}; "
-            "pass allow_coarse=True to override"
-        )
+    n, tail = _sns_truncation(p, truncation, eps, allow_coarse)
 
     total = 1.0  # Phi(0)
     k = 1
     while True:
-        term = float(sns_surviving(k, p))
+        term = _surviving(k, p)
         total += term
         if term < total * 1e-18:
             break
         k += 1
-    return SnsRenewalData(
-        p=p,
-        truncation=n,
-        mean_firing_rate=1.0 / total,
-        tail_mass=float(sns_surviving(n + 1, p)),
-    )
+    return SnsRenewalData(p=p, truncation=n, mean_firing_rate=1.0 / total, tail_mass=tail)
 
 
 def sns_g_machine(p: float) -> Machine:
@@ -220,26 +276,19 @@ def sns_epsilon_truncated(
     bounded by the tail mass Phi(N+1).
     """
     p = _check_open_unit(p)
-    n_max = truncation if truncation is not None else sns_default_truncation(p, eps)
-    if n_max < 2:
-        raise TruncationTooCoarse("need at least states 0..2")
-    tail = float(sns_surviving(n_max + 1, p))
-    if truncation is not None and tail > eps and not allow_coarse:
-        raise TruncationTooCoarse(
-            f"tail mass {tail:.3e} exceeds {eps:g}; pass allow_coarse=True to override"
-        )
+    n_max, _ = _sns_truncation(p, truncation, eps, allow_coarse)
 
     size = n_max + 1
     idx = np.arange(size)
-    phi = sns_waiting_time(idx, p)
     big_phi = sns_surviving(idx, p)
+    # Phi(n+1) / Phi(n) with scalar numerators: np.power on a vector rounds
+    # some of them differently
+    advance = np.array([_surviving(n + 1, p) for n in range(size)]) / big_phi
     t0 = np.zeros((size, size))
     t1 = np.zeros((size, size))
-    for n in range(n_max):
-        t0[n, n + 1] = sns_surviving(n + 1, p) / big_phi[n]
-        t1[n, 0] = phi[n] / big_phi[n]
-    t0[n_max, n_max] = sns_surviving(n_max + 1, p) / big_phi[n_max]
-    t1[n_max, 0] = phi[n_max] / big_phi[n_max]
+    t0[idx[:-1], idx[1:]] = advance[:-1]
+    t0[n_max, n_max] = advance[n_max]
+    t1[:, 0] = sns_waiting_time(idx, p) / big_phi
 
     states = tuple(f"s{n}" for n in range(size))
     machine = make_machine(("0", "1"), states, {"0": t0, "1": t1})
@@ -265,7 +314,7 @@ def sns_past_future_overlap(
     def overlap(n_cut: int) -> float:
         idx = np.arange(n_cut + 1)
         mu = data.mean_firing_rate
-        root_phi = np.sqrt(sns_waiting_time(idx[:, None] + idx[None, :], p))
+        root_phi = sns_root_waiting_grid(n_cut, p)
         root_sur = np.sqrt(sns_surviving(idx, p))
         inner = mu * (root_phi * root_sur[None, :]).sum(axis=1)
         return float(np.sum(inner**2))

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import IsometryViolated, NonPSD, NotConverged, QuasiMachineUnsupported
 from .machine import ENUMERATION_CAP, Machine, make_machine
-from .processes import sns_renewal_data, sns_surviving, sns_waiting_time
+from .processes import sns_renewal_data, sns_root_waiting_grid, sns_surviving
 
 RENYI2 = "renyi2"
 VON_NEUMANN = "von-neumann"
@@ -95,7 +95,7 @@ def sns_gram_ensemble(p: float, truncation: int | None = None) -> GramEnsemble:
     data = sns_renewal_data(p, truncation)
     n_cut = data.truncation
     idx = np.arange(n_cut + 1)
-    root_phi = np.sqrt(sns_waiting_time(idx[:, None] + idx[None, :], p))
+    root_phi = sns_root_waiting_grid(n_cut, p)
     numer = root_phi @ root_phi.T
     root_sur = np.sqrt(sns_surviving(idx, p))
     overlaps = numer / np.outer(root_sur, root_sur)

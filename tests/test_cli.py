@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import pytest
 
@@ -57,6 +58,29 @@ class TestMakeMachine:
         )
         assert code == 0 and out == ""
         assert load_machine(path).n_states == 2
+
+
+class TestOversizedSns:
+    """A truncation beyond the state cap is refused before any allocation:
+    exit 2, one JSON line, no traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("make-machine", "--process", "sns-epsilon", "--p", "0.99999"),
+            ("reproduce", "fig9", "--truncation", "200000"),
+        ],
+    )
+    def test_refused_quickly_with_one_json_line(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        elapsed = time.perf_counter() - start
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "TruncationTooLarge"
+        assert elapsed < 2.0
 
 
 @pytest.fixture

@@ -11,6 +11,7 @@ from conftest import (
 from quasihmm import errors
 from quasihmm.machine import (
     Machine,
+    Words,
     load_machine,
     make_machine,
     same_process,
@@ -143,6 +144,62 @@ class TestConditionalFuture:
         for state in range(machine.n_states):
             dist = machine.conditional_future_given_state(state, 5)
             assert sum(dist.values()) == pytest.approx(1.0, abs=1e-11)
+
+
+def _prepend_built_words(alphabet, length):
+    """The word list as first written: each length prepends every symbol."""
+    words = [""]
+    for _ in range(length):
+        words = [x + w for x in alphabet for w in words]
+    return words
+
+
+def _three_symbol_machine():
+    t = {
+        "a": [[0.2, 0.1], [0.0, 0.3]],
+        "b": [[0.3, 0.0], [0.25, 0.15]],
+        "c": [[0.1, 0.3], [0.05, 0.25]],
+    }
+    return make_machine(("a", "b", "c"), ("s0", "s1"), t)
+
+
+class TestLazyWords:
+    @pytest.mark.parametrize("alphabet", [("0", "1"), ("a", "b", "c")])
+    @pytest.mark.parametrize("length", range(9))
+    def test_matches_prepend_built_list(self, alphabet, length):
+        reference = _prepend_built_words(alphabet, length)
+        words = Words(alphabet, length)
+        assert len(words) == len(reference)
+        assert list(words) == reference
+        assert list(words) == reference  # iterable more than once
+        for i in range(len(reference)):
+            assert words[i] == reference[i]
+            assert words[-1 - i] == reference[-1 - i]
+        for bad in (len(reference), -len(reference) - 1):
+            with pytest.raises(IndexError):
+                words[bad]
+
+    @pytest.mark.parametrize("length", range(9))
+    def test_distributions_keep_words_and_order(self, length):
+        for machine in (sns_g_machine(0.35), _three_symbol_machine()):
+            reference = _prepend_built_words(machine.alphabet, length)
+            words, futures = machine.conditional_future_matrix(length)
+            assert len(words) == futures.shape[1]
+            dist = machine.word_distribution(length)
+            probs = np.asarray(machine.stationary) @ futures
+            assert list(dist) == reference
+            assert dist == dict(zip(reference, probs.tolist()))
+            for state in range(machine.n_states):
+                cond = machine.conditional_future_given_state(state, length)
+                assert list(cond) == reference
+                assert cond == dict(zip(reference, futures[state].tolist()))
+
+    def test_columns_follow_words(self):
+        machine = _three_symbol_machine()
+        words, futures = machine.conditional_future_matrix(4)
+        for i in (0, 7, 40, -1):
+            expected = oracle_conditional_word_probability(machine, 1, words[i])
+            assert futures[1, i] == pytest.approx(expected, abs=1e-15)
 
 
 class TestClassify:

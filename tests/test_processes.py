@@ -6,6 +6,7 @@ import pytest
 from quasihmm import errors
 from quasihmm.machine import same_process, word_distribution_distance
 from quasihmm.processes import (
+    MAX_SNS_STATES,
     even_process_epsilon,
     golden_mean_epsilon,
     perturbed_coin_epsilon,
@@ -15,6 +16,7 @@ from quasihmm.processes import (
     sns_g_machine,
     sns_past_future_overlap,
     sns_renewal_data,
+    sns_root_waiting_grid,
     sns_surviving,
     sns_waiting_time,
     unbiased_coin,
@@ -236,3 +238,117 @@ class TestPastFutureOverlap:
         for p in (0.2, 0.5, 0.8):
             _, residual = sns_past_future_overlap(p)
             assert residual < 1e-10
+
+
+# --- reference paths: the series on 0-d numpy arrays, as first written ------
+
+#: the fig9 grid and points spanning both sns-epsilon benchmark bands
+SERIES_GRID = [round(0.05 * k, 2) for k in range(1, 20)] + [
+    0.8998, 0.89995, 0.9001, 0.94994, 0.949975, 0.95001,
+]
+
+
+def _reference_default_truncation(p, eps=1e-12):
+    n = max(2, int(math.log(eps) / math.log(p)) // 2)
+    while sns_surviving(n + 1, p) >= eps:
+        n += 1
+    while n > 2 and sns_surviving(n, p) < eps:
+        n -= 1
+    return n
+
+
+def _reference_firing_rate(p):
+    total = 1.0
+    k = 1
+    while True:
+        term = float(sns_surviving(k, p))
+        total += term
+        if term < total * 1e-18:
+            break
+        k += 1
+    return 1.0 / total
+
+
+def _reference_epsilon_matrices(p, n_max):
+    size = n_max + 1
+    idx = np.arange(size)
+    phi = sns_waiting_time(idx, p)
+    big_phi = sns_surviving(idx, p)
+    t0 = np.zeros((size, size))
+    t1 = np.zeros((size, size))
+    for n in range(n_max):
+        t0[n, n + 1] = sns_surviving(n + 1, p) / big_phi[n]
+        t1[n, 0] = phi[n] / big_phi[n]
+    t0[n_max, n_max] = sns_surviving(n_max + 1, p) / big_phi[n_max]
+    t1[n_max, 0] = phi[n_max] / big_phi[n_max]
+    return t0, t1
+
+
+class TestSeriesMatchReference:
+    @pytest.mark.parametrize("p", SERIES_GRID)
+    def test_truncation_rate_and_tail(self, p):
+        n = _reference_default_truncation(p)
+        data = sns_renewal_data(p)
+        assert sns_default_truncation(p) == n
+        assert data.truncation == n
+        np.testing.assert_array_max_ulp(data.mean_firing_rate, _reference_firing_rate(p), 2)
+        np.testing.assert_array_max_ulp(data.tail_mass, float(sns_surviving(n + 1, p)), 2)
+
+    @pytest.mark.parametrize("p", SERIES_GRID)
+    def test_epsilon_matrices(self, p):
+        machine = sns_epsilon_truncated(p)
+        t0, t1 = _reference_epsilon_matrices(p, machine.n_states - 1)
+        np.testing.assert_array_max_ulp(machine.matrices["0"], t0, 2)
+        np.testing.assert_array_max_ulp(machine.matrices["1"], t1, 2)
+
+    def test_firing_rate_closed_form_across_grid(self):
+        for p in SERIES_GRID:
+            assert sns_renewal_data(p).mean_firing_rate == pytest.approx((1 - p) / 2, rel=1e-12)
+
+    @pytest.mark.parametrize("p", SERIES_GRID)
+    def test_root_waiting_grid_matches_grid_evaluation(self, p):
+        n_cut = sns_default_truncation(p)
+        idx = np.arange(n_cut + 1)
+        expected = np.sqrt(sns_waiting_time(idx[:, None] + idx[None, :], p))
+        got = sns_root_waiting_grid(n_cut, p)
+        assert got.shape == expected.shape
+        np.testing.assert_array_max_ulp(got, expected, 2)
+
+
+class TestStateCap:
+    def test_explicit_truncation_at_and_beyond_cap(self):
+        assert sns_renewal_data(0.5, truncation=MAX_SNS_STATES - 1).truncation == 4095
+        with pytest.raises(errors.TruncationTooLarge):
+            sns_renewal_data(0.5, truncation=MAX_SNS_STATES)
+        with pytest.raises(errors.TruncationTooLarge):
+            sns_epsilon_truncated(0.5, truncation=200000)
+
+    def test_default_truncation_beyond_cap(self):
+        assert sns_renewal_data(0.99).truncation == 3094
+        for p in (0.995, 0.99999):
+            with pytest.raises(errors.TruncationTooLarge):
+                sns_renewal_data(p)
+            with pytest.raises(errors.TruncationTooLarge):
+                sns_epsilon_truncated(p)
+            with pytest.raises(errors.TruncationTooLarge):
+                sns_past_future_overlap(p)
+
+    def test_cap_boundary_agrees_with_uncapped_walk(self):
+        # bisect p to the last default truncation inside the cap
+        lo, hi = 0.99, 0.995
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if sns_default_truncation(mid) + 1 <= MAX_SNS_STATES:
+                lo = mid
+            else:
+                hi = mid
+        assert sns_default_truncation(lo) + 1 <= MAX_SNS_STATES < sns_default_truncation(hi) + 1
+        assert sns_renewal_data(lo).truncation == sns_default_truncation(lo)
+        with pytest.raises(errors.TruncationTooLarge):
+            sns_renewal_data(hi)
+
+    def test_too_coarse_and_too_large_are_distinct(self):
+        with pytest.raises(errors.TruncationTooCoarse):
+            sns_renewal_data(0.5, truncation=1)
+        with pytest.raises(errors.TruncationTooLarge):
+            sns_renewal_data(0.5, truncation=10**9, allow_coarse=True)
