@@ -36,8 +36,10 @@ from .errors import (
     NegativeEntriesUnsupportedOrder,
     NegativeRadicand,
     NoFeasiblePoint,
+    NonFiniteEntries,
     NonPSD,
     NotConverged,
+    NotSymmetric,
     NoUnitEigenvalue,
     PropertyViolated,
     QuasiMachineUnsupported,
@@ -60,6 +62,8 @@ EXIT_NUMERICAL = 4
 
 _VALIDATION_ERRORS = (
     MachineFormatError,
+    NonFiniteEntries,
+    NotSymmetric,
     DegenerateParameter,
     SpecMismatch,
     UnknownSymbol,

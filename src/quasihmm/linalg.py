@@ -68,10 +68,21 @@ def left_fixed_vector(m, tol: float = STRUCT_TOL, eigen_tol: float = EIGEN_TOL) 
     eigenvalue 1 is (numerically) repeated; there is then no canonical
     choice, so the degenerate case is rejected rather than silently picking
     a representative.
+
+    Each call validates ``m`` once: a NaN or infinite entry raises
+    ``NonFiniteEntries``, and a row sum off 1 by more than ``tol`` raises
+    ``ValueError``.  Both come from one reduction, since the largest row-sum
+    deviation is NaN or infinite whenever some entry is; the entries are
+    scanned for finiteness only when that deviation fails the check, to
+    choose the error.
     """
-    a = _as_matrix(m)
+    a = np.asarray(m, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
     res = _row_sum_residual(a)
-    if res > tol:
+    if not res <= tol:
+        if not np.isfinite(a).all():
+            raise NonFiniteEntries("matrix has NaN or infinite entries")
         raise ValueError(f"matrix is not quasi-stochastic: row-sum residual {res:.3e}")
 
     n = a.shape[0]
@@ -89,7 +100,7 @@ def left_fixed_vector(m, tol: float = STRUCT_TOL, eigen_tol: float = EIGEN_TOL) 
         )
     v = inv[:n, n]
 
-    residual = float(np.max(np.abs(v @ a - v)))
+    residual = float(np.abs(v @ a - v).max())
     if residual > 10 * eigen_tol:
         raise NoUnitEigenvalue(f"fixed-vector residual {residual:.3e} exceeds tolerance")
     return v / v.sum()

@@ -105,6 +105,11 @@ class Machine:
     ``groups`` optionally maps each state index to the index of a coarser
     source state; split-machine constructions fill it so that coarse-graining
     checks need no label parsing.
+
+    A machine from :func:`make_machine` holds its transition matrices as one
+    read-only (symbols, n, n) array, ``stacked``, and ``matrices`` maps each
+    symbol to its view of it.  ``stationary_residual`` is computed from the
+    machine's own arrays when first read and then remembered.
     """
 
     alphabet: tuple[str, ...]
@@ -112,8 +117,8 @@ class Machine:
     matrices: Mapping[str, np.ndarray]
     stationary: np.ndarray
     groups: tuple[int, ...] | None = None
-    stationary_residual: float = field(default=0.0, compare=False)
-    #: derived values remembered across calls (classification, fidelities)
+    #: derived values remembered across calls (stacked matrices, residual,
+    #: classification, fidelities)
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     # -- basic structure ------------------------------------------------
@@ -121,6 +126,29 @@ class Machine:
     @property
     def n_states(self) -> int:
         return len(self.states)
+
+    @property
+    def stacked(self) -> np.ndarray:
+        """The transition matrices in alphabet order as one read-only
+        (symbols, n, n) array."""
+        if "stacked" not in self._memo:
+            n = self.n_states
+            stack = np.array([self.matrices[x] for x in self.alphabet], dtype=float)
+            stack = stack.reshape(len(self.alphabet), n, n)
+            stack.setflags(write=False)
+            self._memo["stacked"] = stack
+        return self._memo["stacked"]
+
+    @property
+    def stationary_residual(self) -> float:
+        """Largest entry of ``|pi T - pi|``, the stationary vector's
+        fixed-point residual; computed when first read and remembered."""
+        if "stationary_residual" not in self._memo:
+            pi = np.asarray(self.stationary)
+            self._memo["stationary_residual"] = (
+                float(np.max(np.abs(pi @ self.transition_matrix() - pi))) if self.n_states else 0.0
+            )
+        return self._memo["stationary_residual"]
 
     def transition_matrix(self) -> np.ndarray:
         """State transition matrix ``sum_x T[x]``."""
@@ -224,7 +252,7 @@ class Machine:
         sum_res = abs(float(pi.sum()) - 1.0)
         if sum_res > tol:
             out.append(Violation("stationary-sum", None, sum_res))
-        fixed_res = float(np.max(np.abs(pi @ total - pi))) if n else 0.0
+        fixed_res = self.stationary_residual
         if fixed_res > 10 * eigen_tol:
             out.append(Violation("stationary-fixed", None, fixed_res))
         if self.groups is not None and len(self.groups) != n:
@@ -401,17 +429,24 @@ def make_machine(
 ) -> Machine:
     """Validating constructor.
 
-    Row sums of the summed transition matrix must be 1 within ``tol``.  When
-    ``stationary`` is omitted it is computed as the unique unit-sum left fixed
-    vector; when given it is verified rather than trusted.
+    Each symbol's matrix is converted once and copied into one read-only
+    (symbols, n, n) array, whose views become ``Machine.matrices``; that
+    array is summed once.  Row sums of the summed transition matrix must be
+    1 within ``tol`` and its entries finite.  When ``stationary`` is omitted
+    it is computed as the unique unit-sum left fixed vector, and
+    :func:`linalg.left_fixed_vector` is the one place the summed matrix is
+    validated; its row-sum failure is raised here as ``MachineFormatError``.
+    When ``stationary`` is given it is verified rather than trusted, and its
+    fixed-point residual is remembered as the machine's
+    ``stationary_residual``.
     """
     alphabet = tuple(str(x) for x in alphabet)
     if len(set(alphabet)) != len(alphabet):
         raise MachineFormatError("alphabet has repeated symbols")
     states = tuple(str(s) for s in states)
     n = len(states)
-    mats = {}
-    for x in alphabet:
+    stack = np.empty((len(alphabet), n, n))
+    for i, x in enumerate(alphabet):
         if x not in matrices:
             raise MachineFormatError(f"missing transition matrix for symbol {x!r}")
         a = np.asarray(matrices[x], dtype=float)
@@ -419,21 +454,29 @@ def make_machine(
             raise MachineFormatError(
                 f"matrix for symbol {x!r} has shape {a.shape}, expected {(n, n)}"
             )
-        mats[x] = _frozen(a)
+        stack[i] = a
     extra = set(matrices) - set(alphabet)
     if extra:
         raise MachineFormatError(f"matrices for symbols outside the alphabet: {sorted(extra)}")
+    stack.setflags(write=False)
 
-    total = sum(mats[x] for x in alphabet)
-    res = linalg.row_sum_residual(total)
-    if res > tol:
-        raise MachineFormatError(f"summed transition matrix row-sum residual {res:.3e}")
-
+    total = stack.sum(axis=0)
+    residual = None
     if stationary is None:
-        pi = linalg.left_fixed_vector(total, tol=tol)
-        residual = float(np.abs(pi @ total - pi).max())
+        try:
+            pi = linalg.left_fixed_vector(total, tol=tol)
+        except ValueError as exc:
+            # the row-sum check; a non-finite entry raises NonFiniteEntries
+            res = linalg.row_sum_residual(total)
+            raise MachineFormatError(
+                f"summed transition matrix row-sum residual {res:.3e}"
+            ) from exc
+        pi.setflags(write=False)
     else:
-        pi = np.asarray(stationary, dtype=float)
+        res = linalg.row_sum_residual(total)
+        if res > tol:
+            raise MachineFormatError(f"summed transition matrix row-sum residual {res:.3e}")
+        pi = _frozen(stationary)
         if pi.shape != (n,):
             raise MachineFormatError(f"stationary vector has shape {pi.shape}, expected ({n},)")
         if not np.all(np.isfinite(pi)):
@@ -444,14 +487,17 @@ def make_machine(
         if residual > 10 * linalg.EIGEN_TOL:
             raise StationaryMismatch(f"stationary fixed-point residual {residual:.3e}")
 
-    return Machine(
+    machine = Machine(
         alphabet=alphabet,
         states=states,
-        matrices=mats,
-        stationary=_frozen(pi),
+        matrices=dict(zip(alphabet, stack)),
+        stationary=pi,
         groups=tuple(int(g) for g in groups) if groups is not None else None,
-        stationary_residual=residual,
     )
+    machine._memo["stacked"] = stack
+    if residual is not None:
+        machine._memo["stationary_residual"] = residual
+    return machine
 
 
 def same_process(

@@ -202,7 +202,7 @@ class CompiledSplit:
     def matrices(self, source: Machine, theta: np.ndarray) -> np.ndarray:
         """Extended matrices, shape (symbols, n, n), at parameter vector
         ``theta`` (ordered as the spec's ``param_names``)."""
-        entries = np.concatenate([source.matrices[x] for x in source.alphabet], axis=None)
+        entries = source.stacked.reshape(-1)
         heads = np.zeros(len(self.consts))
         for at, param, coef in self.term_layers:
             heads[at] += coef * theta[param]
@@ -335,7 +335,7 @@ def verify_nmachine_properties(
     n_src = source.n_states
 
     pi = np.asarray(built.stationary)
-    fixed_res = float(np.max(np.abs(pi @ built.transition_matrix() - pi)))
+    fixed_res = built.stationary_residual
 
     coarse = np.zeros(n_src)
     for k in range(n_src):
@@ -629,7 +629,7 @@ def optimize_ideal(
 
     def objective(vec: np.ndarray) -> float:
         h2 = entropy_at(vec)
-        if h2 is None or not np.isfinite(h2):
+        if h2 is None or not math.isfinite(h2):
             return float("inf")
         if h2 >= e_half:
             return h2

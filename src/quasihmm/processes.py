@@ -273,10 +273,17 @@ def sns_epsilon_truncated(
     Phi(n+1)/Phi(n) and resets on 1 with phi(n)/Phi(n); state 0 advances
     deterministically.  The final state closes onto itself on 0 with the
     residual mass so rows stay exactly stochastic; word errors are then
-    bounded by the tail mass Phi(N+1).
+    bounded by the tail mass Phi(N+1).  Each row is divided by Phi(n), so
+    a truncation whose Phi(N) underflows to 0 (N = 163 at p = 0.01) is
+    refused with :class:`TruncationTooLarge` before anything is allocated.
     """
     p = _check_open_unit(p)
     n_max, _ = _sns_truncation(p, truncation, eps, allow_coarse)
+    if _surviving(n_max, p) == 0.0:
+        raise TruncationTooLarge(
+            f"truncation {n_max} reaches states whose survival probability "
+            f"underflows to 0 at p = {p}"
+        )
 
     size = n_max + 1
     idx = np.arange(size)

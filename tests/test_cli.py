@@ -5,7 +5,7 @@ import time
 import pytest
 
 from conftest import spearman
-from quasihmm import cli
+from quasihmm import cli, errors
 from quasihmm.machine import load_machine, machine_from_json_dict, same_process
 from quasihmm.measures import perturbed_coin_excess_half
 from quasihmm.nmachine import (
@@ -60,15 +60,31 @@ class TestMakeMachine:
         assert load_machine(path).n_states == 2
 
 
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+@pytest.mark.parametrize("error", sorted(set(_subclasses(errors.QuasiHmmError)),
+                                         key=lambda c: c.__name__),
+                         ids=lambda c: c.__name__)
+def test_every_error_class_has_one_exit_code(error):
+    tuples = (cli._VALIDATION_ERRORS, cli._UNSUPPORTED_ERRORS, cli._NUMERICAL_ERRORS)
+    assert sum(issubclass(error, caught) for caught in tuples) == 1
+
+
 class TestOversizedSns:
-    """A truncation beyond the state cap is refused before any allocation:
-    exit 2, one JSON line, no traceback."""
+    """A truncation beyond the state cap, or one whose survival probability
+    underflows to 0, is refused before any allocation: exit 2, one JSON
+    line, no traceback."""
 
     @pytest.mark.parametrize(
         "argv",
         [
             ("make-machine", "--process", "sns-epsilon", "--p", "0.99999"),
             ("reproduce", "fig9", "--truncation", "200000"),
+            ("make-machine", "--process", "sns-epsilon", "--p", "0.01", "--truncation", "400"),
         ],
     )
     def test_refused_quickly_with_one_json_line(self, capsys, argv):
@@ -81,6 +97,15 @@ class TestOversizedSns:
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "TruncationTooLarge"
         assert elapsed < 2.0
+
+    def test_truncation_below_the_underflow_builds(self, capsys, tmp_path):
+        # at p = 0.01, Phi(163) is the first survival value that underflows
+        # to 0; the deepest truncation whose rows still sum to 1 is 157
+        path = tmp_path / "sns.json"
+        code, out, err = run(capsys, "make-machine", "--process", "sns-epsilon", "--p", "0.01",
+                             "--truncation", "157", "--out", str(path))
+        assert (code, out, err) == (0, "", "")
+        assert load_machine(path).n_states == 158
 
 
 @pytest.fixture
@@ -99,6 +124,18 @@ def quasi_file(tmp_path, capsys):
 
 
 class TestMeasures:
+    def test_non_finite_entry_is_validation_error(self, capsys, tmp_path):
+        doc = perturbed_coin_epsilon(0.3).to_json_dict()
+        doc["matrices"]["0"][0][0] = math.nan
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "measures", str(path), "--all")
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "NonFiniteEntries"
+
     def test_all_on_classical_machine(self, capsys, coin_file):
         code, out, _ = run(capsys, "measures", coin_file, "--all")
         assert code == 0

@@ -352,3 +352,18 @@ class TestStateCap:
             sns_renewal_data(0.5, truncation=1)
         with pytest.raises(errors.TruncationTooLarge):
             sns_renewal_data(0.5, truncation=10**9, allow_coarse=True)
+
+    def test_underflowing_survival_is_refused(self):
+        # at p = 0.01, Phi(162) is the last nonzero survival value: the
+        # predictive model, whose rows divide by Phi(n), is refused exactly
+        # where Phi(N) underflows to 0; the renewal data never divide by it
+        p = 0.01
+        assert sns_surviving(162, p) > 0.0 == sns_surviving(163, p)
+        for n in (163, 400):
+            assert sns_renewal_data(p, truncation=n).truncation == n
+            with pytest.raises(errors.TruncationTooLarge, match="underflows"):
+                sns_epsilon_truncated(p, truncation=n)
+        # below 158 the subnormal Phi(N) still leaves rows summing to 1
+        assert sns_epsilon_truncated(p, truncation=157).n_states == 158
+        with pytest.raises(errors.MachineFormatError):
+            sns_epsilon_truncated(p, truncation=162)
