@@ -92,6 +92,22 @@ class Words(Sequence):
         return "".join(reversed(symbols))
 
 
+def _slots(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A square matrix as slot arrays ``(targets, amps)`` of shape (slots, n):
+    slot s of row j holds entry ``amps[s, j]`` in column ``targets[s, j]``,
+    one slot per nonzero of the widest row; rows with fewer nonzeros are
+    padded with target 0 and amplitude +0.0."""
+    n = matrix.shape[0]
+    rows, cols = np.nonzero(matrix)
+    rank = np.arange(rows.size) - np.searchsorted(rows, rows)
+    width = int(rank.max()) + 1 if rows.size else 1
+    targets = np.zeros((width, n), dtype=np.intp)
+    amps = np.zeros((width, n))
+    targets[rank, rows] = cols
+    amps[rank, rows] = matrix[rows, cols]
+    return targets, amps
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=float)
     a.setflags(write=False)
@@ -118,7 +134,7 @@ class Machine:
     stationary: np.ndarray
     groups: tuple[int, ...] | None = None
     #: derived values remembered across calls (stacked matrices, residual,
-    #: classification, fidelities)
+    #: classification, fidelities, slot arrays)
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     # -- basic structure ------------------------------------------------
@@ -171,6 +187,17 @@ class Machine:
             row = row @ self.matrix(symbol)
         return float(row.sum())
 
+    def check_enumeration(self, length: int, cap: int = ENUMERATION_CAP) -> None:
+        """Refuse an enumeration of the length-``length`` words before any
+        work: ``ValueError`` for a negative length, ``EnumerationCapExceeded``
+        for more than ``cap`` words."""
+        if length < 0:
+            raise ValueError("length must be nonnegative")
+        if len(self.alphabet) ** length > cap:
+            raise EnumerationCapExceeded(
+                f"{len(self.alphabet)}^{length} words exceed the cap {cap}"
+            )
+
     def conditional_future_matrix(self, length: int, cap: int = ENUMERATION_CAP):
         """All length-``length`` words with their per-state conditional
         probabilities.
@@ -179,18 +206,56 @@ class Machine:
         ``words[i]`` given that the machine starts in state ``k``.  ``words``
         is a :class:`Words` sequence, first symbol most significant: its
         strings are built only when read, so callers that need the columns
-        alone pay nothing for the labels.
+        alone pay nothing for the labels.  ``C`` is built from a column of
+        ones by ``length`` calls of :meth:`future_step`, which gathers rows
+        instead of multiplying matrices when every symbol's matrix has at
+        most one nonzero per row, with the same bits.
         """
-        if length < 0:
-            raise ValueError("length must be nonnegative")
-        if len(self.alphabet) ** length > cap:
-            raise EnumerationCapExceeded(
-                f"{len(self.alphabet)}^{length} words exceed the cap {cap}"
-            )
+        self.check_enumeration(length, cap)
         futures = np.ones((self.n_states, 1))
         for _ in range(length):
-            futures = np.hstack([self.matrices[x] @ futures for x in self.alphabet])
+            futures = self.future_step(futures)
         return Words(self.alphabet, length), futures
+
+    def future_step(self, futures: np.ndarray) -> np.ndarray:
+        """Conditional futures one symbol longer,
+        ``np.hstack([T[x] @ futures for x in alphabet])``: the columns of the
+        words ``x w`` form block x.
+
+        When every symbol's matrix has at most one exact nonzero per row
+        (every unifilar machine at zero tolerance), row j of ``T[x] @
+        futures`` is the one product ``T[x][j, t] * futures[t]`` and the
+        matrix product adds only exact zeros to it.  The step then gathers
+        the rows ``t`` into one array and scales them in place, O(words * n)
+        instead of O(words * n^2), with the same bits: a zero product is
+        +0.0 in the product's sum, so on machines with negative entries the
+        gathered -0.0 are turned into +0.0.  Any other machine takes the
+        matrix product.
+        """
+        slots = self._word_slots()
+        if slots is None:
+            return np.hstack([self.matrices[x] @ futures for x in self.alphabet])
+        targets, amps, signed = slots
+        out = np.take(futures, targets, axis=0)
+        out *= amps[:, :, None]
+        if signed:
+            out += 0.0
+        return out.reshape(self.n_states, -1)
+
+    def _word_slots(self) -> tuple[np.ndarray, np.ndarray, bool] | None:
+        """``(targets, amps, signed)`` when every symbol's matrix has at most
+        one nonzero per row, else None: column x of the (n, symbols) arrays
+        is the one slot of ``T[x]`` (see :func:`_slots`), and ``signed`` tells
+        whether any entry is negative."""
+        if "word_slots" not in self._memo:
+            slots = [_slots(self.matrices[x]) for x in self.alphabet]
+            found = None
+            if all(targets.shape[0] == 1 for targets, _ in slots):
+                targets = np.stack([t[0] for t, _ in slots], axis=1)
+                amps = np.stack([a[0] for _, a in slots], axis=1)
+                found = (targets, amps, bool(np.any(amps < 0)))
+            self._memo["word_slots"] = found
+        return self._memo["word_slots"]
 
     def word_distribution(self, length: int, cap: int = ENUMERATION_CAP) -> dict[str, float]:
         """Map from every length-``length`` word to its probability."""
@@ -336,24 +401,12 @@ class Machine:
         return out
 
     def _root_slots(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per symbol, ``sqrt(T[x])`` (negative entries clipped) as slot
-        arrays ``(targets, amps)`` of shape (slots, n): slot s of row j holds
-        amplitude ``amps[s, j]`` toward state ``targets[s, j]``; rows with
-        fewer nonzeros are padded with amplitude 0."""
+        """Per symbol, ``sqrt(T[x])`` (negative entries clipped) as the slot
+        arrays of :func:`_slots`."""
         if "root_slots" not in self._memo:
-            n = self.n_states
-            slots = []
-            for x in self.alphabet:
-                root = np.sqrt(np.clip(self.matrices[x], 0.0, None))
-                rows, cols = np.nonzero(root)
-                rank = np.arange(rows.size) - np.searchsorted(rows, rows)
-                width = int(rank.max()) + 1 if rows.size else 1
-                targets = np.zeros((width, n), dtype=np.intp)
-                amps = np.zeros((width, n))
-                targets[rank, rows] = cols
-                amps[rank, rows] = root[rows, cols]
-                slots.append((targets, amps))
-            self._memo["root_slots"] = slots
+            self._memo["root_slots"] = [
+                _slots(np.sqrt(np.clip(self.matrices[x], 0.0, None))) for x in self.alphabet
+            ]
         return self._memo["root_slots"]
 
     # -- persistence -------------------------------------------------------
@@ -375,9 +428,12 @@ class Machine:
 
         The standard encoder falls back to pure Python whenever it indents
         and holds every number as a separate chunk until the end.  Here each
-        matrix row is encoded in one join of ``float.__repr__`` (the function
-        that encoder uses for finite floats, the only ones ``make_machine``
-        admits), and the pieces are joined once.
+        row is a list filled with ``"0.0"``, and ``float.__repr__`` (the
+        function that encoder uses for finite floats, the only ones
+        ``make_machine`` admits) is called only on the entries whose bits are
+        nonzero, so a -0.0 still reads ``-0.0`` and a sparse row costs its
+        nonzeros, not its length.  Each row is encoded in one join, and the
+        pieces are joined once.
         """
 
         def array(items: list[str], pad: str) -> list[str]:
@@ -387,7 +443,12 @@ class Machine:
             return ["[" + inner, ("," + inner).join(items), "\n" + pad + "]"]
 
         def numbers(values: np.ndarray, pad: str) -> list[str]:
-            return array(list(map(float.__repr__, values.tolist())), pad)
+            values = np.asarray(values, dtype=float)
+            items = ["0.0"] * values.size
+            nonzero = np.flatnonzero(values.view(np.uint64)).tolist()
+            for i, text in zip(nonzero, map(float.__repr__, values[nonzero].tolist())):
+                items[i] = text
+            return array(items, pad)
 
         def obj(fields: list[tuple[str, list[str]]], pad: str) -> list[str]:
             if not fields:

@@ -224,23 +224,37 @@ def excess_entropy_shannon(
     m: Machine, horizon: int = DEFAULT_HORIZON, cap: int = ENUMERATION_CAP
 ) -> MeasureReport:
     """Shannon mutual information between the state and the next ``horizon``
-    symbols, by explicit word enumeration."""
+    symbols, by explicit word enumeration.
+
+    The words are enumerated once: the length ``horizon - 1`` futures give
+    the previous estimate, and one :meth:`Machine.future_step` extends them
+    to ``horizon``.  The cap is checked for length ``horizon`` before any
+    work; the shorter array is released once extended and the longer one is
+    clipped in place.  The residual is the change from horizon - 1.
+    """
     if not m.classify().classical:
         raise QuasiMachineUnsupported("Shannon excess entropy needs a classical machine")
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
+    m.check_enumeration(horizon, cap)
+    pi = np.clip(np.asarray(m.stationary), 0.0, None)
 
-    def estimate(length: int) -> float:
-        _, fut = m.conditional_future_matrix(length, cap)
-        fut = np.clip(fut, 0.0, None)
-        pi = np.clip(np.asarray(m.stationary), 0.0, None)
-        marginal = pi @ fut
-        joint = pi[:, None] * fut
-        rows, cols = np.nonzero(joint > 0)
-        return float(np.sum(joint[rows, cols] * np.log2(fut[rows, cols] / marginal[cols])))
+    def estimate(fut: np.ndarray) -> float:
+        # sum of joint * log2(fut / marginal) over the positive joint
+        # entries, in row-major order; they lie in the support of fut, so
+        # only its entries are gathered and no (states, words) temporary is
+        # made
+        support = fut > 0
+        words = fut[support]
+        joint = np.repeat(pi, np.count_nonzero(support, axis=1)) * words
+        marginal = np.broadcast_to(pi @ fut, fut.shape)[support]
+        keep = joint > 0
+        return float(np.sum(joint[keep] * np.log2(words[keep] / marginal[keep])))
 
-    value = estimate(horizon)
-    prev = estimate(horizon - 1)
+    _, fut = m.conditional_future_matrix(horizon - 1, cap)
+    prev = estimate(np.clip(fut, 0.0, None))
+    fut = m.future_step(fut)
+    value = estimate(np.clip(fut, 0.0, None, out=fut))
     return MeasureReport(
         name="E",
         value=value,

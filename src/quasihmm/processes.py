@@ -183,6 +183,17 @@ def _sns_truncation(
     return n, tail
 
 
+def check_sns_survival(truncation: int, p: float) -> None:
+    """Refuse, with :class:`TruncationTooLarge`, a truncation whose survival
+    probability Phi(N) underflows to 0: the SNS models divide by Phi(n) for
+    every state n <= N, and 0/0 would reach their rows and overlaps."""
+    if _surviving(truncation, p) == 0.0:
+        raise TruncationTooLarge(
+            f"truncation {truncation} reaches states whose survival probability "
+            f"underflows to 0 at p = {p}"
+        )
+
+
 def sns_root_waiting_grid(n_cut: int, p: float) -> np.ndarray:
     """Matrix of ``sqrt(phi(m + n))`` for m, n = 0..``n_cut``.
 
@@ -279,11 +290,7 @@ def sns_epsilon_truncated(
     """
     p = _check_open_unit(p)
     n_max, _ = _sns_truncation(p, truncation, eps, allow_coarse)
-    if _surviving(n_max, p) == 0.0:
-        raise TruncationTooLarge(
-            f"truncation {n_max} reaches states whose survival probability "
-            f"underflows to 0 at p = {p}"
-        )
+    check_sns_survival(n_max, p)
 
     size = n_max + 1
     idx = np.arange(size)

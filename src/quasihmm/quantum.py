@@ -14,13 +14,19 @@ transition probabilities.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import IsometryViolated, NonPSD, NotConverged, QuasiMachineUnsupported
 from .machine import ENUMERATION_CAP, Machine, make_machine
-from .processes import sns_renewal_data, sns_root_waiting_grid, sns_surviving
+from .processes import (
+    check_sns_survival,
+    sns_renewal_data,
+    sns_root_waiting_grid,
+    sns_surviving,
+)
 
 RENYI2 = "renyi2"
 VON_NEUMANN = "von-neumann"
@@ -52,6 +58,16 @@ class GramEnsemble:
         root = np.sqrt(np.clip(np.asarray(self.weights), 0.0, None))
         return root[:, None] * np.asarray(self.overlaps) * root[None, :]
 
+    @functools.cached_property
+    def spectrum(self) -> np.ndarray:
+        """Eigenvalues of the symmetrised :meth:`density_spectrum_matrix`,
+        ascending; computed when first read and then remembered, so every
+        measure of one ensemble shares one eigensolve.  Read-only."""
+        mat = self.density_spectrum_matrix()
+        values = np.linalg.eigvalsh(0.5 * (mat + mat.T))
+        values.setflags(write=False)
+        return values
+
 
 def gram_from_machine(
     m: Machine,
@@ -65,22 +81,31 @@ def gram_from_machine(
     words; for unifilar machines the sums contract geometrically in the
     horizon.  When ``convergence_tol`` is given, a residual above it raises
     ``NotConverged`` instead of returning a stale estimate.
+
+    The machine remembers the ensemble of the last horizon asked, so the
+    measures of one machine and horizon (``C_q2`` and ``C_q_vN``) share it
+    and its :attr:`GramEnsemble.spectrum`.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    current = m.future_fidelity_matrix(horizon, cap)
-    previous = m.future_fidelity_matrix(horizon - 1, cap)
-    residual = float(np.max(np.abs(current - previous)))
-    if convergence_tol is not None and residual > convergence_tol:
-        raise NotConverged(
-            f"overlap residual {residual:.3e} above {convergence_tol:g} at horizon {horizon}"
+    memo = m._memo.setdefault("gram", {})
+    gram = memo.get((horizon, cap))
+    if gram is None:
+        current = m.future_fidelity_matrix(horizon, cap)
+        previous = m.future_fidelity_matrix(horizon - 1, cap)
+        gram = GramEnsemble(
+            weights=np.asarray(m.stationary, dtype=float),
+            overlaps=current,
+            horizon=horizon,
+            residual=float(np.max(np.abs(current - previous))),
         )
-    return GramEnsemble(
-        weights=np.asarray(m.stationary, dtype=float),
-        overlaps=current,
-        horizon=horizon,
-        residual=residual,
-    )
+        memo.clear()
+        memo[(horizon, cap)] = gram
+    if convergence_tol is not None and gram.residual > convergence_tol:
+        raise NotConverged(
+            f"overlap residual {gram.residual:.3e} above {convergence_tol:g} at horizon {horizon}"
+        )
+    return gram
 
 
 def sns_gram_ensemble(p: float, truncation: int | None = None) -> GramEnsemble:
@@ -90,10 +115,13 @@ def sns_gram_ensemble(p: float, truncation: int | None = None) -> GramEnsemble:
     numbers k, so overlap (m, n) is
     ``sum_k sqrt(phi(m+k) phi(n+k)) / sqrt(Phi(m) Phi(n))`` (unit diagonal).
     State index and overlap sum are truncated at the same depth; weights are
-    the renormalized truncated predictive-state distribution.
+    the renormalized truncated predictive-state distribution.  A truncation
+    whose Phi(N) underflows to 0 is refused with ``TruncationTooLarge``
+    before anything is divided.
     """
     data = sns_renewal_data(p, truncation)
     n_cut = data.truncation
+    check_sns_survival(n_cut, p)
     idx = np.arange(n_cut + 1)
     root_phi = sns_root_waiting_grid(n_cut, p)
     numer = root_phi @ root_phi.T
@@ -114,8 +142,7 @@ def quantum_complexity(g: GramEnsemble, kind: str = RENYI2, rank_tol: float = RA
     ``renyi2``: -log2 of the purity; ``von-neumann``: spectral Shannon
     entropy; ``topological``: log2 of the rank.
     """
-    mat = g.density_spectrum_matrix()
-    spectrum = np.linalg.eigvalsh(0.5 * (mat + mat.T))
+    spectrum = g.spectrum
     if spectrum.min() < -PSD_TOL:
         raise NonPSD(f"Gram spectrum has eigenvalue {spectrum.min():.3e}")
     spectrum = np.clip(spectrum, 0.0, None)

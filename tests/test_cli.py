@@ -85,6 +85,7 @@ class TestOversizedSns:
             ("make-machine", "--process", "sns-epsilon", "--p", "0.99999"),
             ("reproduce", "fig9", "--truncation", "200000"),
             ("make-machine", "--process", "sns-epsilon", "--p", "0.01", "--truncation", "400"),
+            ("reproduce", "fig9", "--truncation", "400"),
         ],
     )
     def test_refused_quickly_with_one_json_line(self, capsys, argv):

@@ -157,6 +157,12 @@ class TestSnsGram:
             gram_closed.overlaps[:k, :k], gram_machine.overlaps[:k, :k], atol=1e-6
         )
 
+    def test_underflowing_survival_is_refused(self):
+        # Phi(400) underflows to 0 at p = 0.01; Phi(157) does not
+        with pytest.raises(errors.TruncationTooLarge):
+            sns_gram_ensemble(0.01, 400)
+        assert np.all(np.isfinite(sns_gram_ensemble(0.01, 157).overlaps))
+
     @pytest.mark.parametrize("p", [0.2, 0.4, 0.5, 0.6, 0.8])
     def test_complexity_sits_between_bounds(self, p):
         weights = sns_renewal_data(p).stationary_weights()
