@@ -13,9 +13,11 @@ failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
+from collections.abc import Callable
 from pathlib import Path
 
 import numpy as np
@@ -96,6 +98,8 @@ _NUMERICAL_ERRORS = (
     EnumerationCapExceeded,
 )
 
+#: the columns ``sweep`` prints when the request names none: those of its
+#: process's column table, in this order
 SWEEP_COLUMNS = (
     "p",
     "C_mu2",
@@ -107,12 +111,6 @@ SWEEP_COLUMNS = (
     "mana",
     "advantage",
 )
-
-PROCESS_COLUMNS = {
-    "perturbed-coin": SWEEP_COLUMNS,
-    "sns": SWEEP_COLUMNS,
-    "golden-mean": ("p", "C_mu2", "C_q2", "E_half"),
-}
 
 
 def _fmt(value: float) -> str:
@@ -239,57 +237,131 @@ def cmd_measures(args) -> int:
 # --- sweeps ----------------------------------------------------------------------
 
 
-def _perturbed_coin_row(p: float, horizon: int, truncation=None) -> dict[str, float]:
-    machine = procs.perturbed_coin_epsilon(p)
-    c_mu2 = ms.renyi_entropy(machine.stationary, 2)
-    c_g2 = ms.renyi_entropy(procs.perturbed_coin_rjmc(p).stationary, 2)
-    c_q2 = qm.quantum_complexity(qm.gram_from_machine(machine, horizon))
-    e_half = ms.perturbed_coin_excess_half(p)
-    q1, q2 = nm.perturbed_coin_ideal_params(p, nm.BRANCH_PLUS)
-    built = nm.build_split_machine(
-        machine, nm.perturbed_coin_split_spec(p), {"q1": q1, "q2": q2}
-    )
-    result = nm.assess_split_machine(built, {"q1": q1, "q2": q2}, e_half, c_mu2)
-    return {
-        "p": p, "C_mu2": c_mu2, "C_g2": c_g2, "C_q2": c_q2, "C_n2": result.c_n2,
-        "E_half": e_half, "negativity": result.negativity, "mana": result.mana,
-        "advantage": result.advantage,
+# Column tables, one per process (``_Row.columns``), are built from these
+# entries; an entry reads the intermediates of its row.
+_SHARED_COLUMNS = {
+    "p": lambda row: row.p,
+    "C_mu2": lambda row: row.c_mu2,
+    "E_half": lambda row: row.e_half,
+}
+_SPLIT_COLUMNS = {
+    "C_n2": lambda row: row.split.c_n2,
+    "negativity": lambda row: row.split.negativity,
+    "negativity_minus_1": lambda row: row.split.negativity - 1.0,
+    "mana": lambda row: row.split.mana,
+    "advantage": lambda row: row.split.advantage,
+}
+
+
+class _Row:
+    """One row of a sweep or figure: its inputs, and the intermediates its
+    columns share.  Each intermediate is computed on first use and kept only
+    as long as the row, so a column that is not printed costs nothing and
+    one that is costs its own work once.
+
+    ``columns`` is the process's column table: each column it offers,
+    mapped to the function that computes the column from a row.
+    """
+
+    columns: dict[str, Callable[[_Row], float]]
+
+    def __init__(self, p: float, horizon: int, truncation: int | None):
+        self.p = p
+        self.horizon = horizon
+        self.truncation = truncation
+
+    def values(self, columns) -> list[float]:
+        return [self.columns[c](self) for c in columns]
+
+    def assess_split(self, source: Machine, spec: nm.SplitSpec, params) -> nm.NMachineResult:
+        built = nm.build_split_machine(source, spec, params)
+        return nm.assess_split_machine(built, params, self.e_half, self.c_mu2)
+
+
+class _PerturbedCoinRow(_Row):
+    columns = {
+        **_SHARED_COLUMNS,
+        **_SPLIT_COLUMNS,
+        "C_g2": lambda row: ms.renyi_entropy(procs.perturbed_coin_rjmc(row.p).stationary, 2),
+        "C_q2": lambda row: qm.quantum_complexity(qm.gram_from_machine(row.source, row.horizon)),
     }
 
+    @functools.cached_property
+    def source(self) -> Machine:
+        return procs.perturbed_coin_epsilon(self.p)
 
-def _sns_row(p: float, horizon: int, truncation=None) -> dict[str, float]:
-    data = procs.sns_renewal_data(p, truncation)
-    weights = data.stationary_weights()
-    c_mu2 = ms.renyi_entropy(weights / weights.sum(), 2)
-    c_g2 = ms.renyi_entropy(procs.sns_g_machine(p).stationary, 2)
-    c_q2 = qm.quantum_complexity(qm.sns_gram_ensemble(p, truncation))
-    e_half, _ = ms.sns_excess_entropy_half(p, truncation)
-    gamma, eta = nm.sns_ideal_params(p, truncation, nm.BRANCH_PLUS)
-    built = nm.build_split_machine(
-        procs.sns_g_machine(p), nm.sns_split_spec(p), {"gamma": gamma, "eta": eta}
-    )
-    result = nm.assess_split_machine(built, {"gamma": gamma, "eta": eta}, e_half, c_mu2)
-    return {
-        "p": p, "C_mu2": c_mu2, "C_g2": c_g2, "C_q2": c_q2, "C_n2": result.c_n2,
-        "E_half": e_half, "negativity": result.negativity, "mana": result.mana,
-        "advantage": result.advantage,
+    @functools.cached_property
+    def c_mu2(self) -> float:
+        return ms.renyi_entropy(self.source.stationary, 2)
+
+    @functools.cached_property
+    def e_half(self) -> float:
+        return ms.perturbed_coin_excess_half(self.p)
+
+    @functools.cached_property
+    def split(self) -> nm.NMachineResult:
+        q1, q2 = nm.perturbed_coin_ideal_params(self.p, nm.BRANCH_PLUS)
+        spec = nm.perturbed_coin_split_spec(self.p)
+        return self.assess_split(self.source, spec, {"q1": q1, "q2": q2})
+
+
+class _SnsRow(_Row):
+    columns = {
+        **_SHARED_COLUMNS,
+        **_SPLIT_COLUMNS,
+        "C_g2": lambda row: ms.renyi_entropy(row.g_machine.stationary, 2),
+        "C_q2": lambda row: qm.quantum_complexity(qm.sns_gram_ensemble(row.p, row.truncation)),
     }
 
+    @functools.cached_property
+    def g_machine(self) -> Machine:
+        return procs.sns_g_machine(self.p)
 
-def _golden_mean_row(p: float, horizon: int, truncation=None) -> dict[str, float]:
-    machine = procs.golden_mean_epsilon(p)
-    return {
-        "p": p,
-        "C_mu2": ms.renyi_entropy(machine.stationary, 2),
-        "C_q2": qm.quantum_complexity(qm.gram_from_machine(machine, horizon)),
-        "E_half": ms.excess_entropy_half(machine, horizon).value,
+    @functools.cached_property
+    def c_mu2(self) -> float:
+        weights = procs.sns_renewal_data(self.p, self.truncation).stationary_weights()
+        return ms.renyi_entropy(weights / weights.sum(), 2)
+
+    @functools.cached_property
+    def overlap(self) -> tuple[float, float]:
+        """The past-future overlap, shared by E_half and the ideal split."""
+        return procs.sns_past_future_overlap(self.p, self.truncation)
+
+    @functools.cached_property
+    def e_half(self) -> float:
+        return ms.sns_excess_entropy_half(self.p, self.truncation, self.overlap)[0]
+
+    @functools.cached_property
+    def split(self) -> nm.NMachineResult:
+        gamma, eta = nm.sns_ideal_params(self.p, self.truncation, nm.BRANCH_PLUS, self.overlap)
+        spec = nm.sns_split_spec(self.p)
+        return self.assess_split(self.g_machine, spec, {"gamma": gamma, "eta": eta})
+
+
+class _GoldenMeanRow(_Row):
+    columns = {
+        **_SHARED_COLUMNS,
+        "C_q2": lambda row: qm.quantum_complexity(qm.gram_from_machine(row.source, row.horizon)),
     }
 
+    @functools.cached_property
+    def source(self) -> Machine:
+        return procs.golden_mean_epsilon(self.p)
 
-_ROW_BUILDERS = {
-    "perturbed-coin": _perturbed_coin_row,
-    "sns": _sns_row,
-    "golden-mean": _golden_mean_row,
+    @functools.cached_property
+    def c_mu2(self) -> float:
+        return ms.renyi_entropy(self.source.stationary, 2)
+
+    @functools.cached_property
+    def e_half(self) -> float:
+        return ms.excess_entropy_half(self.source, self.horizon).value
+
+
+#: the row of each sweep process, which carries its column table
+_SWEEP_ROWS: dict[str, type[_Row]] = {
+    "perturbed-coin": _PerturbedCoinRow,
+    "sns": _SnsRow,
+    "golden-mean": _GoldenMeanRow,
 }
 
 
@@ -311,10 +383,9 @@ def _sweep_to_csv(
     columns,
     out: str | None,
 ) -> int:
-    builder = _ROW_BUILDERS[process]
-    available = PROCESS_COLUMNS[process]
-    columns = list(columns) if columns else list(available)
-    unknown = [c for c in columns if c not in available]
+    row_type = _SWEEP_ROWS[process]
+    columns = list(columns) if columns else [c for c in SWEEP_COLUMNS if c in row_type.columns]
+    unknown = [c for c in columns if c not in row_type.columns]
     if unknown:
         raise ValueError(f"columns {unknown} not available for process {process!r}")
 
@@ -322,11 +393,12 @@ def _sweep_to_csv(
     failures: list[str] = []
     for p in grid:
         try:
-            row = builder(p, horizon, truncation)
+            values = row_type(p, horizon, truncation).values(columns)
         except _NUMERICAL_ERRORS + _VALIDATION_ERRORS as exc:
-            row = {"p": p}
+            # a failure in a printed column blanks the row but for p
+            values = [p if c == "p" else float("nan") for c in columns]
             failures.append(f"p={_fmt(p)}: {type(exc).__name__}: {exc}")
-        lines.append(",".join(_fmt(row.get(c, float("nan"))) for c in columns))
+        lines.append(",".join(map(_fmt, values)))
     _emit("\n".join(lines) + "\n", out)
     if failures:
         log = "\n".join(failures) + "\n"
@@ -361,7 +433,7 @@ def cmd_sweep(args) -> int:
         truncation = args.truncation
         columns = None
         out = args.out
-    if process not in _ROW_BUILDERS:
+    if process not in _SWEEP_ROWS:
         raise UnsupportedProcess(f"unknown sweep process {process!r}")
     _check_grid(process, grid)
     return _sweep_to_csv(process, grid, horizon, truncation, columns, out)
@@ -384,13 +456,11 @@ def default_grid(process: str) -> list[float]:
 
 def cmd_reproduce(args) -> int:
     process, columns = _FIGURES[args.figure]
-    grid = default_grid(process)
-    builder = _ROW_BUILDERS[process]
+    row_type = _SWEEP_ROWS[process]
     lines = [",".join(columns)]
-    for p in grid:
-        row = builder(p, args.horizon, args.truncation)
-        row["negativity_minus_1"] = row.get("negativity", float("nan")) - 1.0
-        lines.append(",".join(_fmt(row.get(c, float("nan"))) for c in columns))
+    for p in default_grid(process):
+        values = row_type(p, args.horizon, args.truncation).values(columns)
+        lines.append(",".join(map(_fmt, values)))
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
@@ -519,7 +589,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", parents=[common], help="parameter sweep to CSV")
     p_sweep.add_argument("--config", help="JSON sweep configuration file")
-    p_sweep.add_argument("--process", choices=tuple(_ROW_BUILDERS), default="perturbed-coin")
+    p_sweep.add_argument("--process", choices=tuple(_SWEEP_ROWS), default="perturbed-coin")
     p_sweep.add_argument("--p-grid", help="comma-separated grid values")
     p_sweep.add_argument("--p-min", type=float, default=0.1)
     p_sweep.add_argument("--p-max", type=float, default=0.9)

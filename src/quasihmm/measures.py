@@ -273,10 +273,18 @@ def perturbed_coin_excess_half(p: float) -> float:
     return 1.0 - 2.0 * float(np.log2(np.sqrt(p) + np.sqrt(1.0 - p)))
 
 
-def sns_excess_entropy_half(p: float, truncation: int | None = None) -> tuple[float, float]:
+def sns_excess_entropy_half(
+    p: float,
+    truncation: int | None = None,
+    overlap: tuple[float, float] | None = None,
+) -> tuple[float, float]:
     """Half-order excess entropy of the SNS process with truncated series;
-    returns (value, truncation residual in bits)."""
-    overlap, overlap_residual = sns_past_future_overlap(p, truncation)
+    returns (value, truncation residual in bits).  ``overlap`` is the pair
+    :func:`sns_past_future_overlap` returns for ``p`` and ``truncation``,
+    when the caller has it already."""
+    overlap, overlap_residual = (
+        overlap if overlap is not None else sns_past_future_overlap(p, truncation)
+    )
     value = -float(np.log2(overlap))
     residual = abs(overlap_residual / (overlap * np.log(2.0)))
     return value, residual

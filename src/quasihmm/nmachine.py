@@ -501,7 +501,10 @@ def sns_split_spec(p: float) -> SplitSpec:
 
 
 def sns_ideal_params(
-    p: float, truncation: int | None = None, branch: str = BRANCH_PLUS
+    p: float,
+    truncation: int | None = None,
+    branch: str = BRANCH_PLUS,
+    overlap: tuple[float, float] | None = None,
 ) -> tuple[float, float]:
     """Parameter pair (gamma, eta) saturating the memory bound for the SNS
     split, up to series truncation.
@@ -513,13 +516,15 @@ def sns_ideal_params(
 
     where V is the truncated past-future overlap (so -log2 V is the excess
     entropy).  A negative radicand is reported rather than assumed away.
+    ``overlap`` is the pair :func:`sns_past_future_overlap` returns for ``p``
+    and ``truncation``, when the caller has it already.
     """
-    overlap, residual = sns_past_future_overlap(p, truncation)
+    value, residual = overlap if overlap is not None else sns_past_future_overlap(p, truncation)
     if residual > 1e-9:
         raise TruncationTooCoarse(
             f"past-future overlap truncation residual {residual:.3e} too large"
         )
-    radicand = -3.0 + 8.0 * overlap
+    radicand = -3.0 + 8.0 * value
     if radicand < 0:
         raise NegativeRadicand(f"-3 + 8 * overlap = {radicand:.6f} < 0 at p = {p}")
     sign = _branch_sign(branch)
@@ -576,7 +581,7 @@ class OptimizeOptions:
     """Knobs for the deterministic multi-start pattern search.
 
     ``max_evals`` caps the trial points of the whole search, counting the
-    repeats that the per-start memo answers without a build.
+    repeats that the search's memo answers without a build.
     """
 
     seed: int = 0
@@ -608,10 +613,11 @@ def optimize_ideal(
     ``NoFeasiblePoint`` is raised; a best point above the bound but away
     from it is returned with ``saturated=False``.
 
-    Each start's search remembers the objective of every point it tried,
+    The search remembers the objective of every point any start tried,
     keyed by the parameter vector's bytes, and answers a repeated point from
-    that memo; ``opts.max_evals`` still counts it as a trial, so the memo
-    changes how many machines are built but not the search or its result.
+    that memo, also when an earlier start tried it; ``opts.max_evals`` still
+    counts it as a trial, so the memo changes how many machines are built but
+    not the search or its result.
     """
     names = spec.param_names
     if len(names) > opts.max_params:
@@ -651,18 +657,18 @@ def optimize_ideal(
         starts.append(rng.uniform(-opts.start_box, opts.start_box, dims))
 
     evals = 0
+    # dyadic starts and steps make the searches revisit points bit for bit,
+    # within one start and across starts
+    seen: dict[bytes, float] = {}
+
+    def value(vec: np.ndarray) -> float:
+        key = vec.tobytes()
+        if key not in seen:
+            seen[key] = objective(vec)
+        return seen[key]
 
     def search(start: np.ndarray) -> tuple[float, np.ndarray]:
         nonlocal evals
-        # dyadic starts and steps make a search revisit points bit for bit
-        seen: dict[bytes, float] = {}
-
-        def value(vec: np.ndarray) -> float:
-            key = vec.tobytes()
-            if key not in seen:
-                seen[key] = objective(vec)
-            return seen[key]
-
         x = start.copy()
         fx = value(x)
         evals += 1

@@ -10,11 +10,17 @@ configurable tail mass.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateParameter, TruncationTooCoarse, TruncationTooLarge
+from .errors import (
+    DegenerateParameter,
+    MachineFormatError,
+    TruncationTooCoarse,
+    TruncationTooLarge,
+)
 from .machine import Machine, make_machine
 
 #: default bound on the surviving probability beyond the truncated state set
@@ -287,6 +293,9 @@ def sns_epsilon_truncated(
     bounded by the tail mass Phi(N+1).  Each row is divided by Phi(n), so
     a truncation whose Phi(N) underflows to 0 (N = 163 at p = 0.01) is
     refused with :class:`TruncationTooLarge` before anything is allocated.
+    A subnormal Phi(N) may still leave rows summing to 1 (N <= 157 at
+    p = 0.01); when it does not (N = 158-162), the failed build is refused
+    with :class:`TruncationTooLarge` too.
     """
     p = _check_open_unit(p)
     n_max, _ = _sns_truncation(p, truncation, eps, allow_coarse)
@@ -305,8 +314,16 @@ def sns_epsilon_truncated(
     t1[:, 0] = sns_waiting_time(idx, p) / big_phi
 
     states = tuple(f"s{n}" for n in range(size))
-    machine = make_machine(("0", "1"), states, {"0": t0, "1": t1})
-    return machine
+    try:
+        return make_machine(("0", "1"), states, {"0": t0, "1": t1})
+    except MachineFormatError as exc:
+        phi = big_phi[n_max]
+        if phi >= sys.float_info.min:
+            raise
+        raise TruncationTooLarge(
+            f"truncation {n_max} at p = {p}: its rows divide by the subnormal "
+            f"survival probability Phi({n_max}) = {phi:.4e} and lose precision ({exc})"
+        ) from exc
 
 
 def sns_past_future_overlap(

@@ -99,6 +99,18 @@ class TestOversizedSns:
         assert json.loads(lines[0])["error"] == "TruncationTooLarge"
         assert elapsed < 2.0
 
+    def test_imprecise_subnormal_truncation_is_refused(self, capsys):
+        # Phi(160) at p = 0.01 is subnormal and the rows no longer sum to 1
+        code, out, err = run(capsys, "make-machine", "--process", "sns-epsilon", "--p", "0.01",
+                             "--truncation", "160")
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        doc = json.loads(lines[0])
+        assert doc["error"] == "TruncationTooLarge"
+        assert "truncation 160" in doc["message"]
+
     def test_truncation_below_the_underflow_builds(self, capsys, tmp_path):
         # at p = 0.01, Phi(163) is the first survival value that underflows
         # to 0; the deepest truncation whose rows still sum to 1 is 157
@@ -260,14 +272,15 @@ class TestSweep:
     def test_partial_failure_writes_nan_row_and_sidecar(self, capsys, tmp_path, monkeypatch):
         from quasihmm.errors import NoUnitEigenvalue
 
-        real_builder = cli._ROW_BUILDERS["golden-mean"]
+        columns = cli._SWEEP_ROWS["golden-mean"].columns
+        real_column = columns["C_mu2"]
 
-        def flaky(p, horizon, truncation=None):
-            if p == 0.4:
+        def flaky(row):
+            if row.p == 0.4:
                 raise NoUnitEigenvalue("synthetic failure")
-            return real_builder(p, horizon, truncation)
+            return real_column(row)
 
-        monkeypatch.setitem(cli._ROW_BUILDERS, "golden-mean", flaky)
+        monkeypatch.setitem(columns, "C_mu2", flaky)
         out = tmp_path / "out.csv"
         code, _, _ = run(
             capsys, "sweep", "--process", "golden-mean",

@@ -338,6 +338,51 @@ class TestFutureFidelity:
             m.future_fidelity_matrix(3)
 
 
+def reference_fidelity_step(m, fid):
+    """``Machine.fidelity_step`` gathering each term with ``np.ix_``."""
+    out = None
+    for targets, amps in m._root_slots():
+        for t_q, a_q in zip(targets, amps):
+            inner = None
+            for t_p, a_p in zip(targets, amps):
+                term = fid[np.ix_(t_p, t_q)]
+                term *= a_p[:, None]
+                if inner is None:
+                    inner = term
+                else:
+                    inner += term
+            inner *= a_q[None, :]
+            if out is None:
+                out = inner
+            else:
+                out += inner
+    return out
+
+
+def _two_slot_machine():
+    # every row of "0" has two exact nonzeros and one row of "1" none
+    t0 = [[0.3, 0.2, 0.0], [0.0, 0.5, 0.5], [0.1, 0.0, 0.4]]
+    t1 = [[0.0, 0.0, 0.5], [0.0, 0.0, 0.0], [0.0, 0.5, 0.0]]
+    return make_machine(("0", "1"), ("a", "b", "c"), {"0": t0, "1": t1})
+
+
+class TestFidelityStepMatchesReference:
+    @pytest.mark.parametrize("machine", [
+        *_UNIFILAR[:-1], perturbed_coin_rjmc(0.7), sns_g_machine(0.6), _two_slot_machine(),
+        sns_epsilon_truncated(0.5), sns_epsilon_truncated(0.9), sns_epsilon_truncated(0.95),
+    ], ids=lambda m: f"{m.n_states}-" + "-".join(m.states[:2]))
+    def test_twelve_steps_bit_identical(self, machine):
+        got = expected = np.ones((machine.n_states, machine.n_states))
+        for step in range(12):
+            got = machine.fidelity_step(got)
+            expected = reference_fidelity_step(machine, expected)
+            assert got.tobytes() == expected.tobytes(), step
+
+    def test_cases_cover_the_sizes_and_two_slots(self):
+        assert [sns_epsilon_truncated(p).n_states for p in (0.5, 0.9, 0.95)] == [46, 296, 607]
+        assert _two_slot_machine()._root_slots()[0][0].shape[0] == 2
+
+
 class TestProcessEquality:
     def test_machine_equals_itself(self, coin):
         assert same_process(coin, coin)

@@ -715,3 +715,21 @@ class TestMemoisedSearchMatchesReference:
         # after the search, the best point is built once to check it and
         # once for the result
         assert 0 < builds - 2 < trials
+
+    def test_point_of_an_earlier_start_is_not_rebuilt(self, monkeypatch):
+        source, spec, e_half = _optimizer_case("perturbed-coin-0.3")
+        built = []
+        build = nm.build_split_machine
+
+        def recording_build(source, spec, params):
+            built.append(np.array(list(params.values())).tobytes())
+            return build(source, spec, params)
+
+        monkeypatch.setattr(nm, "build_split_machine", recording_build)
+        optimize_ideal(source, spec, e_half, OptimizeOptions(seed=7))
+        search = built[:-2]
+        # the first start, at the origin, tries (0.25, 0) with its first
+        # step; the second start begins there and is answered from the memo
+        assert search[:2] == [np.zeros(2).tobytes(), np.array([0.25, 0.0]).tobytes()]
+        assert search.count(np.array([0.25, 0.0]).tobytes()) == 1
+        assert len(set(search)) == len(search)

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -365,5 +366,23 @@ class TestStateCap:
                 sns_epsilon_truncated(p, truncation=n)
         # below 158 the subnormal Phi(N) still leaves rows summing to 1
         assert sns_epsilon_truncated(p, truncation=157).n_states == 158
-        with pytest.raises(errors.MachineFormatError):
+        with pytest.raises(errors.TruncationTooLarge, match="subnormal"):
             sns_epsilon_truncated(p, truncation=162)
+
+    @pytest.mark.parametrize("n", [156, 157])
+    def test_subnormal_survival_with_stochastic_rows_builds(self, n):
+        # Phi(N) is subnormal here too, so no test of Phi alone can tell
+        # these from 158-162: the refusal must come from the failed build
+        p = 0.01
+        assert 0.0 < sns_surviving(n, p) < sys.float_info.min
+        assert sns_epsilon_truncated(p, truncation=n).n_states == n + 1
+
+    @pytest.mark.parametrize("n", [158, 159, 160, 161, 162])
+    def test_imprecise_subnormal_rows_name_the_truncation(self, n):
+        p = 0.01
+        with pytest.raises(errors.TruncationTooLarge) as info:
+            sns_epsilon_truncated(p, truncation=n)
+        message = str(info.value)
+        assert f"truncation {n}" in message and "p = 0.01" in message
+        assert f"Phi({n}) = " in message and "subnormal" in message
+        assert isinstance(info.value.__cause__, errors.MachineFormatError)
