@@ -1,6 +1,6 @@
 """``sweep`` and ``reproduce`` compute only the columns they print.
 
-``reference_row`` keeps the full-row builders that computed every column of
+``REFERENCE_ROWS`` keeps the full-row builders that computed every column of
 a process for every p; the CSVs of the column tables must equal theirs byte
 for byte.  Counting stubs show that a figure never reaches the layers of the
 columns it does not print, and that an SNS row computes its past-future
