@@ -6,8 +6,9 @@ the state-splitting construction, apply similarity maps, and emit the
 discrete Wigner machine.  All numeric CSV output uses 12 significant digits
 and is byte-deterministic for a fixed configuration and seed.
 
-Exit codes: 0 success, 2 input validation, 3 unsupported measure, 4 numerical
-failure.
+Exit codes: 0 success; on failure the ``exit_code`` of the error's class (2
+input validation, 3 unsupported measure, 4 numerical failure), and 2 for a
+``ValueError`` or ``OSError``.
 """
 
 from __future__ import annotations
@@ -28,75 +29,16 @@ from . import processes as procs
 from . import quantum as qm
 from . import transforms as tf
 from .errors import (
-    DegenerateFixedSpace,
-    DegenerateParameter,
-    EnumerationCapExceeded,
     InvalidAlpha,
-    IsometryViolated,
-    MachineFormatError,
-    NegativeConditional,
-    NegativeEntriesUnsupportedOrder,
-    NegativeRadicand,
-    NoFeasiblePoint,
-    NonFiniteEntries,
-    NonPSD,
-    NotConverged,
-    NotSymmetric,
-    NoUnitEigenvalue,
-    PropertyViolated,
-    QuasiMachineUnsupported,
-    SingularMatrix,
-    SpecMismatch,
-    StationaryMismatch,
-    TruncationTooCoarse,
-    TruncationTooLarge,
-    UnknownSymbol,
+    NumericalError,
+    QuasiHmmError,
     UnsupportedProcess,
-    ZeroBaseline,
-    ZeroEntryWithQuasiOrder,
+    ValidationError,
 )
 from .machine import Machine, load_machine
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
-EXIT_UNSUPPORTED = 3
-EXIT_NUMERICAL = 4
-
-_VALIDATION_ERRORS = (
-    MachineFormatError,
-    NonFiniteEntries,
-    NotSymmetric,
-    DegenerateParameter,
-    SpecMismatch,
-    UnknownSymbol,
-    UnsupportedProcess,
-    TruncationTooCoarse,
-    TruncationTooLarge,
-    StationaryMismatch,
-    tf.DimensionMismatch,
-    ValueError,
-    OSError,
-)
-_UNSUPPORTED_ERRORS = (
-    QuasiMachineUnsupported,
-    NegativeEntriesUnsupportedOrder,
-    ZeroEntryWithQuasiOrder,
-    NegativeConditional,
-    InvalidAlpha,
-    ZeroBaseline,
-)
-_NUMERICAL_ERRORS = (
-    NoUnitEigenvalue,
-    DegenerateFixedSpace,
-    SingularMatrix,
-    NonPSD,
-    NotConverged,
-    IsometryViolated,
-    NegativeRadicand,
-    NoFeasiblePoint,
-    PropertyViolated,
-    EnumerationCapExceeded,
-)
 
 #: the columns ``sweep`` prints when the request names none: those of its
 #: process's column table, in this order
@@ -133,33 +75,26 @@ def _emit_json(doc, out: str | None) -> None:
 # --- machine factories -----------------------------------------------------------
 
 
-def _build_zoo_machine(args) -> Machine:
-    name = args.process
-    if name == "perturbed-coin":
-        return procs.perturbed_coin_epsilon(_require_p(args))
-    if name == "perturbed-coin-rjmc":
-        return procs.perturbed_coin_rjmc(_require_p(args))
-    if name == "golden-mean":
-        return procs.golden_mean_epsilon(_require_p(args))
-    if name == "sns-g":
-        return procs.sns_g_machine(_require_p(args))
-    if name == "sns-epsilon":
-        return procs.sns_epsilon_truncated(_require_p(args), args.truncation)
-    if name == "even":
-        return procs.even_process_epsilon()
-    if name == "unbiased-coin":
-        return procs.unbiased_coin()
-    raise UnsupportedProcess(f"unknown process {name!r}")
-
-
 def _require_p(args) -> float:
     if args.p is None:
         raise ValueError(f"process {args.process!r} requires --p")
     return args.p
 
 
+#: the machine of each ``make-machine`` process, built from the parsed arguments
+_ZOO: dict[str, Callable[[argparse.Namespace], Machine]] = {
+    "perturbed-coin": lambda args: procs.perturbed_coin_epsilon(_require_p(args)),
+    "perturbed-coin-rjmc": lambda args: procs.perturbed_coin_rjmc(_require_p(args)),
+    "golden-mean": lambda args: procs.golden_mean_epsilon(_require_p(args)),
+    "sns-g": lambda args: procs.sns_g_machine(_require_p(args)),
+    "sns-epsilon": lambda args: procs.sns_epsilon_truncated(_require_p(args), args.truncation),
+    "even": lambda args: procs.even_process_epsilon(),
+    "unbiased-coin": lambda args: procs.unbiased_coin(),
+}
+
+
 def cmd_make_machine(args) -> int:
-    machine = _build_zoo_machine(args)
+    machine = _ZOO[args.process](args)
     _emit(machine.to_json_text(), args.out)
     return EXIT_OK
 
@@ -254,16 +189,22 @@ _SPLIT_COLUMNS = {
 
 
 class _Row:
-    """One row of a sweep or figure: its inputs, and the intermediates its
-    columns share.  Each intermediate is computed on first use and kept only
-    as long as the row, so a column that is not printed costs nothing and
-    one that is costs its own work once.
+    """One row of a sweep or figure, or one ``construct-nmachine`` request:
+    its inputs, and the intermediates its columns share.  Each intermediate
+    is computed on first use and kept only as long as the row, so a column
+    that is not printed costs nothing and one that is costs its own work
+    once.
 
     ``columns`` is the process's column table: each column it offers,
-    mapped to the function that computes the column from a row.
+    mapped to the function that computes the column from a row.  A row type
+    also gives its process's ``source`` machine, ``e_half``, split ``spec``
+    and the split's closed-form ``default_params(branch)``.
     """
 
     columns: dict[str, Callable[[_Row], float]]
+    #: the p at which the process degenerates: generated grids leave it out,
+    #: and a given grid that holds it is refused
+    degenerate_p: float | None = None
 
     def __init__(self, p: float, horizon: int, truncation: int | None):
         self.p = p
@@ -273,8 +214,15 @@ class _Row:
     def values(self, columns) -> list[float]:
         return [self.columns[c](self) for c in columns]
 
-    def assess_split(self, source: Machine, spec: nm.SplitSpec, params) -> nm.NMachineResult:
-        built = nm.build_split_machine(source, spec, params)
+    @functools.cached_property
+    def c_mu2(self) -> float:
+        return ms.renyi_entropy(self.source.stationary, 2)
+
+    @functools.cached_property
+    def split(self) -> nm.NMachineResult:
+        """The split at the plus branch's ``default_params``."""
+        params = self.default_params(nm.BRANCH_PLUS)
+        built = nm.build_split_machine(self.source, self.spec, params)
         return nm.assess_split_machine(built, params, self.e_half, self.c_mu2)
 
 
@@ -285,36 +233,35 @@ class _PerturbedCoinRow(_Row):
         "C_g2": lambda row: ms.renyi_entropy(procs.perturbed_coin_rjmc(row.p).stationary, 2),
         "C_q2": lambda row: qm.quantum_complexity(qm.gram_from_machine(row.source, row.horizon)),
     }
+    degenerate_p = 0.5
 
     @functools.cached_property
     def source(self) -> Machine:
         return procs.perturbed_coin_epsilon(self.p)
 
     @functools.cached_property
-    def c_mu2(self) -> float:
-        return ms.renyi_entropy(self.source.stationary, 2)
-
-    @functools.cached_property
     def e_half(self) -> float:
         return ms.perturbed_coin_excess_half(self.p)
 
-    @functools.cached_property
-    def split(self) -> nm.NMachineResult:
-        q1, q2 = nm.perturbed_coin_ideal_params(self.p, nm.BRANCH_PLUS)
-        spec = nm.perturbed_coin_split_spec(self.p)
-        return self.assess_split(self.source, spec, {"q1": q1, "q2": q2})
+    @property
+    def spec(self) -> nm.SplitSpec:
+        return nm.perturbed_coin_split_spec(self.p)
+
+    def default_params(self, branch: str) -> dict[str, float]:
+        return dict(zip(("q1", "q2"), nm.perturbed_coin_ideal_params(self.p, branch)))
 
 
 class _SnsRow(_Row):
     columns = {
         **_SHARED_COLUMNS,
         **_SPLIT_COLUMNS,
-        "C_g2": lambda row: ms.renyi_entropy(row.g_machine.stationary, 2),
+        "C_g2": lambda row: ms.renyi_entropy(row.source.stationary, 2),
         "C_q2": lambda row: qm.quantum_complexity(qm.sns_gram_ensemble(row.p, row.truncation)),
     }
 
     @functools.cached_property
-    def g_machine(self) -> Machine:
+    def source(self) -> Machine:
+        """The generative model, which the split doubles."""
         return procs.sns_g_machine(self.p)
 
     @functools.cached_property
@@ -331,11 +278,13 @@ class _SnsRow(_Row):
     def e_half(self) -> float:
         return ms.sns_excess_entropy_half(self.p, self.truncation, self.overlap)[0]
 
-    @functools.cached_property
-    def split(self) -> nm.NMachineResult:
-        gamma, eta = nm.sns_ideal_params(self.p, self.truncation, nm.BRANCH_PLUS, self.overlap)
-        spec = nm.sns_split_spec(self.p)
-        return self.assess_split(self.g_machine, spec, {"gamma": gamma, "eta": eta})
+    @property
+    def spec(self) -> nm.SplitSpec:
+        return nm.sns_split_spec(self.p)
+
+    def default_params(self, branch: str) -> dict[str, float]:
+        params = nm.sns_ideal_params(self.p, self.truncation, branch, self.overlap)
+        return dict(zip(("gamma", "eta"), params))
 
 
 class _GoldenMeanRow(_Row):
@@ -349,12 +298,16 @@ class _GoldenMeanRow(_Row):
         return procs.golden_mean_epsilon(self.p)
 
     @functools.cached_property
-    def c_mu2(self) -> float:
-        return ms.renyi_entropy(self.source.stationary, 2)
-
-    @functools.cached_property
     def e_half(self) -> float:
         return ms.excess_entropy_half(self.source, self.horizon).value
+
+    @property
+    def spec(self) -> nm.SplitSpec:
+        """The split that injects negativity but never lowers memory."""
+        return nm.golden_mean_bad_split_spec(self.p)
+
+    def default_params(self, branch: str) -> dict[str, float]:
+        return {"q": -0.2}
 
 
 #: the row of each sweep process, which carries its column table
@@ -364,12 +317,20 @@ _SWEEP_ROWS: dict[str, type[_Row]] = {
     "golden-mean": _GoldenMeanRow,
 }
 
+#: the row of each ``construct-nmachine`` process, which carries its split
+_NMACHINE_ROWS: dict[str, type[_Row]] = {
+    "perturbed-coin": _PerturbedCoinRow,
+    "sns": _SnsRow,
+    "golden-mean-bad": _GoldenMeanRow,
+}
+
 
 def _check_grid(process: str, grid: list[float]) -> list[float]:
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("p grid must be strictly increasing")
-    if process in ("perturbed-coin",) and any(p == 0.5 for p in grid):
-        raise ValueError("p grid must exclude 0.5 for the perturbed-coin process")
+    degenerate = _SWEEP_ROWS[process].degenerate_p
+    if degenerate is not None and any(p == degenerate for p in grid):
+        raise ValueError(f"p grid must exclude {degenerate} for the {process} process")
     if any(not 0.0 < p < 1.0 for p in grid):
         raise ValueError("p grid values must lie strictly between 0 and 1")
     return grid
@@ -394,7 +355,7 @@ def _sweep_to_csv(
     for p in grid:
         try:
             values = row_type(p, horizon, truncation).values(columns)
-        except _NUMERICAL_ERRORS + _VALIDATION_ERRORS as exc:
+        except (NumericalError, ValidationError, ValueError, OSError) as exc:
             # a failure in a printed column blanks the row but for p
             values = [p if c == "p" else float("nan") for c in columns]
             failures.append(f"p={_fmt(p)}: {type(exc).__name__}: {exc}")
@@ -413,12 +374,40 @@ def _parse_grid(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
+#: the JSON type of each field a sweep config may set, as its error names it
+_CONFIG_FIELDS = {
+    "process": (str, "a process name"),
+    "p_grid": (list, "a list of numbers"),
+    "horizon": (int, "an integer"),
+    "truncation": (int, "an integer"),
+    "outputs": (list, "a list of column names"),
+    "output_path": (str, "a path"),
+}
+
+
+def _read_sweep_config(path: str) -> dict:
+    """The fields a sweep config file sets, each checked for its JSON type; a
+    null field counts as unset, and ``p_grid`` must be set."""
+    doc = json.loads(Path(path).read_text())
+    if not isinstance(doc, dict):
+        raise ValueError("sweep config must be a JSON object")
+    doc = {key: value for key, value in doc.items() if value is not None}
+    if "p_grid" not in doc:
+        raise ValueError("sweep config field 'p_grid' is required")
+    for key, (kind, what) in _CONFIG_FIELDS.items():
+        if key in doc and not isinstance(doc[key], kind):
+            raise ValueError(f"sweep config field {key!r} must be {what}")
+    if not all(isinstance(p, (int, float)) for p in doc["p_grid"]):
+        raise ValueError("sweep config field 'p_grid' must be a list of numbers")
+    return doc
+
+
 def cmd_sweep(args) -> int:
     if args.config:
-        doc = json.loads(Path(args.config).read_text())
+        doc = _read_sweep_config(args.config)
         process = doc.get("process", "perturbed-coin")
         grid = [float(p) for p in doc["p_grid"]]
-        horizon = int(doc.get("horizon", args.horizon))
+        horizon = doc.get("horizon", args.horizon)
         truncation = doc.get("truncation")
         columns = doc.get("outputs")
         out = doc.get("output_path", args.out)
@@ -428,7 +417,9 @@ def cmd_sweep(args) -> int:
             grid = _parse_grid(args.p_grid)
         else:
             grid = list(np.arange(args.p_min, args.p_max + 1e-12, args.p_step).round(12))
-            grid = [p for p in grid if abs(p - 0.5) > 1e-12 or process != "perturbed-coin"]
+            degenerate = _SWEEP_ROWS[process].degenerate_p
+            if degenerate is not None:
+                grid = [p for p in grid if abs(p - degenerate) > 1e-12]
         horizon = args.horizon
         truncation = args.truncation
         columns = None
@@ -449,9 +440,7 @@ _FIGURES = {
 
 def default_grid(process: str) -> list[float]:
     grid = [round(0.05 * k, 2) for k in range(1, 20)]
-    if process == "perturbed-coin":
-        grid = [p for p in grid if p != 0.5]
-    return grid
+    return [p for p in grid if p != _SWEEP_ROWS[process].degenerate_p]
 
 
 def cmd_reproduce(args) -> int:
@@ -482,50 +471,27 @@ def _parse_params(text: str) -> dict[str, float]:
 
 
 def cmd_construct_nmachine(args) -> int:
-    process = args.process
-    horizon = args.horizon
-    truncation = args.truncation
-    if process == "perturbed-coin":
-        source = procs.perturbed_coin_epsilon(args.p)
-        spec = nm.perturbed_coin_split_spec(args.p)
-        e_half = ms.perturbed_coin_excess_half(args.p)
-        c_mu2 = ms.renyi_entropy(source.stationary, 2)
-        default_params = dict(
-            zip(("q1", "q2"), nm.perturbed_coin_ideal_params(args.p, args.branch))
-        )
-    elif process == "sns":
-        source = procs.sns_g_machine(args.p)
-        spec = nm.sns_split_spec(args.p)
-        e_half, _ = ms.sns_excess_entropy_half(args.p, truncation)
-        data = procs.sns_renewal_data(args.p, truncation)
-        weights = data.stationary_weights()
-        c_mu2 = ms.renyi_entropy(weights / weights.sum(), 2)
-        default_params = dict(
-            zip(("gamma", "eta"), nm.sns_ideal_params(args.p, truncation, args.branch))
-        )
-    elif process == "golden-mean-bad":
-        source = procs.golden_mean_epsilon(args.p)
-        spec = nm.golden_mean_bad_split_spec(args.p)
-        e_half = ms.excess_entropy_half(source, horizon).value
-        c_mu2 = ms.renyi_entropy(source.stationary, 2)
-        default_params = {"q": -0.2}
-    else:
-        raise UnsupportedProcess(f"unknown construction process {process!r}")
-
+    row = _NMACHINE_ROWS[args.process](args.p, args.horizon, args.truncation)
+    source, e_half, c_mu2 = row.source, row.e_half, row.c_mu2
+    spec = row.spec
     if args.split:
         counts = tuple(int(tok) for tok in args.split.split(","))
         spec = nm.generic_split_spec(source, counts)
-        default_params = {name: 0.0 for name in spec.param_names}
 
     if args.optimize:
         opts = nm.OptimizeOptions(seed=args.seed)
         result = nm.optimize_ideal(source, spec, e_half, opts, c_mu2=c_mu2)
     else:
-        params = default_params if args.params is None else _parse_params(args.params)
+        if args.params is not None:
+            params = _parse_params(args.params)
+        elif args.split:
+            params = {name: 0.0 for name in spec.param_names}
+        else:
+            params = row.default_params(args.branch)
         built = nm.build_split_machine(source, spec, params)
         result = nm.assess_split_machine(built, params, e_half, c_mu2)
 
-    checks = nm.verify_nmachine_properties(source, result.machine, horizon=min(horizon, 8))
+    checks = nm.verify_nmachine_properties(source, result.machine, horizon=min(args.horizon, 8))
     doc = result.to_json_dict()
     doc["checks"] = {"worst_residual": checks.worst(), "passed": checks.passed()}
     if args.out:
@@ -572,10 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_make.add_argument(
         "--process",
         required=True,
-        choices=(
-            "perturbed-coin", "perturbed-coin-rjmc", "golden-mean",
-            "sns-g", "sns-epsilon", "even", "unbiased-coin",
-        ),
+        choices=tuple(_ZOO),
     )
     p_make.add_argument("--p", type=float)
     p_make.add_argument("--truncation", type=int)
@@ -605,8 +568,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_nm = sub.add_parser(
         "construct-nmachine", parents=[common], help="build a state-split machine"
     )
-    p_nm.add_argument("--process", required=True,
-                      choices=("perturbed-coin", "sns", "golden-mean-bad"))
+    p_nm.add_argument("--process", required=True, choices=tuple(_NMACHINE_ROWS))
     p_nm.add_argument("--p", type=float, required=True)
     p_nm.add_argument("--split", help="copy counts per source state, e.g. 2,1")
     p_nm.add_argument("--params", help="comma-separated name=value pairs")
@@ -634,13 +596,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except _UNSUPPORTED_ERRORS as exc:
+    except QuasiHmmError as exc:
         _print_error(exc)
-        return EXIT_UNSUPPORTED
-    except _NUMERICAL_ERRORS as exc:
-        _print_error(exc)
-        return EXIT_NUMERICAL
-    except _VALIDATION_ERRORS as exc:
+        return exc.exit_code
+    except (ValueError, OSError) as exc:
         # includes json.JSONDecodeError via ValueError
         _print_error(exc)
         return EXIT_VALIDATION

@@ -2,6 +2,8 @@
 
 Every error raised on purpose derives from :class:`QuasiHmmError` so callers
 (and the CLI) can distinguish library failures from programming mistakes.
+Each class derives from exactly one of the three failure classes below,
+whose ``exit_code`` is the CLI's exit status for it.
 """
 
 from __future__ import annotations
@@ -10,114 +12,131 @@ from __future__ import annotations
 class QuasiHmmError(Exception):
     """Base class for all errors raised by this package."""
 
+    #: the CLI's exit status, set by the three failure classes below
+    exit_code: int
+
+
+class ValidationError(QuasiHmmError):
+    """Input that is malformed, out of range or too large to process."""
+
+    exit_code = 2
+
+
+class UnsupportedError(QuasiHmmError):
+    """A well-formed request for something undefined on the given input."""
+
+    exit_code = 3
+
+
+class NumericalError(QuasiHmmError):
+    """A computation that failed numerically."""
+
+    exit_code = 4
+
 
 # --- linear algebra ---------------------------------------------------------
 
-class NonFiniteEntries(QuasiHmmError):
+class NonFiniteEntries(ValidationError):
     """Input contains NaN or infinite entries."""
 
 
-class NoUnitEigenvalue(QuasiHmmError):
+class NoUnitEigenvalue(NumericalError):
     """No eigenvalue lies within tolerance of 1."""
 
 
-class DegenerateFixedSpace(QuasiHmmError):
+class DegenerateFixedSpace(NumericalError):
     """The eigenvalue-1 eigenspace has multiplicity greater than one."""
 
 
-class SingularMatrix(QuasiHmmError):
+class SingularMatrix(NumericalError):
     """Matrix is singular (or numerically singular) where invertibility is required."""
-
-
-class NotSymmetric(QuasiHmmError):
-    """Matrix is not symmetric within tolerance."""
 
 
 # --- machines ---------------------------------------------------------------
 
-class UnknownSymbol(QuasiHmmError):
+class UnknownSymbol(ValidationError):
     """A word contains a symbol outside the machine alphabet."""
 
 
-class EnumerationCapExceeded(QuasiHmmError):
+class EnumerationCapExceeded(NumericalError):
     """Requested word enumeration exceeds the configured cap."""
 
 
-class MachineFormatError(QuasiHmmError):
+class MachineFormatError(ValidationError):
     """Machine definition file is malformed."""
 
 
 # --- processes --------------------------------------------------------------
 
-class DegenerateParameter(QuasiHmmError):
+class DegenerateParameter(ValidationError):
     """Parameter value at which the requested model collapses or is undefined."""
 
 
-class TruncationTooCoarse(QuasiHmmError):
+class TruncationTooCoarse(ValidationError):
     """Series truncation leaves more tail mass than the configured bound."""
 
 
-class TruncationTooLarge(QuasiHmmError):
+class TruncationTooLarge(ValidationError):
     """Series truncation needs more states than the configured cap."""
 
 
-class UnsupportedProcess(QuasiHmmError):
+class UnsupportedProcess(ValidationError):
     """No closed form is available for the requested process."""
 
 
 # --- measures ---------------------------------------------------------------
 
-class InvalidAlpha(QuasiHmmError):
+class InvalidAlpha(UnsupportedError):
     """Renyi order outside the supported range."""
 
 
-class NegativeEntriesUnsupportedOrder(QuasiHmmError):
+class NegativeEntriesUnsupportedOrder(UnsupportedError):
     """Quasiprobability input passed to a Renyi order other than 2."""
 
 
-class ZeroEntryWithQuasiOrder(QuasiHmmError):
+class ZeroEntryWithQuasiOrder(UnsupportedError):
     """Quasiprobability input has (near-)zero entries, where the collision
     entropy of a signed distribution is defined only for nonzero components."""
 
 
-class NegativeConditional(QuasiHmmError):
+class NegativeConditional(UnsupportedError):
     """Conditional distribution with negative entries where a classical one is
     required (the half-order mutual information is complex otherwise)."""
 
 
-class QuasiMachineUnsupported(QuasiHmmError):
+class QuasiMachineUnsupported(UnsupportedError):
     """Operation defined only for machines with nonnegative transitions."""
 
 
-class ZeroBaseline(QuasiHmmError):
+class ZeroBaseline(UnsupportedError):
     """Relative memory advantage is undefined for a zero classical baseline."""
 
 
 # --- quantum ----------------------------------------------------------------
 
-class NotConverged(QuasiHmmError):
+class NotConverged(NumericalError):
     """Horizon-truncated quantity did not converge below the requested residual."""
 
 
-class NonPSD(QuasiHmmError):
+class NonPSD(NumericalError):
     """Gram/density spectrum has a negative eigenvalue beyond tolerance."""
 
 
-class IsometryViolated(QuasiHmmError):
+class IsometryViolated(NumericalError):
     """Transition amplitudes do not preserve state overlaps."""
 
 
-class StationaryMismatch(QuasiHmmError):
+class StationaryMismatch(ValidationError):
     """Provided stationary vector is not fixed by the transition matrix."""
 
 
 # --- splitting construction ------------------------------------------------
 
-class SpecMismatch(QuasiHmmError):
+class SpecMismatch(ValidationError):
     """Split specification inconsistent with the source machine."""
 
 
-class PropertyViolated(QuasiHmmError):
+class PropertyViolated(NumericalError):
     """A built split machine fails one of its defining identities."""
 
     def __init__(self, report):
@@ -125,9 +144,9 @@ class PropertyViolated(QuasiHmmError):
         super().__init__(str(report))
 
 
-class NoFeasiblePoint(QuasiHmmError):
+class NoFeasiblePoint(NumericalError):
     """Optimizer found no parameters satisfying the memory lower bound."""
 
 
-class NegativeRadicand(QuasiHmmError):
+class NegativeRadicand(NumericalError):
     """Closed-form parameter formula requires the square root of a negative number."""

@@ -16,11 +16,10 @@ from .errors import (
     DegenerateFixedSpace,
     NoUnitEigenvalue,
     NonFiniteEntries,
-    NotSymmetric,
     SingularMatrix,
 )
 
-#: structural checks (row sums, symmetry)
+#: structural checks (row sums)
 STRUCT_TOL = 1e-10
 #: eigen-residual checks
 EIGEN_TOL = 1e-8
@@ -106,21 +105,6 @@ def left_fixed_vector(m, tol: float = STRUCT_TOL, eigen_tol: float = EIGEN_TOL) 
     return v / v.sum()
 
 
-def solve_linear(a, b) -> np.ndarray:
-    """Solve ``a x = b`` for square nonsingular ``a``."""
-    a = _as_matrix(a)
-    b = np.asarray(b, dtype=float)
-    if not np.all(np.isfinite(b)):
-        raise NonFiniteEntries("right-hand side has NaN or infinite entries")
-    try:
-        x = np.linalg.solve(a, b)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrix(str(exc)) from exc
-    if not np.all(np.isfinite(x)):
-        raise SingularMatrix("solution is non-finite (numerically singular system)")
-    return x
-
-
 def invert(a) -> np.ndarray:
     """Inverse of a square matrix, rejecting numerically singular input."""
     a = _as_matrix(a)
@@ -132,12 +116,3 @@ def invert(a) -> np.ndarray:
         raise SingularMatrix("inverse is non-finite")
     return inv
 
-
-def symmetric_eigenvalues(m, tol: float = STRUCT_TOL) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix in descending order."""
-    a = _as_matrix(m)
-    asym = float(np.max(np.abs(a - a.T))) if a.size else 0.0
-    if asym > tol:
-        raise NotSymmetric(f"matrix asymmetry {asym:.3e} exceeds tolerance {tol:g}")
-    vals = np.linalg.eigvalsh(0.5 * (a + a.T))
-    return vals[::-1]

@@ -580,9 +580,10 @@ def word_distribution_distance(a: Machine, b: Machine, horizon: int) -> float:
         raise UnknownSymbol(f"alphabets differ: {a.alphabet} vs {b.alphabet}")
     worst = 0.0
     for length in range(horizon + 1):
-        da = a.word_distribution(length)
-        db = b.word_distribution(length)
-        worst = max(worst, max(abs(da[w] - db[w]) for w in da))
+        _, fa = a.conditional_future_matrix(length)
+        _, fb = b.conditional_future_matrix(length)
+        gap = np.asarray(a.stationary) @ fa - np.asarray(b.stationary) @ fb
+        worst = max(worst, float(np.max(np.abs(gap))))
     return worst
 
 
@@ -605,6 +606,11 @@ def machine_from_json_dict(doc: Mapping, tol: float = linalg.STRUCT_TOL) -> Mach
     for key in ("alphabet", "states", "matrices"):
         if key not in doc:
             raise MachineFormatError(f"machine document missing {key!r}")
+    for key in ("alphabet", "states", "groups"):
+        if key in doc and not isinstance(doc[key], list):
+            raise MachineFormatError(f"machine document field {key!r} must be a JSON array")
+    if not isinstance(doc["matrices"], Mapping):
+        raise MachineFormatError("machine document field 'matrices' must be a JSON object")
     return make_machine(
         doc["alphabet"],
         doc["states"],

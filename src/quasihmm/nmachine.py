@@ -36,10 +36,9 @@ from .errors import (
     PropertyViolated,
     SpecMismatch,
     TruncationTooCoarse,
-    ZeroEntryWithQuasiOrder,
 )
 from .machine import Machine, make_machine
-from .measures import half_excess_from_futures, renyi_entropy
+from .measures import half_excess_from_futures, mana, negativity, renyi_entropy
 from .processes import sns_past_future_overlap
 
 BRANCH_PLUS = "plus"
@@ -326,7 +325,8 @@ def verify_nmachine_properties(
     equality up to ``horizon``, and agreement of the half-order
     state-future mutual information at horizon, summed over the words each
     source state can emit (the signed stationary weights enter that sum
-    linearly, so it stays real).  Raises
+    linearly, so it stays real).  A horizon with more words than the
+    enumeration cap is refused before any enumeration.  Raises
     ``PropertyViolated`` carrying the report if any residual is too large.
     """
     if built.groups is None:
@@ -348,26 +348,25 @@ def verify_nmachine_properties(
         source_rows = np.asarray(source.matrices[x]).sum(axis=1)
         symbol_res = max(symbol_res, float(np.max(np.abs(built_rows - source_rows[groups]))))
 
+    # one enumeration per machine and length serves the word-conditional,
+    # word-distribution and half-order checks; the length-0 futures are ones
+    built.check_enumeration(horizon)
     word_horizon = min(horizon, 6)
-    word_res = 0.0
-    for length in range(1, word_horizon + 1):
+    word_res = dist_res = 0.0
+    fut_built, fut_src = np.ones((built.n_states, 1)), np.ones((n_src, 1))
+    for length in range(1, horizon + 1):
         _, fut_built = built.conditional_future_matrix(length)
         _, fut_src = source.conditional_future_matrix(length)
-        word_res = max(word_res, float(np.max(np.abs(fut_built - fut_src[groups]))))
-
-    dist_res = 0.0
-    for length in range(1, horizon + 1):
-        da = built.word_distribution(length)
-        db = source.word_distribution(length)
-        dist_res = max(dist_res, max(abs(da[w] - db[w]) for w in da))
+        if length <= word_horizon:
+            word_res = max(word_res, float(np.max(np.abs(fut_built - fut_src[groups]))))
+        dist = pi @ fut_built - np.asarray(source.stationary) @ fut_src
+        dist_res = max(dist_res, float(np.max(np.abs(dist))))
 
     # Where a source state forbids a word, its copies' futures are rounding
     # noise of either sign, which the square root would lift from ~1e-16 to
     # ~1e-8.  The half-order sum therefore runs over the source's word
     # support only; the off-support mass is bounded by the two residuals
     # above.
-    _, fut_built = built.conditional_future_matrix(horizon)
-    _, fut_src = source.conditional_future_matrix(horizon)
     on_support = np.where(fut_src[groups] > 0, fut_built, 0.0)
     half_built = half_excess_from_futures(built.stationary, on_support)
     half_src = half_excess_from_futures(source.stationary, fut_src)
@@ -431,8 +430,10 @@ def assess_split_machine(
     """Collision entropy, negativity bookkeeping, and bound flags for a built
     machine against a given half-order excess entropy and classical memory."""
     pi = np.asarray(machine.stationary)
+    # not measures.renyi_entropy and memory_advantage: they refuse a signed
+    # vector with a near-zero entry and a zero baseline, and every split
+    # point, the search's or one the caller gives, must be scored
     c_n2 = -float(np.log2(np.sum(pi * pi)))
-    ell1 = float(np.sum(np.abs(pi)))
     threshold = sat_tol * max(1.0, abs(e_half))
     return NMachineResult(
         machine=machine,
@@ -440,8 +441,8 @@ def assess_split_machine(
         c_n2=c_n2,
         e_half=e_half,
         c_mu2=c_mu2,
-        negativity=ell1,
-        mana=2.0 * float(np.log2(ell1)),
+        negativity=negativity(pi),
+        mana=mana(pi),
         advantage=abs(c_n2 - c_mu2) / c_mu2 if c_mu2 > 0 else float("nan"),
         saturated=abs(c_n2 - e_half) <= threshold,
         bound_violated=c_n2 < e_half - threshold,
@@ -608,8 +609,9 @@ def optimize_ideal(
     leaving a single inequality handled by a one-sided penalty, so a
     coordinate pattern search from a deterministic grid of starts (plus
     seeded extras) suffices at these dimensions.  Parameter values where the
-    stationary vector is degenerate or touches zero count as infeasible
-    points, not failures.  If even the best point sits below the bound,
+    eigenvalue 1 is not simple or has no fixed vector within tolerance, or
+    where the collision entropy is not finite, count as infeasible points,
+    not failures.  If even the best point sits below the bound,
     ``NoFeasiblePoint`` is raised; a best point above the bound but away
     from it is returned with ``saturated=False``.
 
@@ -630,7 +632,7 @@ def optimize_ideal(
             machine = build_split_machine(source, spec, dict(zip(names, vec)))
             pi = np.asarray(machine.stationary)
             return -float(np.log2(np.sum(pi * pi)))
-        except (DegenerateFixedSpace, NoUnitEigenvalue, ZeroEntryWithQuasiOrder):
+        except (DegenerateFixedSpace, NoUnitEigenvalue):
             return None
 
     def objective(vec: np.ndarray) -> float:

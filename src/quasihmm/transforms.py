@@ -21,12 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import DegenerateParameter, QuasiHmmError
+from .errors import DegenerateParameter, ValidationError
 from .machine import Machine, make_machine
 from .processes import perturbed_coin_epsilon
 
 
-class DimensionMismatch(QuasiHmmError):
+class DimensionMismatch(ValidationError):
     """Map and machine have different state-space dimensions."""
 
 

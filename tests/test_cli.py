@@ -9,9 +9,12 @@ from quasihmm import cli, errors
 from quasihmm.machine import load_machine, machine_from_json_dict, same_process
 from quasihmm.measures import perturbed_coin_excess_half
 from quasihmm.nmachine import (
+    BRANCH_MINUS,
+    BRANCH_PLUS,
     build_split_machine,
     perturbed_coin_ideal_params,
     perturbed_coin_split_spec,
+    sns_ideal_params,
 )
 from quasihmm.processes import perturbed_coin_epsilon
 
@@ -66,12 +69,44 @@ def _subclasses(cls):
         yield from _subclasses(sub)
 
 
+#: the exit code of each error class: input validation, unsupported
+#: measure, numerical failure
+EXIT_CODES = {
+    **dict.fromkeys((
+        "ValidationError", "MachineFormatError", "NonFiniteEntries", "DegenerateParameter",
+        "SpecMismatch", "UnknownSymbol", "UnsupportedProcess", "TruncationTooCoarse",
+        "TruncationTooLarge", "StationaryMismatch", "DimensionMismatch",
+    ), 2),
+    **dict.fromkeys((
+        "UnsupportedError", "QuasiMachineUnsupported", "NegativeEntriesUnsupportedOrder",
+        "ZeroEntryWithQuasiOrder", "NegativeConditional", "InvalidAlpha", "ZeroBaseline",
+    ), 3),
+    **dict.fromkeys((
+        "NumericalError", "NoUnitEigenvalue", "DegenerateFixedSpace", "SingularMatrix",
+        "NonPSD", "NotConverged", "IsometryViolated", "NegativeRadicand", "NoFeasiblePoint",
+        "PropertyViolated", "EnumerationCapExceeded",
+    ), 4),
+}
+
+
 @pytest.mark.parametrize("error", sorted(set(_subclasses(errors.QuasiHmmError)),
                                          key=lambda c: c.__name__),
                          ids=lambda c: c.__name__)
-def test_every_error_class_has_one_exit_code(error):
-    tuples = (cli._VALIDATION_ERRORS, cli._UNSUPPORTED_ERRORS, cli._NUMERICAL_ERRORS)
-    assert sum(issubclass(error, caught) for caught in tuples) == 1
+def test_every_error_class_has_one_exit_code(error, capsys, monkeypatch):
+    bases = (errors.ValidationError, errors.UnsupportedError, errors.NumericalError)
+    assert sum(issubclass(error, base) for base in bases) == 1
+    assert error.exit_code == EXIT_CODES[error.__name__]
+
+    def fail(args):
+        raise error("synthetic failure")
+
+    monkeypatch.setattr(cli, "cmd_wigner", fail)
+    code, out, err = run(capsys, "wigner", "--p", "0.3")
+    assert code == error.exit_code
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"error": error.__name__, "message": "synthetic failure"}
 
 
 class TestOversizedSns:
@@ -158,6 +193,25 @@ class TestMeasures:
         assert by_name["C_q2"] == pytest.approx(-math.log2(0.5 + 2 * 0.3 * 0.7), abs=1e-8)
         assert by_name["E_half"] == pytest.approx(perturbed_coin_excess_half(0.3), abs=1e-6)
         assert by_name["negativity"] == 1.0
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("alphabet", 5), ("states", 5), ("groups", 5), ("alphabet", "01"),
+         ("states", None), ("matrices", 5)],
+    )
+    def test_field_of_the_wrong_type_exits_2(self, capsys, tmp_path, field, value):
+        doc = perturbed_coin_epsilon(0.3).to_json_dict()
+        doc[field] = value
+        path = tmp_path / "wrong.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "measures", str(path), "--all")
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])
+        assert error["error"] == "MachineFormatError"
+        assert repr(field) in error["message"]
 
     def test_malformed_file_exits_2(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
@@ -268,6 +322,41 @@ class TestSweep:
         lines = out_path.read_text().strip().splitlines()
         assert lines[0] == "p,C_mu2,E_half"
         assert len(lines) == 3
+
+    @pytest.mark.parametrize(
+        "doc, field",
+        [
+            ([{"p_grid": [0.2]}], "object"),
+            ({"process": "sns"}, "'p_grid'"),
+            ({"p_grid": 0.2}, "'p_grid'"),
+            ({"process": "sns", "p_grid": [0.2], "outputs": "p,E_half"}, "'outputs'"),
+            ({"p_grid": [None]}, "'p_grid'"),
+            ({"p_grid": ["0.2"]}, "'p_grid'"),
+            ({"p_grid": [0.2], "horizon": [1]}, "'horizon'"),
+            ({"process": "sns", "p_grid": [0.2], "truncation": "abc"}, "'truncation'"),
+            ({"p_grid": [0.2], "output_path": 5}, "'output_path'"),
+            ({"process": 5, "p_grid": [0.2]}, "'process'"),
+        ],
+    )
+    def test_malformed_config_is_validation_error(self, capsys, tmp_path, doc, field):
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "sweep", "--config", str(config))
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])
+        assert error["error"] == "ValueError"
+        assert field in error["message"]
+
+    def test_null_config_fields_are_unset(self, capsys, tmp_path):
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps({"process": "golden-mean", "p_grid": [0.5],
+                                      "horizon": None, "outputs": None, "truncation": None}))
+        code, out, err = run(capsys, "sweep", "--config", str(config))
+        assert (code, err) == (0, "")
+        assert run(capsys, "sweep", "--process", "golden-mean", "--p-grid", "0.5") == (0, out, "")
 
     def test_partial_failure_writes_nan_row_and_sidecar(self, capsys, tmp_path, monkeypatch):
         from quasihmm.errors import NoUnitEigenvalue
@@ -394,6 +483,21 @@ class TestConstructNMachine:
         assert doc["saturated"] is True
         assert doc["negativity"] > 1.0
 
+    @pytest.mark.parametrize("process, p, ideal", [
+        ("perturbed-coin", 0.3, lambda branch: dict(zip(
+            ("q1", "q2"), perturbed_coin_ideal_params(0.3, branch)))),
+        ("sns", 0.5, lambda branch: dict(zip(
+            ("gamma", "eta"), sns_ideal_params(0.5, None, branch)))),
+    ])
+    def test_branch_picks_the_closed_form_root(self, capsys, process, p, ideal):
+        for branch in (BRANCH_PLUS, BRANCH_MINUS):
+            code, out, _ = run(capsys, "construct-nmachine", "--process", process,
+                               "--p", str(p), "--branch", branch)
+            assert code == 0
+            doc = json.loads(out)
+            assert doc["parameters"] == ideal(branch)
+            assert doc["saturated"] is True
+
     def test_golden_mean_bad_never_saturates(self, capsys):
         code, out, _ = run(
             capsys, "construct-nmachine", "--process", "golden-mean-bad", "--p", "0.5"
@@ -419,6 +523,35 @@ class TestConstructNMachine:
         assert code == 0
         doc = json.loads(out)
         assert doc["saturated"] is True
+
+    @pytest.mark.parametrize("argv, ideal_calls", [
+        (("--optimize",), 0),
+        (("--params", "gamma=0,eta=0.1"), 0),
+        ((), 1),
+    ])
+    def test_sns_closed_forms_computed_only_when_used(self, capsys, monkeypatch, argv,
+                                                      ideal_calls):
+        from quasihmm import nmachine, processes
+
+        calls = {"ideal": 0, "overlap": 0}
+        ideal, overlap = nmachine.sns_ideal_params, processes.sns_past_future_overlap
+
+        def counting_ideal(*args, **kwargs):
+            calls["ideal"] += 1
+            return ideal(*args, **kwargs)
+
+        def counting_overlap(*args, **kwargs):
+            calls["overlap"] += 1
+            return overlap(*args, **kwargs)
+
+        monkeypatch.setattr(nmachine, "sns_ideal_params", counting_ideal)
+        monkeypatch.setattr(processes, "sns_past_future_overlap", counting_overlap)
+        code, out, err = run(capsys, "construct-nmachine", "--process", "sns", "--p", "0.5",
+                             *argv)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["checks"]["passed"] is True
+        # E_half and the closed-form parameters share one overlap
+        assert calls == {"ideal": ideal_calls, "overlap": 1}
 
     def test_degenerate_split_point_exits_4(self, capsys):
         code, _, err = run(

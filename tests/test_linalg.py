@@ -5,8 +5,6 @@ from quasihmm import errors
 from quasihmm.linalg import (
     left_fixed_vector,
     row_sum_residual,
-    solve_linear,
-    symmetric_eigenvalues,
 )
 from quasihmm.processes import sns_epsilon_truncated
 
@@ -122,56 +120,6 @@ def _lstsq_fixed_vector(m) -> np.ndarray:
     rhs[-1] = 1.0
     v, *_ = np.linalg.lstsq(system, rhs, rcond=None)
     return v / v.sum()
-
-
-class TestSolveLinear:
-    def test_identity(self):
-        assert solve_linear(np.eye(2), [3.0, 4.0]) == pytest.approx([3.0, 4.0])
-
-    def test_diagonal(self):
-        assert solve_linear([[2, 0], [0, 4]], [2, 4]) == pytest.approx([1.0, 1.0])
-
-    def test_hand_inverse(self):
-        # [[1,1],[1,-1]]^-1 [1,0] = [0.5, 0.5]
-        assert solve_linear([[1, 1], [1, -1]], [1, 0]) == pytest.approx([0.5, 0.5])
-
-    def test_singular_rejected(self):
-        with pytest.raises(errors.SingularMatrix):
-            solve_linear([[1, 1], [1, 1]], [1, 0])
-
-    def test_multiply_back(self, rng):
-        for _ in range(25):
-            n = int(rng.integers(1, 8))
-            a = rng.normal(size=(n, n)) + n * np.eye(n)
-            b = rng.normal(size=n)
-            assert a @ solve_linear(a, b) == pytest.approx(b, abs=1e-8)
-
-
-class TestSymmetricEigenvalues:
-    def test_diagonal(self):
-        assert symmetric_eigenvalues(np.diag([3.0, 1.0])) == pytest.approx([3.0, 1.0])
-
-    def test_rank_one(self):
-        assert symmetric_eigenvalues([[1, 1], [1, 1]]) == pytest.approx([2.0, 0.0], abs=1e-12)
-
-    def test_two_by_two_closed_form(self):
-        # [[a, b], [b, a]] has eigenvalues a +- b
-        vals = symmetric_eigenvalues([[0.5, 0.4], [0.4, 0.5]])
-        assert vals == pytest.approx([0.9, 0.1], abs=1e-12)
-
-    def test_asymmetric_rejected(self):
-        with pytest.raises(errors.NotSymmetric):
-            symmetric_eigenvalues([[0.0, 1.0], [0.0, 0.0]])
-
-    def test_trace_and_frobenius_preserved(self, rng):
-        for _ in range(25):
-            n = int(rng.integers(2, 9))
-            a = rng.normal(size=(n, n))
-            a = 0.5 * (a + a.T)
-            vals = symmetric_eigenvalues(a)
-            assert np.all(np.diff(vals) <= 1e-12)
-            assert vals.sum() == pytest.approx(np.trace(a), abs=1e-9)
-            assert np.sum(vals**2) == pytest.approx(np.sum(a * a), abs=1e-8)
 
 
 def test_row_sum_residual():

@@ -7,9 +7,11 @@ import pytest
 from conftest import spearman
 from quasihmm import errors
 from quasihmm import nmachine as nm
-from quasihmm.machine import Machine, make_machine, same_process
+from quasihmm.machine import Machine, make_machine, same_process, word_distribution_distance
 from quasihmm.measures import (
     excess_entropy_half,
+    half_excess_from_futures,
+    memory_advantage,
     perturbed_coin_excess_half,
     renyi_entropy,
     sns_excess_entropy_half,
@@ -251,6 +253,156 @@ class TestVerifyProperties:
         source = perturbed_coin_epsilon(0.3)
         with pytest.raises(errors.SpecMismatch):
             verify_nmachine_properties(source, source)
+
+
+def reference_verify_residuals(source, built, horizon):
+    """The word-conditional, word-distribution and half-order residuals of
+    ``verify_nmachine_properties`` as they were first computed: one
+    enumeration per check and length, and the distributions compared word
+    by word through ``word_distribution`` dicts."""
+    groups = np.asarray(built.groups)
+    word_res = 0.0
+    for length in range(1, min(horizon, 6) + 1):
+        _, fut_built = built.conditional_future_matrix(length)
+        _, fut_src = source.conditional_future_matrix(length)
+        word_res = max(word_res, float(np.max(np.abs(fut_built - fut_src[groups]))))
+    dist_res = 0.0
+    for length in range(1, horizon + 1):
+        da = built.word_distribution(length)
+        db = source.word_distribution(length)
+        dist_res = max(dist_res, max(abs(da[w] - db[w]) for w in da))
+    _, fut_built = built.conditional_future_matrix(horizon)
+    _, fut_src = source.conditional_future_matrix(horizon)
+    on_support = np.where(fut_src[groups] > 0, fut_built, 0.0)
+    half_gap = abs(half_excess_from_futures(built.stationary, on_support)
+                   - half_excess_from_futures(source.stationary, fut_src))
+    return word_res, dist_res, half_gap
+
+
+def reference_distance(a, b, horizon):
+    """``word_distribution_distance`` over ``word_distribution`` dicts."""
+    worst = 0.0
+    for length in range(horizon + 1):
+        da, db = a.word_distribution(length), b.word_distribution(length)
+        worst = max(worst, max(abs(da[w] - db[w]) for w in da))
+    return worst
+
+
+def _split_cases():
+    """(source, built) pairs: the closed-form splits on both branches and
+    generic splits at seeded points."""
+    cases = [pc_ideal_machine(p, branch)[:2]
+             for p in (0.2, 0.7) for branch in (BRANCH_PLUS, BRANCH_MINUS)]
+    cases += [sns_ideal_machine(p)[:2] for p in (0.3, 0.5)]
+    cases.append(sns_ideal_machine(0.7, BRANCH_MINUS)[:2])
+    source = golden_mean_epsilon(0.5)
+    for q in (-0.2, 0.3):
+        try:
+            cases.append((source, build_split_machine(
+                source, golden_mean_bad_split_spec(0.5), {"q": q})))
+        except errors.DegenerateFixedSpace:
+            pass
+    rng = np.random.default_rng(5)
+    for source in (perturbed_coin_epsilon(0.3), golden_mean_epsilon(0.4)):
+        for counts in ((2, 1), (2, 2)):
+            spec = generic_split_spec(source, counts)
+            for _ in range(3):
+                try:
+                    cases.append((source, build_split_machine(
+                        source, spec, _random_params(spec, rng, 0.5))))
+                except errors.DegenerateFixedSpace:
+                    pass
+    return cases
+
+
+class TestVerifyMatchesReference:
+    @pytest.mark.parametrize("horizon", [0, 1, 5, 8])
+    def test_residuals_bit_identical(self, horizon):
+        cases = _split_cases()
+        assert len(cases) >= 18
+        for source, built in cases:
+            report = verify_nmachine_properties(source, built, horizon=horizon)
+            got = (report.word_conditionals, report.word_distribution, report.half_excess_gap)
+            expected = reference_verify_residuals(source, built, horizon)
+            assert [v.hex() for v in got] == [v.hex() for v in expected]
+
+    def test_one_enumeration_per_machine_and_length(self, monkeypatch):
+        source, built, _ = sns_ideal_machine(0.5)
+        lengths = []
+        enumerate_words = Machine.conditional_future_matrix
+
+        def recording(machine, length, *args, **kwargs):
+            lengths.append((machine is built, length))
+            return enumerate_words(machine, length, *args, **kwargs)
+
+        monkeypatch.setattr(Machine, "conditional_future_matrix", recording)
+        verify_nmachine_properties(source, built, horizon=8)
+        assert sorted(lengths) == sorted(
+            (is_built, length) for is_built in (True, False) for length in range(1, 9)
+        )
+
+    def test_horizon_beyond_the_cap_is_refused_before_enumeration(self, monkeypatch):
+        source, built, _ = pc_ideal_machine(0.3)
+        calls = []
+        monkeypatch.setattr(Machine, "conditional_future_matrix",
+                            lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(errors.EnumerationCapExceeded):
+            verify_nmachine_properties(source, built, horizon=21)
+        with pytest.raises(ValueError):
+            verify_nmachine_properties(source, built, horizon=-1)
+        assert calls == []
+
+    def test_word_distribution_distance_bit_identical(self):
+        pairs = [(built, source) for source, built in _split_cases()]
+        pairs += [(perturbed_coin_epsilon(0.3), perturbed_coin_epsilon(0.4)),
+                  (golden_mean_epsilon(0.4), golden_mean_epsilon(0.6))]
+        for a, b in pairs:
+            for horizon in (0, 3, 8):
+                got = word_distribution_distance(a, b, horizon)
+                assert got.hex() == reference_distance(a, b, horizon).hex()
+
+
+class TestAssessUsesMeasures:
+    def test_negativity_and_mana_bits_unchanged(self):
+        cases = _split_cases()
+        signs = set()
+        for _, built in cases:
+            pi = np.asarray(built.stationary)
+            signs.add(bool(np.min(pi) < 0))
+            ell1 = float(np.sum(np.abs(pi)))
+            result = assess_split_machine(built, {}, 0.5, 1.0)
+            assert result.negativity.hex() == ell1.hex()
+            assert result.mana.hex() == (2.0 * float(np.log2(ell1))).hex()
+        assert signs == {True, False}
+
+    def test_point_refused_by_the_measures_is_still_scored(self):
+        # bisect between two seeded points of a (3, 1) split for one where a
+        # copy's weight vanishes and another copy's is negative
+        source = perturbed_coin_epsilon(0.3)
+        spec = generic_split_spec(source, (3, 1))
+        rng = np.random.default_rng(0)
+        points = [rng.uniform(-1, 1, len(spec.param_names)) for _ in range(16)]
+        lo, hi = points[2], points[15]
+
+        def build(t):
+            vec = lo + t * (hi - lo)
+            return build_split_machine(source, spec, dict(zip(spec.param_names, vec)))
+
+        a, b = 0.0, 1.0
+        assert build(a).stationary[1] < 0 < build(b).stationary[1]
+        for _ in range(60):
+            mid = 0.5 * (a + b)
+            a, b = (mid, b) if build(mid).stationary[1] < 0 else (a, mid)
+        built = build(a)
+        pi = np.asarray(built.stationary)
+        assert abs(pi[1]) <= 1e-9 and pi[0] < -0.1
+        with pytest.raises(errors.ZeroEntryWithQuasiOrder):
+            renyi_entropy(pi, 2)
+        with pytest.raises(errors.ZeroBaseline):
+            memory_advantage(1.0, 0.0)
+        result = assess_split_machine(built, {}, 0.5, 0.0)
+        assert result.c_n2 == -float(np.log2(np.sum(pi * pi)))
+        assert math.isnan(result.advantage)
 
 
 class TestPerturbedCoinIdealParams:

@@ -17,7 +17,7 @@ from quasihmm import measures as ms
 from quasihmm import nmachine as nm
 from quasihmm import processes as procs
 from quasihmm import quantum as qm
-from quasihmm.errors import NonPSD
+from quasihmm.errors import NonPSD, NumericalError, ValidationError
 
 FULL_COLUMNS = {
     "perturbed-coin": ("p", "C_mu2", "C_g2", "C_q2", "C_n2", "E_half",
@@ -90,7 +90,7 @@ def reference_sweep(process, grid, horizon, truncation, columns):
     for p in grid:
         try:
             row = REFERENCE_ROWS[process](p, horizon, truncation)
-        except cli._NUMERICAL_ERRORS + cli._VALIDATION_ERRORS as exc:
+        except (NumericalError, ValidationError, ValueError, OSError) as exc:
             row = {"p": p}
             failures.append(f"p={cli._fmt(p)}: {type(exc).__name__}: {exc}")
         lines.append(",".join(cli._fmt(row.get(c, float("nan"))) for c in columns))
