@@ -471,6 +471,8 @@ def _parse_params(text: str) -> dict[str, float]:
 
 
 def cmd_construct_nmachine(args) -> int:
+    if args.horizon < 0:
+        raise ValueError(f"--horizon must be nonnegative, got {args.horizon}")
     row = _NMACHINE_ROWS[args.process](args.p, args.horizon, args.truncation)
     source, e_half, c_mu2 = row.source, row.e_half, row.c_mu2
     spec = row.spec

@@ -184,7 +184,9 @@ def _sns_truncation(
     tail = _surviving(n + 1, p)
     if truncation is not None and tail > eps and not allow_coarse:
         raise TruncationTooCoarse(
-            f"tail mass {tail:.3e} exceeds {eps:g}; pass allow_coarse=True to override"
+            f"truncation {n} leaves tail mass {tail:.3e} above {eps:g}: give a larger "
+            "truncation or none for the default depth (from Python, the keyword "
+            "allow_coarse=True accepts it)"
         )
     return n, tail
 

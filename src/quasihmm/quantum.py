@@ -15,6 +15,7 @@ transition probabilities.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,11 +63,21 @@ class GramEnsemble:
     def spectrum(self) -> np.ndarray:
         """Eigenvalues of the symmetrised :meth:`density_spectrum_matrix`,
         ascending; computed when first read and then remembered, so every
-        measure of one ensemble shares one eigensolve.  Read-only."""
-        mat = self.density_spectrum_matrix()
-        values = np.linalg.eigvalsh(0.5 * (mat + mat.T))
+        measure of one ensemble shares one eigensolve.  Read-only.
+
+        The von Neumann and topological measures read it; the Rényi-2
+        measure reads it only when its Cholesky certificate fails."""
+        values = np.linalg.eigvalsh(self._symmetrised_density())
         values.setflags(write=False)
         return values
+
+    def _symmetrised_density(self) -> np.ndarray:
+        """(M + M^T) / 2 of M = :meth:`density_spectrum_matrix`, halved in
+        place so that no third n x n buffer is made."""
+        mat = self.density_spectrum_matrix()
+        sym = mat + mat.T
+        sym *= 0.5
+        return sym
 
 
 def gram_from_machine(
@@ -83,8 +94,9 @@ def gram_from_machine(
     ``NotConverged`` instead of returning a stale estimate.
 
     The machine remembers the ensemble of the last horizon asked, so the
-    measures of one machine and horizon (``C_q2`` and ``C_q_vN``) share it
-    and its :attr:`GramEnsemble.spectrum`.
+    measures of one machine and horizon (``C_q2`` and ``C_q_vN``) share it.
+    ``C_q_vN`` reads its :attr:`GramEnsemble.spectrum`; ``C_q2`` takes the
+    purity without one unless its Cholesky certificate fails.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
@@ -136,12 +148,47 @@ def sns_gram_ensemble(p: float, truncation: int | None = None) -> GramEnsemble:
     return GramEnsemble(weights=weights, overlaps=overlaps, horizon=n_cut, residual=residual)
 
 
+def _certified_purity(g: GramEnsemble) -> float | None:
+    """Purity Tr rho^2 as the squared Frobenius norm of the symmetrised
+    :meth:`GramEnsemble.density_spectrum_matrix`, without its spectrum.
+
+    The value is returned only when one Cholesky factorisation of that matrix
+    with ``PSD_TOL / 2`` added to its diagonal succeeds: its least eigenvalue
+    is then above -PSD_TOL by far more than rounding, so the spectral
+    ``NonPSD`` check would accept it too.  ``None`` when the factorisation
+    fails or the purity is not positive and finite; the caller then decides
+    from :attr:`GramEnsemble.spectrum`.
+    """
+    sym = g._symmetrised_density()
+    purity = float(np.vdot(sym, sym))
+    if not 0.0 < purity < math.inf:
+        return None
+    # half the tolerance keeps the certificate strictly inside the spectral
+    # check's accept region
+    sym.flat[:: len(sym) + 1] += 0.5 * PSD_TOL
+    try:
+        np.linalg.cholesky(sym)
+    except np.linalg.LinAlgError:
+        return None
+    return purity
+
+
 def quantum_complexity(g: GramEnsemble, kind: str = RENYI2, rank_tol: float = RANK_TOL) -> float:
     """Spectral memory measure of a Gram ensemble.
 
     ``renyi2``: -log2 of the purity; ``von-neumann``: spectral Shannon
     entropy; ``topological``: log2 of the rank.
+
+    The Rényi-2 value comes from :func:`_certified_purity`, with no
+    eigensolve, whenever its Cholesky certificate holds; otherwise, and for
+    the other kinds, from :attr:`GramEnsemble.spectrum`.  Either way an
+    ensemble with an eigenvalue below -PSD_TOL raises ``NonPSD``, with the
+    same message.
     """
+    if kind == RENYI2:
+        purity = _certified_purity(g)
+        if purity is not None:
+            return -float(np.log2(purity))
     spectrum = g.spectrum
     if spectrum.min() < -PSD_TOL:
         raise NonPSD(f"Gram spectrum has eigenvalue {spectrum.min():.3e}")

@@ -97,3 +97,12 @@ def spearman(xs, ys) -> float:
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240613)
+
+
+@pytest.fixture
+def eigensolves(monkeypatch):
+    """The arguments of every ``np.linalg.eigvalsh`` call made in the test."""
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+    return calls

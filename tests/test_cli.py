@@ -156,6 +156,30 @@ class TestOversizedSns:
         assert load_machine(path).n_states == 158
 
 
+class TestCoarseSns:
+    """An explicit truncation that leaves too much tail mass: exit 2, one JSON
+    line naming the truncation and a remedy the CLI has."""
+
+    @pytest.mark.parametrize(
+        "argv, truncation",
+        [
+            (("reproduce", "fig10", "--truncation", "400"), 400),
+            (("construct-nmachine", "--process", "sns", "--p", "0.9", "--truncation", "20"), 20),
+        ],
+    )
+    def test_message_names_a_cli_remedy(self, capsys, argv, truncation):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        doc = json.loads(lines[0])
+        assert doc["error"] == "TruncationTooCoarse"
+        assert f"truncation {truncation} " in doc["message"]
+        assert "larger truncation or none" in doc["message"]
+        assert "pass allow_coarse=True to override" not in doc["message"]
+
+
 @pytest.fixture
 def coin_file(tmp_path):
     path = tmp_path / "pc.json"
@@ -552,6 +576,28 @@ class TestConstructNMachine:
         assert json.loads(out)["checks"]["passed"] is True
         # E_half and the closed-form parameters share one overlap
         assert calls == {"ideal": ideal_calls, "overlap": 1}
+
+    @pytest.mark.parametrize("process", ["perturbed-coin", "sns", "golden-mean-bad"])
+    def test_negative_horizon_is_refused_before_any_work(self, capsys, monkeypatch, process):
+        def no_row(*args):
+            raise AssertionError("a row was built")
+
+        monkeypatch.setattr(cli, "_NMACHINE_ROWS", dict.fromkeys(cli._NMACHINE_ROWS, no_row))
+        code, out, err = run(capsys, "construct-nmachine", "--process", process, "--p", "0.3",
+                             "--horizon", "-1")
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {"error": "ValueError",
+                                        "message": "--horizon must be nonnegative, got -1"}
+
+    @pytest.mark.parametrize("process", ["perturbed-coin", "sns"])
+    def test_zero_horizon_is_accepted(self, capsys, process):
+        code, out, err = run(capsys, "construct-nmachine", "--process", process, "--p", "0.3",
+                             "--horizon", "0")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["checks"]["passed"]
 
     def test_degenerate_split_point_exits_4(self, capsys):
         code, _, err = run(

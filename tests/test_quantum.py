@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import oracle_state_overlap
-from quasihmm import errors
+from quasihmm import cli, errors
 from quasihmm.machine import Machine, make_machine, same_process
 from quasihmm.measures import renyi_entropy, sns_excess_entropy_half
 from quasihmm.processes import (
@@ -19,6 +19,7 @@ from quasihmm.processes import (
 from quasihmm.quantum import (
     GramEnsemble,
     PHASE_POINTS,
+    PSD_TOL,
     RENYI2,
     TOPOLOGICAL,
     VON_NEUMANN,
@@ -139,6 +140,116 @@ class TestQuantumComplexity:
         machine = perturbed_coin_epsilon(p)
         gram = gram_from_machine(machine, 12)
         assert renyi_entropy(machine.stationary, 2) >= quantum_complexity(gram) - 1e-10
+
+
+def reference_renyi2(g: GramEnsemble) -> float:
+    """C_q2 from the full spectrum, as it was computed before the purity
+    route: the eigenvalues of the symmetrised D^(1/2) G D^(1/2), the same
+    NonPSD check and message, negative rounding clipped to 0."""
+    mat = g.density_spectrum_matrix()
+    spectrum = np.linalg.eigvalsh(0.5 * (mat + mat.T))
+    if spectrum.min() < -PSD_TOL:
+        raise errors.NonPSD(f"Gram spectrum has eigenvalue {spectrum.min():.3e}")
+    spectrum = np.clip(spectrum, 0.0, None)
+    return -float(np.log2(np.sum(spectrum**2)))
+
+
+def assert_matches_reference(g: GramEnsemble) -> None:
+    got, want = quantum_complexity(g, RENYI2), reference_renyi2(g)
+    assert abs(got - want) <= 1e-13 + 1e-12 * abs(want)
+
+
+def two_state_gram(lambda_min: float) -> GramEnsemble:
+    """Equal weights and overlap c = 1 - 2 lambda_min: the symmetrised
+    density matrix has eigenvalues lambda_min and 1 - lambda_min."""
+    c = 1.0 - 2.0 * lambda_min
+    return GramEnsemble(weights=np.array([0.5, 0.5]),
+                        overlaps=np.array([[1.0, c], [c, 1.0]]), horizon=1, residual=0.0)
+
+
+class TestRenyi2WithoutSpectrum:
+    """C_q2 is -log2 of the Frobenius purity, certified PSD by a Cholesky
+    factorisation; it must agree with the spectral value and make the same
+    NonPSD decisions."""
+
+    @pytest.mark.parametrize("horizon", [2, 12, 14])
+    def test_zoo(self, horizon):
+        for machine in ZOO:
+            assert_matches_reference(gram_from_machine(machine, horizon))
+
+    def test_fig5_grid(self):
+        for p in cli.default_grid("perturbed-coin"):
+            assert_matches_reference(gram_from_machine(perturbed_coin_epsilon(p), 12))
+
+    def test_fig9_grid(self):
+        for p in cli.default_grid("sns"):
+            assert_matches_reference(sns_gram_ensemble(p))
+
+    def test_sns_sweep_at_truncation_120(self):
+        compared = 0
+        for p in cli.default_grid("sns"):
+            try:
+                gram = sns_gram_ensemble(p, 120)
+            except errors.TruncationTooCoarse:
+                continue
+            assert_matches_reference(gram)
+            row_value = cli._SnsRow(p, 12, 120).values(["C_q2"])[0]
+            assert row_value == quantum_complexity(gram)
+            compared += 1
+        assert compared >= 10
+
+    @pytest.mark.parametrize("p, n_states", [(0.5, 46), (0.9, 296), (0.95, 607)])
+    def test_sns_epsilon(self, p, n_states):
+        machine = sns_epsilon_truncated(p)
+        assert machine.n_states == n_states
+        assert_matches_reference(gram_from_machine(machine, 12))
+
+    def test_near_pure_ensembles(self):
+        for eps in (1e-3, 1e-6, 1e-9):
+            gram = GramEnsemble(weights=np.array([0.3, 0.7]),
+                                overlaps=np.array([[1.0, 1 - eps], [1 - eps, 1.0]]),
+                                horizon=1, residual=0.0)
+            assert_matches_reference(gram)
+
+    @pytest.mark.parametrize("scale", [-2.0, -1.01, -0.99, -0.5, 0.0])
+    def test_non_psd_decision_is_the_spectral_one(self, scale):
+        gram = two_state_gram(scale * PSD_TOL)
+        try:
+            want = reference_renyi2(gram)
+        except errors.NonPSD as exc:
+            with pytest.raises(errors.NonPSD) as raised:
+                quantum_complexity(gram, RENYI2)
+            assert str(raised.value) == str(exc)
+        else:
+            got = quantum_complexity(gram, RENYI2)
+            assert abs(got - want) <= 1e-13 + 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("scale, spectral", [(-0.99, True), (-0.75, True),
+                                                 (-0.25, False), (0.0, False)])
+    def test_certificate_keeps_half_the_tolerance_as_margin(self, eigensolves, scale,
+                                                            spectral):
+        # between -PSD_TOL and -PSD_TOL / 2 the spectrum decides, so no
+        # rounding in the factorisation can accept what the check refuses
+        quantum_complexity(two_state_gram(scale * PSD_TOL), RENYI2)
+        assert len(eigensolves) == (1 if spectral else 0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", [(0, 1), (1, 1)])
+    def test_non_finite_overlaps_give_the_spectral_result(self, bad, where):
+        overlaps = np.array([[1.0, 0.3], [0.3, 1.0]])
+        overlaps[where] = bad
+        gram = GramEnsemble(weights=np.array([0.5, 0.5]), overlaps=overlaps,
+                            horizon=1, residual=0.0)
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            try:
+                want = reference_renyi2(gram)
+            except errors.NonPSD as exc:
+                with pytest.raises(errors.NonPSD) as raised:
+                    quantum_complexity(gram, RENYI2)
+                assert str(raised.value) == str(exc)
+            else:
+                got = quantum_complexity(gram, RENYI2)
+                assert got == want or (math.isnan(got) and math.isnan(want))
 
 
 class TestSnsGram:

@@ -15,7 +15,7 @@ import json
 import numpy as np
 import pytest
 
-from quasihmm import errors, quantum
+from quasihmm import cli, errors, quantum
 from quasihmm.machine import Machine, make_machine
 from quasihmm.measures import excess_entropy_shannon
 from quasihmm.nmachine import (
@@ -291,7 +291,7 @@ class TestWriterMatchesReference:
 
 class TestOneGramSpectrum:
     def test_measures_share_one_eigensolve(self, monkeypatch):
-        # each measure on an ensemble of its own machine: one eigensolve each
+        # each measure on an ensemble of its own machine
         expected = [quantum.quantum_complexity(
                         quantum.gram_from_machine(sns_epsilon_truncated(0.5), 12), kind)
                     for kind in (quantum.RENYI2, quantum.VON_NEUMANN)]
@@ -304,6 +304,17 @@ class TestOneGramSpectrum:
         assert len(calls) == 1
         assert [v.hex() for v in got] == [v.hex() for v in expected]
         assert quantum.gram_from_machine(machine, 12) is quantum.gram_from_machine(machine, 12)
+
+    def test_renyi2_alone_makes_no_eigensolve(self, eigensolves):
+        gram = quantum.gram_from_machine(sns_epsilon_truncated(0.5), 12)
+        quantum.quantum_complexity(gram, quantum.RENYI2)
+        assert eigensolves == []
+
+    @pytest.mark.parametrize("figure", ["fig5", "fig9"])
+    def test_figures_make_no_eigensolve(self, capsys, eigensolves, figure):
+        assert cli.main(["reproduce", figure]) == 0
+        assert "C_q2" in capsys.readouterr().out
+        assert eigensolves == []
 
     def test_non_psd_is_refused_on_every_call(self):
         gram = quantum.GramEnsemble(weights=np.array([0.5, 0.5]),
