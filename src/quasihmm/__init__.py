@@ -11,7 +11,6 @@ from .machine import (
     ENUMERATION_CAP,
     Machine,
     MachineClass,
-    Violation,
     load_machine,
     machine_from_json_dict,
     make_machine,

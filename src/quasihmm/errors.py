@@ -55,11 +55,11 @@ class SingularMatrix(NumericalError):
 # --- machines ---------------------------------------------------------------
 
 class UnknownSymbol(ValidationError):
-    """A word contains a symbol outside the machine alphabet."""
+    """Two machines compared as processes have different alphabets."""
 
 
 class EnumerationCapExceeded(NumericalError):
-    """Requested word enumeration exceeds the configured cap."""
+    """Requested word enumeration exceeds ``machine.ENUMERATION_CAP`` words."""
 
 
 class MachineFormatError(ValidationError):

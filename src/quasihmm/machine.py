@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import itertools
 import json
-import operator
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -31,7 +30,7 @@ from .errors import (
     UnknownSymbol,
 )
 
-#: default cap on the number of words enumerated by length-L operations
+#: cap on the number of words enumerated by length-L operations
 ENUMERATION_CAP = 2**20
 
 #: horizon used when two machines are compared as process generators
@@ -45,51 +44,6 @@ class MachineClass:
 
     classical: bool
     unifilar: bool
-
-
-@dataclass(frozen=True)
-class Violation:
-    """One failed structural invariant, with its location and residual."""
-
-    kind: str
-    index: object
-    residual: float
-
-    def __str__(self) -> str:
-        return f"{self.kind}@{self.index}: residual {self.residual:.3e}"
-
-
-class Words(Sequence):
-    """All words of one length over an alphabet, first symbol most
-    significant (the order of ``itertools.product``).
-
-    A sized, indexable sequence that builds each string only when it is
-    read, by iteration or by index; holding it costs nothing.
-    """
-
-    __slots__ = ("alphabet", "length")
-
-    def __init__(self, alphabet: Sequence[str], length: int):
-        self.alphabet = tuple(alphabet)
-        self.length = length
-
-    def __len__(self) -> int:
-        return len(self.alphabet) ** self.length
-
-    def __iter__(self):
-        return map("".join, itertools.product(self.alphabet, repeat=self.length))
-
-    def __getitem__(self, index) -> str:
-        index = operator.index(index)
-        if index < 0:
-            index += len(self)
-        if not 0 <= index < len(self):
-            raise IndexError("word index out of range")
-        symbols = []
-        for _ in range(self.length):
-            index, digit = divmod(index, len(self.alphabet))
-            symbols.append(self.alphabet[digit])
-        return "".join(reversed(symbols))
 
 
 def _slots(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -170,52 +124,35 @@ class Machine:
         """State transition matrix ``sum_x T[x]``."""
         return sum(self.matrices[x] for x in self.alphabet)
 
-    def matrix(self, symbol: str) -> np.ndarray:
-        try:
-            return self.matrices[symbol]
-        except KeyError:
-            raise UnknownSymbol(f"symbol {symbol!r} not in alphabet {self.alphabet}") from None
-
     # -- word probabilities ----------------------------------------------
 
-    def word_probability(self, word: Iterable[str]) -> float:
-        """Probability of emitting ``word``: stationary row vector pushed
-        through the word's transition matrices and closed with the unit
-        column.  The empty word has probability 1."""
-        row = np.array(self.stationary, dtype=float)
-        for symbol in word:
-            row = row @ self.matrix(symbol)
-        return float(row.sum())
-
-    def check_enumeration(self, length: int, cap: int = ENUMERATION_CAP) -> None:
+    def check_enumeration(self, length: int) -> None:
         """Refuse an enumeration of the length-``length`` words before any
         work: ``ValueError`` for a negative length, ``EnumerationCapExceeded``
-        for more than ``cap`` words."""
+        for more than ``ENUMERATION_CAP`` words."""
         if length < 0:
             raise ValueError("length must be nonnegative")
-        if len(self.alphabet) ** length > cap:
+        if len(self.alphabet) ** length > ENUMERATION_CAP:
             raise EnumerationCapExceeded(
-                f"{len(self.alphabet)}^{length} words exceed the cap {cap}"
+                f"{len(self.alphabet)}^{length} words exceed the cap {ENUMERATION_CAP}"
             )
 
-    def conditional_future_matrix(self, length: int, cap: int = ENUMERATION_CAP):
-        """All length-``length`` words with their per-state conditional
-        probabilities.
+    def conditional_future_matrix(self, length: int) -> np.ndarray:
+        """Per-state conditional probabilities of all length-``length`` words.
 
-        Returns ``(words, C)`` where ``C[k, i]`` is the probability of word
-        ``words[i]`` given that the machine starts in state ``k``.  ``words``
-        is a :class:`Words` sequence, first symbol most significant: its
-        strings are built only when read, so callers that need the columns
-        alone pay nothing for the labels.  ``C`` is built from a column of
-        ones by ``length`` calls of :meth:`future_step`, which gathers rows
-        instead of multiplying matrices when every symbol's matrix has at
-        most one nonzero per row, with the same bits.
+        Entry ``[k, i]`` is the probability of word i given that the machine
+        starts in state ``k``; the words are in the order of
+        ``itertools.product(alphabet, repeat=length)``, first symbol most
+        significant.  The array is built from a column of ones by ``length``
+        calls of :meth:`future_step`, which gathers rows instead of
+        multiplying matrices when every symbol's matrix has at most one
+        nonzero per row, with the same bits.
         """
-        self.check_enumeration(length, cap)
+        self.check_enumeration(length)
         futures = np.ones((self.n_states, 1))
         for _ in range(length):
             futures = self.future_step(futures)
-        return Words(self.alphabet, length), futures
+        return futures
 
     def future_step(self, futures: np.ndarray) -> np.ndarray:
         """Conditional futures one symbol longer,
@@ -257,22 +194,13 @@ class Machine:
             self._memo["word_slots"] = found
         return self._memo["word_slots"]
 
-    def word_distribution(self, length: int, cap: int = ENUMERATION_CAP) -> dict[str, float]:
+    def word_distribution(self, length: int) -> dict[str, float]:
         """Map from every length-``length`` word to its probability."""
-        words, futures = self.conditional_future_matrix(length, cap)
-        probs = np.asarray(self.stationary) @ futures
+        probs = np.asarray(self.stationary) @ self.conditional_future_matrix(length)
+        words = map("".join, itertools.product(self.alphabet, repeat=length))
         return dict(zip(words, probs.tolist()))
 
-    def conditional_future_given_state(
-        self, state: int, length: int, cap: int = ENUMERATION_CAP
-    ) -> dict[str, float]:
-        """Distribution of the next ``length`` symbols given a start state."""
-        if not 0 <= state < self.n_states:
-            raise ValueError(f"state index {state} out of range")
-        words, futures = self.conditional_future_matrix(length, cap)
-        return dict(zip(words, futures[state].tolist()))
-
-    # -- classification and validation ------------------------------------
+    # -- classification -----------------------------------------------------
 
     def classify(self, tol: float = linalg.STRUCT_TOL) -> MachineClass:
         """Sign and unifilarity of the transitions at tolerance ``tol``;
@@ -289,52 +217,17 @@ class Machine:
             self._memo[key] = MachineClass(classical=classical, unifilar=unifilar)
         return self._memo[key]
 
-    def validate(
-        self, tol: float = linalg.STRUCT_TOL, eigen_tol: float = linalg.EIGEN_TOL
-    ) -> list[Violation]:
-        """Check every structural invariant; violations are returned as data,
-        never raised."""
-        out: list[Violation] = []
-        n = self.n_states
-        for x in self.alphabet:
-            a = np.asarray(self.matrices[x])
-            if a.shape != (n, n):
-                out.append(Violation("matrix-shape", x, float("nan")))
-            if not np.all(np.isfinite(a)):
-                out.append(Violation("non-finite", x, float("inf")))
-        if any(v.kind == "matrix-shape" or v.kind == "non-finite" for v in out):
-            return out
-
-        total = self.transition_matrix()
-        row_res = np.abs(total.sum(axis=1) - 1.0)
-        for j in np.nonzero(row_res > tol)[0]:
-            out.append(Violation("row-sum", int(j), float(row_res[j])))
-
-        pi = np.asarray(self.stationary)
-        if pi.shape != (n,):
-            out.append(Violation("stationary-shape", None, float("nan")))
-            return out
-        sum_res = abs(float(pi.sum()) - 1.0)
-        if sum_res > tol:
-            out.append(Violation("stationary-sum", None, sum_res))
-        fixed_res = self.stationary_residual
-        if fixed_res > 10 * eigen_tol:
-            out.append(Violation("stationary-fixed", None, fixed_res))
-        if self.groups is not None and len(self.groups) != n:
-            out.append(Violation("groups-shape", None, float("nan")))
-        return out
-
     # -- conditional-future fidelities -------------------------------------
 
-    def future_fidelity_matrix(self, horizon: int, cap: int = ENUMERATION_CAP) -> np.ndarray:
+    def future_fidelity_matrix(self, horizon: int) -> np.ndarray:
         """Matrix of Bhattacharyya overlaps between per-state futures.
 
         Entry ``(j, k)`` is ``sum_w sqrt(P(w|j) P(w|k))`` over all words of
         the given length.  For unifilar machines each word has a single
         contributing path, so the sum telescopes into an exact transfer-matrix
         recursion (``fidelity_step``) and any horizon is cheap; otherwise
-        words are enumerated (subject to ``cap``).  Requires nonnegative
-        transitions.
+        words are enumerated (subject to ``ENUMERATION_CAP``).  Requires
+        nonnegative transitions.
 
         The machine remembers the last two horizons it computed: the
         recursion to ``horizon`` yields ``horizon - 1`` on the way, so a
@@ -349,9 +242,8 @@ class Machine:
         if horizon < 0:
             raise ValueError("horizon must be nonnegative")
         memo = self._memo.setdefault("fidelity", {})
-        key = (horizon, cap)
-        if key in memo:
-            return memo[key]
+        if horizon in memo:
+            return memo[horizon]
         if self.classify().unifilar:
             prev, fid = None, np.ones((self.n_states, self.n_states))
             for _ in range(horizon):
@@ -359,15 +251,15 @@ class Machine:
             memo.clear()
             if prev is not None:
                 prev.setflags(write=False)
-                memo[(horizon - 1, cap)] = prev
+                memo[horizon - 1] = prev
         else:
-            _, futures = self.conditional_future_matrix(horizon, cap)
+            futures = self.conditional_future_matrix(horizon)
             roots = np.sqrt(np.clip(futures, 0.0, None))
             fid = roots @ roots.T
             while len(memo) > 1:
                 del memo[next(iter(memo))]
         fid.setflags(write=False)
-        memo[key] = fid
+        memo[horizon] = fid
         return fid
 
     def fidelity_step(self, fid: np.ndarray) -> np.ndarray:
@@ -501,7 +393,8 @@ def make_machine(
     validated; its row-sum failure is raised here as ``MachineFormatError``.
     When ``stationary`` is given it is verified rather than trusted, and its
     fixed-point residual is remembered as the machine's
-    ``stationary_residual``.
+    ``stationary_residual``.  ``groups``, when given, must hold one
+    nonnegative index per state.
     """
     alphabet = tuple(str(x) for x in alphabet)
     if len(set(alphabet)) != len(alphabet):
@@ -522,6 +415,12 @@ def make_machine(
     if extra:
         raise MachineFormatError(f"matrices for symbols outside the alphabet: {sorted(extra)}")
     stack.setflags(write=False)
+    if groups is not None:
+        groups = tuple(int(g) for g in groups)
+        if len(groups) != n:
+            raise MachineFormatError(f"groups has {len(groups)} entries, expected {n}")
+        if min(groups, default=0) < 0:
+            raise MachineFormatError(f"groups has a negative entry {min(groups)}")
 
     total = stack.sum(axis=0)
     residual = None
@@ -555,7 +454,7 @@ def make_machine(
         states=states,
         matrices=dict(zip(alphabet, stack)),
         stationary=pi,
-        groups=tuple(int(g) for g in groups) if groups is not None else None,
+        groups=groups,
     )
     machine._memo["stacked"] = stack
     if residual is not None:
@@ -580,8 +479,8 @@ def word_distribution_distance(a: Machine, b: Machine, horizon: int) -> float:
         raise UnknownSymbol(f"alphabets differ: {a.alphabet} vs {b.alphabet}")
     worst = 0.0
     for length in range(horizon + 1):
-        _, fa = a.conditional_future_matrix(length)
-        _, fb = b.conditional_future_matrix(length)
+        fa = a.conditional_future_matrix(length)
+        fb = b.conditional_future_matrix(length)
         gap = np.asarray(a.stationary) @ fa - np.asarray(b.stationary) @ fb
         worst = max(worst, float(np.max(np.abs(gap))))
     return worst

@@ -25,7 +25,7 @@ from .errors import (
     ZeroBaseline,
     ZeroEntryWithQuasiOrder,
 )
-from .machine import ENUMERATION_CAP, Machine
+from .machine import Machine
 from .processes import sns_past_future_overlap
 
 #: tolerance for normalization / nonnegativity checks on distributions
@@ -189,18 +189,20 @@ def half_excess_from_futures(weights, futures) -> float:
     return -float(np.log2(np.sum(inner**2)))
 
 
-def excess_entropy_half(
-    m: Machine, horizon: int = DEFAULT_HORIZON, cap: int = ENUMERATION_CAP
-) -> MeasureReport:
+def excess_entropy_half(m: Machine, horizon: int = DEFAULT_HORIZON) -> MeasureReport:
     """Half-order mutual information between the state and the next
     ``horizon`` symbols.
 
-    Because machine states are sufficient statistics for the past, this
-    equals the process's half-order past-future mutual information in the
-    horizon limit.  Expanding the square turns the word sum into a quadratic
-    form in the pairwise future fidelities, so unifilar machines evaluate it
-    for any horizon without enumeration.  The residual is the change from
-    horizon - 1; no monotonicity in the horizon is asserted.
+    When the state is a function of the past (a unifilar machine), it is
+    a sufficient statistic for the past, and this equals the process's
+    half-order past-future mutual information in the horizon limit.  On a
+    non-unifilar machine it is the information of that presentation's
+    state, not the process's: on ``sns_g_machine(0.513777)`` it is 0.25,
+    while the process's E_half is 0.109.  Expanding the square turns the
+    word sum into a quadratic form in the pairwise future fidelities, so
+    unifilar machines evaluate it for any horizon without enumeration.  The
+    residual is the change from horizon - 1; no monotonicity in the horizon
+    is asserted.
     """
     if not m.classify().classical:
         raise QuasiMachineUnsupported(
@@ -210,8 +212,8 @@ def excess_entropy_half(
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     pi = np.asarray(m.stationary)
-    value = -float(np.log2(pi @ m.future_fidelity_matrix(horizon, cap) @ pi))
-    prev = -float(np.log2(pi @ m.future_fidelity_matrix(horizon - 1, cap) @ pi))
+    value = -float(np.log2(pi @ m.future_fidelity_matrix(horizon) @ pi))
+    prev = -float(np.log2(pi @ m.future_fidelity_matrix(horizon - 1) @ pi))
     return MeasureReport(
         name="E_half",
         value=value,
@@ -220,9 +222,7 @@ def excess_entropy_half(
     )
 
 
-def excess_entropy_shannon(
-    m: Machine, horizon: int = DEFAULT_HORIZON, cap: int = ENUMERATION_CAP
-) -> MeasureReport:
+def excess_entropy_shannon(m: Machine, horizon: int = DEFAULT_HORIZON) -> MeasureReport:
     """Shannon mutual information between the state and the next ``horizon``
     symbols, by explicit word enumeration.
 
@@ -236,7 +236,7 @@ def excess_entropy_shannon(
         raise QuasiMachineUnsupported("Shannon excess entropy needs a classical machine")
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    m.check_enumeration(horizon, cap)
+    m.check_enumeration(horizon)
     pi = np.clip(np.asarray(m.stationary), 0.0, None)
 
     def estimate(fut: np.ndarray) -> float:
@@ -251,7 +251,7 @@ def excess_entropy_shannon(
         keep = joint > 0
         return float(np.sum(joint[keep] * np.log2(words[keep] / marginal[keep])))
 
-    _, fut = m.conditional_future_matrix(horizon - 1, cap)
+    fut = m.conditional_future_matrix(horizon - 1)
     prev = estimate(np.clip(fut, 0.0, None))
     fut = m.future_step(fut)
     value = estimate(np.clip(fut, 0.0, None, out=fut))

@@ -355,8 +355,8 @@ def verify_nmachine_properties(
     word_res = dist_res = 0.0
     fut_built, fut_src = np.ones((built.n_states, 1)), np.ones((n_src, 1))
     for length in range(1, horizon + 1):
-        _, fut_built = built.conditional_future_matrix(length)
-        _, fut_src = source.conditional_future_matrix(length)
+        fut_built = built.conditional_future_matrix(length)
+        fut_src = source.conditional_future_matrix(length)
         if length <= word_horizon:
             word_res = max(word_res, float(np.max(np.abs(fut_built - fut_src[groups]))))
         dist = pi @ fut_built - np.asarray(source.stationary) @ fut_src

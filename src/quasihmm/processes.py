@@ -223,12 +223,6 @@ class SnsRenewalData:
     mean_firing_rate: float
     tail_mass: float
 
-    def waiting_time(self, n):
-        return sns_waiting_time(n, self.p)
-
-    def surviving_prob(self, n):
-        return sns_surviving(n, self.p)
-
     def stationary_weights(self) -> np.ndarray:
         """Unnormalized predictive-state weights ``mu * Phi(n)``, n = 0..N."""
         n = np.arange(self.truncation + 1)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IsometryViolated, NonPSD, NotConverged, QuasiMachineUnsupported
-from .machine import ENUMERATION_CAP, Machine, make_machine
+from .machine import Machine, make_machine
 from .processes import (
     check_sns_survival,
     sns_renewal_data,
@@ -81,10 +81,7 @@ class GramEnsemble:
 
 
 def gram_from_machine(
-    m: Machine,
-    horizon: int,
-    cap: int = ENUMERATION_CAP,
-    convergence_tol: float | None = None,
+    m: Machine, horizon: int, convergence_tol: float | None = None
 ) -> GramEnsemble:
     """Gram ensemble of a classical machine at a finite future horizon.
 
@@ -101,10 +98,10 @@ def gram_from_machine(
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     memo = m._memo.setdefault("gram", {})
-    gram = memo.get((horizon, cap))
+    gram = memo.get(horizon)
     if gram is None:
-        current = m.future_fidelity_matrix(horizon, cap)
-        previous = m.future_fidelity_matrix(horizon - 1, cap)
+        current = m.future_fidelity_matrix(horizon)
+        previous = m.future_fidelity_matrix(horizon - 1)
         gram = GramEnsemble(
             weights=np.asarray(m.stationary, dtype=float),
             overlaps=current,
@@ -112,7 +109,7 @@ def gram_from_machine(
             residual=float(np.max(np.abs(current - previous))),
         )
         memo.clear()
-        memo[(horizon, cap)] = gram
+        memo[horizon] = gram
     if convergence_tol is not None and gram.residual > convergence_tol:
         raise NotConverged(
             f"overlap residual {gram.residual:.3e} above {convergence_tol:g} at horizon {horizon}"
@@ -173,11 +170,12 @@ def _certified_purity(g: GramEnsemble) -> float | None:
     return purity
 
 
-def quantum_complexity(g: GramEnsemble, kind: str = RENYI2, rank_tol: float = RANK_TOL) -> float:
+def quantum_complexity(g: GramEnsemble, kind: str = RENYI2) -> float:
     """Spectral memory measure of a Gram ensemble.
 
     ``renyi2``: -log2 of the purity; ``von-neumann``: spectral Shannon
-    entropy; ``topological``: log2 of the rank.
+    entropy; ``topological``: log2 of the number of eigenvalues above
+    ``RANK_TOL``.
 
     The Rényi-2 value comes from :func:`_certified_purity`, with no
     eigensolve, whenever its Cholesky certificate holds; otherwise, and for
@@ -199,7 +197,7 @@ def quantum_complexity(g: GramEnsemble, kind: str = RENYI2, rank_tol: float = RA
         support = spectrum[spectrum > 0]
         return -float(np.sum(support * np.log2(support)))
     if kind == TOPOLOGICAL:
-        return float(np.log2(np.count_nonzero(spectrum > rank_tol)))
+        return float(np.log2(np.count_nonzero(spectrum > RANK_TOL)))
     raise ValueError(f"unknown complexity kind {kind!r}")
 
 
@@ -217,7 +215,7 @@ class UnitaryCheckReport:
 
 
 def validate_unitary_relation(
-    m: Machine, horizon: int = 24, tol: float = 1e-8, cap: int = ENUMERATION_CAP
+    m: Machine, horizon: int = 24, tol: float = 1e-8
 ) -> UnitaryCheckReport:
     """Check that square-root transition amplitudes act isometrically.
 
@@ -235,7 +233,7 @@ def validate_unitary_relation(
         raise QuasiMachineUnsupported("unitary embedding requires nonnegative transitions")
     if not cls.unifilar:
         raise ValueError("unitary relation check requires a unifilar machine")
-    gram = gram_from_machine(m, horizon, cap)
+    gram = gram_from_machine(m, horizon)
     overlaps = gram.overlaps
     residual = float(np.max(np.abs(m.fidelity_step(overlaps) - overlaps)))
     if residual > tol:

@@ -1,6 +1,6 @@
-"""Shared brute-force oracles for the test suite.
+"""Shared brute-force oracles and helpers for the test suite.
 
-These deliberately avoid the library's vectorized code paths: word
+The oracles deliberately avoid the library's vectorized code paths: word
 probabilities are summed over explicit state paths, mutual informations come
 from full joint tables, and rank correlations are computed from scratch.
 """
@@ -11,6 +11,8 @@ import itertools
 
 import numpy as np
 import pytest
+
+from quasihmm.linalg import EIGEN_TOL, STRUCT_TOL
 
 
 def oracle_word_probability(machine, word) -> float:
@@ -40,7 +42,21 @@ def oracle_conditional_word_probability(machine, state, word) -> float:
 
 
 def all_words(alphabet, length):
+    """The words that label the columns of ``conditional_future_matrix``."""
     return ["".join(w) for w in itertools.product(alphabet, repeat=length)]
+
+
+def word_probability(machine, word) -> float:
+    """P(word), read off its column of ``pi @ conditional_future_matrix``."""
+    probs = np.asarray(machine.stationary) @ machine.conditional_future_matrix(len(word))
+    return float(probs[all_words(machine.alphabet, len(word)).index(word)])
+
+
+def assert_stationary(machine):
+    """The stationary vector sums to 1 and is a fixed point of the summed
+    transitions within ``10 * EIGEN_TOL``."""
+    assert abs(float(np.sum(machine.stationary)) - 1.0) <= STRUCT_TOL
+    assert machine.stationary_residual <= 10 * EIGEN_TOL
 
 
 def oracle_half_excess(machine, length) -> float:

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from conftest import spearman
+from conftest import assert_stationary, spearman
 from quasihmm import cli, errors
 from quasihmm.machine import load_machine, machine_from_json_dict, same_process
 from quasihmm.measures import perturbed_coin_excess_half
@@ -16,7 +16,7 @@ from quasihmm.nmachine import (
     perturbed_coin_split_spec,
     sns_ideal_params,
 )
-from quasihmm.processes import perturbed_coin_epsilon
+from quasihmm.processes import perturbed_coin_epsilon, sns_g_machine
 
 
 def run(capsys, *argv):
@@ -41,8 +41,7 @@ class TestMakeMachine:
     def test_emits_valid_machines(self, capsys, argv):
         code, out, _ = run(capsys, "make-machine", *argv)
         assert code == 0
-        machine = machine_from_json_dict(json.loads(out))
-        assert machine.validate() == []
+        assert_stationary(machine_from_json_dict(json.loads(out)))
 
     def test_missing_p_is_validation_error(self, capsys):
         code, _, err = run(capsys, "make-machine", "--process", "perturbed-coin")
@@ -236,6 +235,30 @@ class TestMeasures:
         error = json.loads(lines[0])
         assert error["error"] == "MachineFormatError"
         assert repr(field) in error["message"]
+
+    @pytest.mark.parametrize("groups", [[0], [0, 1, 2], [5, -3]])
+    def test_bad_groups_exit_2(self, capsys, tmp_path, groups):
+        doc = perturbed_coin_epsilon(0.3).to_json_dict()
+        doc["groups"] = groups
+        path = tmp_path / "groups.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "measures", str(path), "--all")
+        assert code == 2
+        assert out == ""
+        error = json.loads(err)
+        assert error["error"] == "MachineFormatError"
+        assert "groups" in error["message"]
+
+    def test_horizon_beyond_the_cap_exits_4(self, capsys, tmp_path):
+        path = tmp_path / "sns-g.json"
+        sns_g_machine(0.5).save(path)
+        code, out, err = run(capsys, "measures", str(path), "--measure", "excess-shannon",
+                             "--horizon", "21")
+        assert code == 4
+        assert out == ""
+        error = json.loads(err)
+        assert error["error"] == "EnumerationCapExceeded"
+        assert error["message"] == "2^21 words exceed the cap 1048576"
 
     def test_malformed_file_exits_2(self, capsys, tmp_path):
         path = tmp_path / "broken.json"

@@ -3,15 +3,18 @@ import json
 import numpy as np
 import pytest
 
+import quasihmm.machine
 from conftest import (
+    all_words,
+    assert_stationary,
     oracle_conditional_word_probability,
     oracle_state_overlap,
     oracle_word_probability,
+    word_probability,
 )
 from quasihmm import errors
 from quasihmm.machine import (
     Machine,
-    Words,
     load_machine,
     make_machine,
     same_process,
@@ -43,27 +46,41 @@ def coin():
     return perturbed_coin_epsilon(0.3)
 
 
+def _three_symbol_machine():
+    t = {
+        "a": [[0.2, 0.1], [0.0, 0.3]],
+        "b": [[0.3, 0.0], [0.25, 0.15]],
+        "c": [[0.1, 0.3], [0.05, 0.25]],
+    }
+    return make_machine(("a", "b", "c"), ("s0", "s1"), t)
+
+
 class TestWordProbability:
+    """Word probabilities as the columns of ``pi @ conditional_future_matrix``."""
+
     def test_empty_word_is_one(self, coin):
-        assert coin.word_probability("") == 1.0
+        assert word_probability(coin, "") == 1.0
 
     def test_single_symbol_is_half_by_symmetry(self, coin):
-        assert coin.word_probability("0") == pytest.approx(0.5, abs=1e-15)
-        assert coin.word_probability("1") == pytest.approx(0.5, abs=1e-15)
+        assert word_probability(coin, "0") == pytest.approx(0.5, abs=1e-15)
+        assert word_probability(coin, "1") == pytest.approx(0.5, abs=1e-15)
 
     def test_double_zero(self, coin):
         # pi T0 T0 1 = (1-p)/2 = 0.35 at p = 0.3
-        assert coin.word_probability("00") == pytest.approx(0.35, abs=1e-15)
+        assert word_probability(coin, "00") == pytest.approx(0.35, abs=1e-15)
 
-    def test_unknown_symbol(self, coin):
+    @pytest.mark.parametrize("length", range(6))
+    def test_against_path_sum_oracle(self, length):
+        for machine in (perturbed_coin_epsilon(0.3), sns_g_machine(0.4), _three_symbol_machine()):
+            probs = np.asarray(machine.stationary) @ machine.conditional_future_matrix(length)
+            words = all_words(machine.alphabet, length)
+            assert probs.shape == (len(words),)
+            for word, value in zip(words, probs):
+                assert value == pytest.approx(oracle_word_probability(machine, word), abs=1e-12)
+
+    def test_distance_refuses_differing_alphabets(self, coin):
         with pytest.raises(errors.UnknownSymbol):
-            coin.word_probability("02")
-
-    @pytest.mark.parametrize("word", ["0", "01", "110", "0101", "11011"])
-    def test_against_path_sum_oracle(self, word):
-        for machine in (perturbed_coin_epsilon(0.3), sns_g_machine(0.4)):
-            expected = oracle_word_probability(machine, word)
-            assert machine.word_probability(word) == pytest.approx(expected, abs=1e-12)
+            word_distribution_distance(coin, _three_symbol_machine(), 2)
 
 
 class TestWordDistribution:
@@ -97,10 +114,6 @@ class TestWordDistribution:
                 extended = sum(longer[w + x] for x in coin.alphabet)
                 assert extended == pytest.approx(value, abs=1e-12)
 
-    def test_cap(self, coin):
-        with pytest.raises(errors.EnumerationCapExceeded):
-            coin.word_distribution(8, cap=100)
-
     def test_classical_machines_have_nonnegative_words(self):
         for machine in (perturbed_coin_epsilon(0.2), golden_mean_epsilon(0.7), sns_g_machine(0.6)):
             for length in range(7):
@@ -108,42 +121,45 @@ class TestWordDistribution:
 
     def test_decomposes_over_states(self, coin):
         dist = coin.word_distribution(4)
+        futures = coin.conditional_future_matrix(4)
         pi = coin.stationary
-        for word, value in dist.items():
-            parts = sum(
-                pi[k] * coin.conditional_future_given_state(k, 4)[word]
-                for k in range(coin.n_states)
-            )
+        assert list(dist) == all_words(coin.alphabet, 4)
+        for i, value in enumerate(dist.values()):
+            parts = sum(pi[k] * futures[k, i] for k in range(coin.n_states))
             assert parts == pytest.approx(value, abs=1e-12)
 
 
 class TestConditionalFuture:
+    """Per-state conditionals as the rows of ``conditional_future_matrix``."""
+
     def test_length_zero(self, coin):
-        assert coin.conditional_future_given_state(0, 0) == {"": 1.0}
+        futures = coin.conditional_future_matrix(0)
+        assert futures.tolist() == [[1.0], [1.0]]
 
     def test_reads_off_edges(self, coin):
-        dist = coin.conditional_future_given_state(0, 1)
-        assert dist["0"] == pytest.approx(0.7, abs=1e-15)
-        assert dist["1"] == pytest.approx(0.3, abs=1e-15)
+        row = coin.conditional_future_matrix(1)[0]
+        assert row[0] == pytest.approx(0.7, abs=1e-15)
+        assert row[1] == pytest.approx(0.3, abs=1e-15)
 
     def test_sns_g_machine_state_b(self):
-        dist = sns_g_machine(0.5).conditional_future_given_state(1, 1)
-        assert dist["0"] == pytest.approx(0.5, abs=1e-15)
-        assert dist["1"] == pytest.approx(0.5, abs=1e-15)
+        row = sns_g_machine(0.5).conditional_future_matrix(1)[1]
+        assert row[0] == pytest.approx(0.5, abs=1e-15)
+        assert row[1] == pytest.approx(0.5, abs=1e-15)
 
     def test_against_path_sum_oracle(self):
-        machine = sns_g_machine(0.35)
-        for state in range(machine.n_states):
-            dist = machine.conditional_future_given_state(state, 3)
-            for word, value in dist.items():
-                expected = oracle_conditional_word_probability(machine, state, word)
-                assert value == pytest.approx(expected, abs=1e-12)
+        for machine in (sns_g_machine(0.35), _three_symbol_machine()):
+            futures = machine.conditional_future_matrix(3)
+            words = all_words(machine.alphabet, 3)
+            assert futures.shape == (machine.n_states, len(words))
+            for state in range(machine.n_states):
+                for word, value in zip(words, futures[state]):
+                    expected = oracle_conditional_word_probability(machine, state, word)
+                    assert value == pytest.approx(expected, abs=1e-12)
 
     def test_rows_normalize(self):
         machine = sns_g_machine(0.6)
-        for state in range(machine.n_states):
-            dist = machine.conditional_future_given_state(state, 5)
-            assert sum(dist.values()) == pytest.approx(1.0, abs=1e-11)
+        sums = machine.conditional_future_matrix(5).sum(axis=1)
+        assert sums == pytest.approx(np.ones(machine.n_states), abs=1e-11)
 
 
 def _prepend_built_words(alphabet, length):
@@ -154,52 +170,77 @@ def _prepend_built_words(alphabet, length):
     return words
 
 
-def _three_symbol_machine():
-    t = {
-        "a": [[0.2, 0.1], [0.0, 0.3]],
-        "b": [[0.3, 0.0], [0.25, 0.15]],
-        "c": [[0.1, 0.3], [0.05, 0.25]],
-    }
-    return make_machine(("a", "b", "c"), ("s0", "s1"), t)
+def _product_along(machine, word):
+    """Per-state conditional probability of ``word`` as a chain of matrix
+    products from the identity, applied to the all-ones vector."""
+    value = np.eye(machine.n_states)
+    for symbol in word:
+        value = value @ np.asarray(machine.matrices[symbol])
+    return value.sum(axis=1)
 
 
-class TestLazyWords:
+class TestWordOrder:
     @pytest.mark.parametrize("alphabet", [("0", "1"), ("a", "b", "c")])
     @pytest.mark.parametrize("length", range(9))
     def test_matches_prepend_built_list(self, alphabet, length):
+        machine = sns_g_machine(0.35) if alphabet == ("0", "1") else _three_symbol_machine()
+        assert machine.alphabet == alphabet
         reference = _prepend_built_words(alphabet, length)
-        words = Words(alphabet, length)
-        assert len(words) == len(reference)
-        assert list(words) == reference
-        assert list(words) == reference  # iterable more than once
-        for i in range(len(reference)):
-            assert words[i] == reference[i]
-            assert words[-1 - i] == reference[-1 - i]
-        for bad in (len(reference), -len(reference) - 1):
-            with pytest.raises(IndexError):
-                words[bad]
+        futures = machine.conditional_future_matrix(length)
+        assert futures.shape == (machine.n_states, len(reference))
+        assert list(machine.word_distribution(length)) == reference
+        step = max(1, len(reference) // 40)
+        for i in range(0, len(reference), step):
+            for j in (i, -1 - i):
+                expected = _product_along(machine, reference[j])
+                assert futures[:, j] == pytest.approx(expected, abs=1e-12)
 
     @pytest.mark.parametrize("length", range(9))
     def test_distributions_keep_words_and_order(self, length):
         for machine in (sns_g_machine(0.35), _three_symbol_machine()):
             reference = _prepend_built_words(machine.alphabet, length)
-            words, futures = machine.conditional_future_matrix(length)
-            assert len(words) == futures.shape[1]
+            futures = machine.conditional_future_matrix(length)
+            assert futures.shape == (machine.n_states, len(reference))
             dist = machine.word_distribution(length)
             probs = np.asarray(machine.stationary) @ futures
             assert list(dist) == reference
             assert dist == dict(zip(reference, probs.tolist()))
-            for state in range(machine.n_states):
-                cond = machine.conditional_future_given_state(state, length)
-                assert list(cond) == reference
-                assert cond == dict(zip(reference, futures[state].tolist()))
 
     def test_columns_follow_words(self):
         machine = _three_symbol_machine()
-        words, futures = machine.conditional_future_matrix(4)
+        words = _prepend_built_words(machine.alphabet, 4)
+        futures = machine.conditional_future_matrix(4)
         for i in (0, 7, 40, -1):
             expected = oracle_conditional_word_probability(machine, 1, words[i])
             assert futures[1, i] == pytest.approx(expected, abs=1e-15)
+
+
+class TestEnumerationCap:
+    """At a cap of 16 words, length 4 of a binary alphabet is enumerated and
+    length 5 is refused before any work."""
+
+    @pytest.fixture(autouse=True)
+    def cap_16(self, monkeypatch):
+        monkeypatch.setattr(quasihmm.machine, "ENUMERATION_CAP", 16)
+
+    def test_conditional_future_matrix(self, coin):
+        assert coin.conditional_future_matrix(4).shape == (2, 16)
+        with pytest.raises(errors.EnumerationCapExceeded, match=r"2\^5 words exceed the cap 16"):
+            coin.conditional_future_matrix(5)
+
+    def test_word_distribution(self, coin):
+        assert len(coin.word_distribution(4)) == 16
+        with pytest.raises(errors.EnumerationCapExceeded):
+            coin.word_distribution(5)
+
+    def test_nonunifilar_future_fidelity_matrix(self):
+        machine = sns_g_machine(0.45)
+        assert machine.future_fidelity_matrix(4).shape == (2, 2)
+        with pytest.raises(errors.EnumerationCapExceeded):
+            machine.future_fidelity_matrix(5)
+
+    def test_unifilar_recursion_enumerates_nothing(self, coin):
+        assert coin.future_fidelity_matrix(9).shape == (2, 2)
 
 
 class TestClassify:
@@ -230,32 +271,27 @@ class TestClassify:
         assert not m.classify().unifilar
 
 
-class TestValidate:
-    def test_well_formed_machine_has_no_violations(self, coin):
-        assert coin.validate() == []
+def _coin_matrices(coin):
+    return {x: np.asarray(coin.matrices[x]) for x in coin.alphabet}
 
-    def test_row_sum_violation_reported(self):
-        bad = Machine(
-            alphabet=("0", "1"),
-            states=("a", "b"),
-            matrices={
-                "0": np.array([[0.6, 0.0], [0.3, 0.0]]),
-                "1": np.array([[0.0, 0.3], [0.0, 0.7]]),
-            },
-            stationary=np.array([0.5, 0.5]),
-        )
-        kinds = {(v.kind, v.index) for v in bad.validate()}
-        assert ("row-sum", 0) in kinds
 
-    def test_stale_stationary_reported(self, coin):
+class TestMakeMachineChecks:
+    def test_well_formed_machine(self, coin):
+        assert_stationary(coin)
+
+    def test_make_machine_rejects_bad_row_sum(self):
+        with pytest.raises(errors.MachineFormatError, match="row-sum"):
+            make_machine(("0", "1"), ("a", "b"),
+                         {"0": [[0.6, 0.0], [0.3, 0.0]], "1": [[0.0, 0.3], [0.0, 0.7]]})
+
+    def test_stale_stationary_has_large_residual(self, coin):
         stale = Machine(
             alphabet=coin.alphabet,
             states=coin.states,
             matrices=coin.matrices,
             stationary=np.array([0.8, 0.2]),
         )
-        violations = stale.validate()
-        assert any(v.kind == "stationary-fixed" and v.residual > 0.1 for v in violations)
+        assert stale.stationary_residual > 0.1
 
     def test_make_machine_rejects_bad_rows(self):
         with pytest.raises(errors.MachineFormatError):
@@ -264,18 +300,25 @@ class TestValidate:
     def test_make_machine_rejects_non_finite_stationary(self, coin):
         with pytest.raises(errors.StationaryMismatch):
             make_machine(
-                coin.alphabet, coin.states,
-                {x: np.asarray(coin.matrices[x]) for x in coin.alphabet},
+                coin.alphabet, coin.states, _coin_matrices(coin),
                 stationary=[float("nan"), 0.5],
             )
 
     def test_make_machine_rejects_bad_stationary(self, coin):
         with pytest.raises(errors.StationaryMismatch):
             make_machine(
-                coin.alphabet, coin.states,
-                {x: np.asarray(coin.matrices[x]) for x in coin.alphabet},
+                coin.alphabet, coin.states, _coin_matrices(coin),
                 stationary=[0.9, 0.1],
             )
+
+    @pytest.mark.parametrize("groups, message", [
+        ([0], "groups has 1 entries, expected 2"),
+        ([0, 1, 2], "groups has 3 entries, expected 2"),
+        ([5, -3], "groups has a negative entry -3"),
+    ])
+    def test_make_machine_rejects_bad_groups(self, coin, groups, message):
+        with pytest.raises(errors.MachineFormatError, match=message):
+            make_machine(coin.alphabet, coin.states, _coin_matrices(coin), groups=groups)
 
 
 class TestFutureFidelity:

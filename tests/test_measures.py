@@ -164,7 +164,7 @@ class TestAlphaMutualInformation:
     def test_perturbed_coin_states_to_futures(self):
         # conditioning the 12-step future on the state reproduces the closed form
         machine = perturbed_coin_epsilon(0.3)
-        _, futures = machine.conditional_future_matrix(12)
+        futures = machine.conditional_future_matrix(12)
         value = alpha_mutual_information(machine.stationary, futures, 0.5)
         assert value == pytest.approx(perturbed_coin_excess_half(0.3), abs=1e-9)
 
@@ -209,7 +209,7 @@ class TestExcessEntropyHalf:
 
     def test_signed_weights_variant_matches_quadratic_form(self):
         machine = golden_mean_epsilon(0.5)
-        _, futures = machine.conditional_future_matrix(5)
+        futures = machine.conditional_future_matrix(5)
         direct = half_excess_from_futures(machine.stationary, futures)
         assert direct == pytest.approx(excess_entropy_half(machine, 5).value, abs=1e-12)
 
@@ -221,7 +221,7 @@ class TestExcessEntropyShannon:
     def test_matches_joint_oracle(self):
         machine = golden_mean_epsilon(0.5)
         report = excess_entropy_shannon(machine, 10)
-        _, futures = machine.conditional_future_matrix(10)
+        futures = machine.conditional_future_matrix(10)
         joint = np.asarray(machine.stationary)[:, None] * futures
         assert report.value == pytest.approx(oracle_mutual_information(joint), abs=1e-9)
 

@@ -263,16 +263,16 @@ def reference_verify_residuals(source, built, horizon):
     groups = np.asarray(built.groups)
     word_res = 0.0
     for length in range(1, min(horizon, 6) + 1):
-        _, fut_built = built.conditional_future_matrix(length)
-        _, fut_src = source.conditional_future_matrix(length)
+        fut_built = built.conditional_future_matrix(length)
+        fut_src = source.conditional_future_matrix(length)
         word_res = max(word_res, float(np.max(np.abs(fut_built - fut_src[groups]))))
     dist_res = 0.0
     for length in range(1, horizon + 1):
         da = built.word_distribution(length)
         db = source.word_distribution(length)
         dist_res = max(dist_res, max(abs(da[w] - db[w]) for w in da))
-    _, fut_built = built.conditional_future_matrix(horizon)
-    _, fut_src = source.conditional_future_matrix(horizon)
+    fut_built = built.conditional_future_matrix(horizon)
+    fut_src = source.conditional_future_matrix(horizon)
     on_support = np.where(fut_src[groups] > 0, fut_built, 0.0)
     half_gap = abs(half_excess_from_futures(built.stationary, on_support)
                    - half_excess_from_futures(source.stationary, fut_src))

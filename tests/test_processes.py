@@ -4,6 +4,7 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import assert_stationary, oracle_word_probability, word_probability
 from quasihmm import errors
 from quasihmm.machine import same_process, word_distribution_distance
 from quasihmm.processes import (
@@ -38,7 +39,7 @@ def test_every_factory_output_validates():
         sns_epsilon_truncated(0.5),
     ]
     for machine in machines:
-        assert machine.validate() == []
+        assert_stationary(machine)
 
 
 class TestPerturbedCoin:
@@ -102,7 +103,9 @@ class TestGoldenMean:
 
     @pytest.mark.parametrize("p", [0.2, 0.5, 0.8])
     def test_no_double_ones(self, p):
-        assert golden_mean_epsilon(p).word_probability("11") == pytest.approx(0.0, abs=1e-15)
+        m = golden_mean_epsilon(p)
+        assert word_probability(m, "11") == pytest.approx(0.0, abs=1e-15)
+        assert oracle_word_probability(m, "11") == pytest.approx(0.0, abs=1e-15)
 
     def test_collision_complexity_at_half(self):
         # pi = [2/3, 1/3]: sum of squares 5/9
@@ -119,7 +122,8 @@ class TestEvenProcess:
     def test_single_symbol_marginal(self):
         # P(1) = 2/3 * 1/2 + 1/3 * 1 = 2/3, cross-checked by enumeration
         m = even_process_epsilon()
-        assert m.word_probability("1") == pytest.approx(2 / 3, abs=1e-12)
+        assert word_probability(m, "1") == pytest.approx(2 / 3, abs=1e-12)
+        assert oracle_word_probability(m, "1") == pytest.approx(2 / 3, abs=1e-12)
         assert sum(v for w, v in m.word_distribution(3).items() if w.startswith("1")) == (
             pytest.approx(2 / 3, abs=1e-12)
         )
@@ -128,8 +132,9 @@ class TestEvenProcess:
         # "010" bounds a length-1 block of 1s: forbidden
         # "0110" bounds a length-2 block: allowed, probability 1/12 by paths
         m = even_process_epsilon()
-        assert m.word_probability("010") == pytest.approx(0.0, abs=1e-15)
-        assert m.word_probability("0110") == pytest.approx(1 / 12, abs=1e-12)
+        for word, expected, tol in (("010", 0.0, 1e-15), ("0110", 1 / 12, 1e-12)):
+            assert word_probability(m, word) == pytest.approx(expected, abs=tol)
+            assert oracle_word_probability(m, word) == pytest.approx(expected, abs=tol)
 
 
 class TestSnsRenewalData:
@@ -212,7 +217,7 @@ class TestSnsMachines:
             sns_epsilon_truncated(0.5, truncation=5)
         machine = sns_epsilon_truncated(0.5, truncation=5, allow_coarse=True)
         assert machine.n_states == 6
-        assert machine.validate() == []
+        assert_stationary(machine)
 
     def test_unifilar_classification(self):
         cls = sns_epsilon_truncated(0.5).classify()

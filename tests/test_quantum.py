@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import oracle_state_overlap
+from conftest import assert_stationary, oracle_state_overlap
 from quasihmm import cli, errors
 from quasihmm.machine import Machine, make_machine, same_process
 from quasihmm.measures import renyi_entropy, sns_excess_entropy_half
@@ -374,8 +374,7 @@ class TestWignerMachine:
         assert machine.groups == (0, 0, 1, 1)
 
     def test_validates(self):
-        machine = wigner_as_machine(wigner_qubit_representation(0.4))
-        assert machine.validate() == []
+        assert_stationary(wigner_as_machine(wigner_qubit_representation(0.4)))
 
     def test_collision_entropy_of_state_recorded_against_quantum_value(self):
         # comparison only: the state vector's collision entropy exceeds the
