@@ -8,7 +8,8 @@ and is byte-deterministic for a fixed configuration and seed.
 
 Exit codes: 0 success; on failure the ``exit_code`` of the error's class (2
 input validation, 3 unsupported measure, 4 numerical failure), and 2 for a
-``ValueError`` or ``OSError``.
+``ValueError`` or ``OSError``, which includes every usage error.  Each failure
+writes one JSON line to stderr.
 """
 
 from __future__ import annotations
@@ -150,7 +151,7 @@ def _one_measure(machine: Machine, name: str, horizon: int) -> ms.MeasureReport:
 
 
 def cmd_measures(args) -> int:
-    machine = load_machine(args.machine, tol=args.tol)
+    machine = load_machine(args.machine)
     if args.all:
         names = list(MEASURE_CHOICES)
         if not machine.classify().classical:
@@ -506,7 +507,7 @@ def cmd_construct_nmachine(args) -> int:
 
 
 def cmd_transform(args) -> int:
-    machine = load_machine(args.machine, tol=args.tol)
+    machine = load_machine(args.machine)
     mapped = tf.apply_map(machine, tf.two_state_map(args.a, args.b))
     _emit(mapped.to_json_text(), args.out)
     return EXIT_OK
@@ -522,14 +523,19 @@ def cmd_wigner(args) -> int:
 # --- parser ------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as a ``ValueError``, which :func:`main` reports
+    like any other failure, instead of printing the usage and exiting."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=1e-10, help="structural tolerance")
-    common.add_argument("--horizon", type=int, default=12, help="estimation horizon")
-    common.add_argument("--seed", type=int, default=0, help="seed for seeded searches")
+    common = _Parser(add_help=False)
     common.add_argument("--out", help="output path (default: stdout)")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="quasihmm",
         description="Classical, quantum, and quasiprobabilistic models of "
         "stationary processes with Renyi memory measures.",
@@ -578,6 +584,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_nm.add_argument("--branch", choices=(nm.BRANCH_PLUS, nm.BRANCH_MINUS),
                       default=nm.BRANCH_PLUS)
     p_nm.add_argument("--truncation", type=int)
+    p_nm.add_argument("--seed", type=int, default=0, help="seed of the optimizer's extra starts")
     p_nm.set_defaults(handler=cmd_construct_nmachine)
 
     p_tf = sub.add_parser("transform", parents=[common], help="apply a 2x2 similarity map")
@@ -591,12 +598,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_wig.add_argument("--p", type=float, required=True)
     p_wig.set_defaults(handler=cmd_wigner)
 
+    for p_sub in (p_meas, p_sweep, p_rep, p_nm):
+        p_sub.add_argument("--horizon", type=int, default=12, help="estimation horizon")
+
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.handler(args)
     except QuasiHmmError as exc:
         _print_error(exc)

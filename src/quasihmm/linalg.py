@@ -24,10 +24,10 @@ STRUCT_TOL = 1e-10
 #: eigen-residual checks
 EIGEN_TOL = 1e-8
 #: ``left_fixed_vector`` rejects a bordered system whose 1-norm condition
-#: number exceeds this over ``eigen_tol``.  For the two-state flip chain and
+#: number exceeds this over ``EIGEN_TOL``.  For the two-state flip chain and
 #: the three-state cycle moving with probability p the condition number is
 #: about 1/p and 2/p, so the limit sits between p = 3e-9 (rejected) and
-#: p = 1e-8 (accepted): a unit eigenvalue within about ``eigen_tol`` of
+#: p = 1e-8 (accepted): a unit eigenvalue within about ``EIGEN_TOL`` of
 #: another eigenvalue counts as repeated.
 DEGENERACY_COND = 2.5
 
@@ -50,7 +50,7 @@ def row_sum_residual(m) -> float:
     return _row_sum_residual(_as_matrix(m))
 
 
-def left_fixed_vector(m, tol: float = STRUCT_TOL, eigen_tol: float = EIGEN_TOL) -> np.ndarray:
+def left_fixed_vector(m) -> np.ndarray:
     """Left eigenvector of ``m`` at eigenvalue 1, normalized to unit sum.
 
     ``m`` must be quasi-stochastic (each row sums to 1; signed entries are
@@ -63,23 +63,23 @@ def left_fixed_vector(m, tol: float = STRUCT_TOL, eigen_tol: float = EIGEN_TOL) 
     Rev. 17:443).  One inversion therefore yields both the vector and the
     exact 1-norm condition number of ``B``, which grows like the inverse of
     the gap between 1 and the rest of the spectrum.  A singular ``B``, or one
-    with condition number above ``DEGENERACY_COND / eigen_tol``, means the
+    with condition number above ``DEGENERACY_COND / EIGEN_TOL``, means the
     eigenvalue 1 is (numerically) repeated; there is then no canonical
     choice, so the degenerate case is rejected rather than silently picking
     a representative.
 
     Each call validates ``m`` once: a NaN or infinite entry raises
-    ``NonFiniteEntries``, and a row sum off 1 by more than ``tol`` raises
-    ``ValueError``.  Both come from one reduction, since the largest row-sum
-    deviation is NaN or infinite whenever some entry is; the entries are
-    scanned for finiteness only when that deviation fails the check, to
+    ``NonFiniteEntries``, and a row sum off 1 by more than ``STRUCT_TOL``
+    raises ``ValueError``.  Both come from one reduction, since the largest
+    row-sum deviation is NaN or infinite whenever some entry is; the entries
+    are scanned for finiteness only when that deviation fails the check, to
     choose the error.
     """
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     res = _row_sum_residual(a)
-    if not res <= tol:
+    if not res <= STRUCT_TOL:
         if not np.isfinite(a).all():
             raise NonFiniteEntries("matrix has NaN or infinite entries")
         raise ValueError(f"matrix is not quasi-stochastic: row-sum residual {res:.3e}")
@@ -93,14 +93,14 @@ def left_fixed_vector(m, tol: float = STRUCT_TOL, eigen_tol: float = EIGEN_TOL) 
     except np.linalg.LinAlgError as exc:
         raise DegenerateFixedSpace(f"eigenvalue 1 is not simple: {exc}") from exc
     cond = float(np.abs(bordered).sum(axis=0).max() * np.abs(inv).sum(axis=0).max())
-    if not cond <= DEGENERACY_COND / eigen_tol:
+    if not cond <= DEGENERACY_COND / EIGEN_TOL:
         raise DegenerateFixedSpace(
             f"eigenvalue 1 is not numerically simple: bordered condition number {cond:.3e}"
         )
     v = inv[:n, n]
 
     residual = float(np.abs(v @ a - v).max())
-    if residual > 10 * eigen_tol:
+    if residual > 10 * EIGEN_TOL:
         raise NoUnitEigenvalue(f"fixed-vector residual {residual:.3e} exceeds tolerance")
     return v / v.sum()
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -202,11 +203,11 @@ class Machine:
 
     # -- classification -----------------------------------------------------
 
-    def classify(self, tol: float = linalg.STRUCT_TOL) -> MachineClass:
-        """Sign and unifilarity of the transitions at tolerance ``tol``;
-        remembered per ``tol``, since the machine never changes."""
-        key = ("classify", tol)
-        if key not in self._memo:
+    def classify(self) -> MachineClass:
+        """Sign and unifilarity of the transitions at tolerance
+        ``linalg.STRUCT_TOL``; remembered, since the machine never changes."""
+        if "classify" not in self._memo:
+            tol = linalg.STRUCT_TOL
             classical = bool(np.min(self.stationary) >= -tol) and all(
                 np.min(self.matrices[x]) >= -tol for x in self.alphabet
             )
@@ -214,8 +215,8 @@ class Machine:
                 np.count_nonzero(np.abs(self.matrices[x]) > tol, axis=1).max(initial=0) <= 1
                 for x in self.alphabet
             )
-            self._memo[key] = MachineClass(classical=classical, unifilar=unifilar)
-        return self._memo[key]
+            self._memo["classify"] = MachineClass(classical=classical, unifilar=unifilar)
+        return self._memo["classify"]
 
     # -- conditional-future fidelities -------------------------------------
 
@@ -374,27 +375,37 @@ class Machine:
         Path(path).write_text(self.to_json_text())
 
 
+def _group_index(g) -> int:
+    """One ``groups`` entry as an int: a Python or numpy integer, not a bool."""
+    if not isinstance(g, (bool, np.bool_)):
+        try:
+            return operator.index(g)
+        except TypeError:
+            pass
+    raise MachineFormatError(f"groups entry {g!r} is not an integer")
+
+
 def make_machine(
     alphabet: Sequence[str],
     states: Sequence[str],
     matrices: Mapping[str, object],
     stationary=None,
     groups: Sequence[int] | None = None,
-    tol: float = linalg.STRUCT_TOL,
 ) -> Machine:
     """Validating constructor.
 
     Each symbol's matrix is converted once and copied into one read-only
     (symbols, n, n) array, whose views become ``Machine.matrices``; that
     array is summed once.  Row sums of the summed transition matrix must be
-    1 within ``tol`` and its entries finite.  When ``stationary`` is omitted
-    it is computed as the unique unit-sum left fixed vector, and
-    :func:`linalg.left_fixed_vector` is the one place the summed matrix is
-    validated; its row-sum failure is raised here as ``MachineFormatError``.
+    1 within ``linalg.STRUCT_TOL`` and its entries finite.  When
+    ``stationary`` is omitted it is computed as the unique unit-sum left
+    fixed vector, and :func:`linalg.left_fixed_vector` is the one place the
+    summed matrix is validated; its row-sum failure is raised here as
+    ``MachineFormatError``.
     When ``stationary`` is given it is verified rather than trusted, and its
     fixed-point residual is remembered as the machine's
     ``stationary_residual``.  ``groups``, when given, must hold one
-    nonnegative index per state.
+    nonnegative integer per state; a bool, float or string entry is refused.
     """
     alphabet = tuple(str(x) for x in alphabet)
     if len(set(alphabet)) != len(alphabet):
@@ -416,7 +427,7 @@ def make_machine(
         raise MachineFormatError(f"matrices for symbols outside the alphabet: {sorted(extra)}")
     stack.setflags(write=False)
     if groups is not None:
-        groups = tuple(int(g) for g in groups)
+        groups = tuple(_group_index(g) for g in groups)
         if len(groups) != n:
             raise MachineFormatError(f"groups has {len(groups)} entries, expected {n}")
         if min(groups, default=0) < 0:
@@ -426,7 +437,7 @@ def make_machine(
     residual = None
     if stationary is None:
         try:
-            pi = linalg.left_fixed_vector(total, tol=tol)
+            pi = linalg.left_fixed_vector(total)
         except ValueError as exc:
             # the row-sum check; a non-finite entry raises NonFiniteEntries
             res = linalg.row_sum_residual(total)
@@ -436,14 +447,14 @@ def make_machine(
         pi.setflags(write=False)
     else:
         res = linalg.row_sum_residual(total)
-        if res > tol:
+        if res > linalg.STRUCT_TOL:
             raise MachineFormatError(f"summed transition matrix row-sum residual {res:.3e}")
         pi = _frozen(stationary)
         if pi.shape != (n,):
             raise MachineFormatError(f"stationary vector has shape {pi.shape}, expected ({n},)")
         if not np.all(np.isfinite(pi)):
             raise StationaryMismatch("stationary vector has NaN or infinite entries")
-        if abs(pi.sum() - 1.0) > tol:
+        if abs(pi.sum() - 1.0) > linalg.STRUCT_TOL:
             raise StationaryMismatch(f"stationary sums to {pi.sum():.12g}, expected 1")
         residual = float(np.max(np.abs(pi @ total - pi)))
         if residual > 10 * linalg.EIGEN_TOL:
@@ -462,15 +473,11 @@ def make_machine(
     return machine
 
 
-def same_process(
-    a: Machine,
-    b: Machine,
-    horizon: int = PROCESS_EQUALITY_HORIZON,
-    tol: float = PROCESS_EQUALITY_TOL,
-) -> bool:
+def same_process(a: Machine, b: Machine) -> bool:
     """Whether two machines generate the same process, decided (by definition)
-    as agreement of all word probabilities up to ``horizon``."""
-    return word_distribution_distance(a, b, horizon) <= tol
+    as agreement of all word probabilities up to ``PROCESS_EQUALITY_HORIZON``
+    within ``PROCESS_EQUALITY_TOL``."""
+    return word_distribution_distance(a, b, PROCESS_EQUALITY_HORIZON) <= PROCESS_EQUALITY_TOL
 
 
 def word_distribution_distance(a: Machine, b: Machine, horizon: int) -> float:
@@ -486,7 +493,7 @@ def word_distribution_distance(a: Machine, b: Machine, horizon: int) -> float:
     return worst
 
 
-def load_machine(path, tol: float = linalg.STRUCT_TOL) -> Machine:
+def load_machine(path) -> Machine:
     """Read a machine definition from JSON.
 
     The file's stationary vector, when present, is kept verbatim (round trips
@@ -496,10 +503,10 @@ def load_machine(path, tol: float = linalg.STRUCT_TOL) -> Machine:
         doc = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise MachineFormatError(f"cannot read machine file {path}: {exc}") from exc
-    return machine_from_json_dict(doc, tol=tol)
+    return machine_from_json_dict(doc)
 
 
-def machine_from_json_dict(doc: Mapping, tol: float = linalg.STRUCT_TOL) -> Machine:
+def machine_from_json_dict(doc: Mapping) -> Machine:
     if not isinstance(doc, Mapping):
         raise MachineFormatError("machine document must be a JSON object")
     for key in ("alphabet", "states", "matrices"):
@@ -516,5 +523,4 @@ def machine_from_json_dict(doc: Mapping, tol: float = linalg.STRUCT_TOL) -> Mach
         doc["matrices"],
         stationary=doc.get("stationary"),
         groups=doc.get("groups"),
-        tol=tol,
     )

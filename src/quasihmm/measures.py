@@ -26,7 +26,7 @@ from .errors import (
     ZeroEntryWithQuasiOrder,
 )
 from .machine import Machine
-from .processes import sns_past_future_overlap
+from .processes import check_open_unit, sns_past_future_overlap
 
 #: tolerance for normalization / nonnegativity checks on distributions
 DIST_TOL = 1e-9
@@ -54,19 +54,19 @@ class MeasureReport:
         }
 
 
-def _as_quasi_distribution(q, tol: float) -> np.ndarray:
+def _as_quasi_distribution(q) -> np.ndarray:
     v = np.asarray(q, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise ValueError(f"expected a nonempty vector, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
         raise ValueError("distribution has non-finite entries")
     s = float(v.sum())
-    if abs(s - 1.0) > tol:
-        raise ValueError(f"distribution sums to {s:.12g}, expected 1 within {tol:g}")
+    if abs(s - 1.0) > DIST_TOL:
+        raise ValueError(f"distribution sums to {s:.12g}, expected 1 within {DIST_TOL:g}")
     return v
 
 
-def renyi_entropy(q, alpha: float, tol: float = DIST_TOL) -> float:
+def renyi_entropy(q, alpha: float) -> float:
     """Renyi entropy of order ``alpha`` of a (quasi)probability vector.
 
     Proper distributions support any order >= 0 (order 0 counts the support,
@@ -74,16 +74,16 @@ def renyi_entropy(q, alpha: float, tol: float = DIST_TOL) -> float:
     2, where the collision entropy -log2(sum q_k^2) stays real; it requires
     every component nonzero and may itself be zero or negative.
     """
-    v = _as_quasi_distribution(q, tol)
+    v = _as_quasi_distribution(q)
     if alpha < 0:
         raise InvalidAlpha(f"Renyi order must be nonnegative, got {alpha}")
 
-    if np.min(v) < -tol:
+    if np.min(v) < -DIST_TOL:
         if alpha != 2:
             raise NegativeEntriesUnsupportedOrder(
                 f"signed distributions support only order 2, got {alpha}"
             )
-        if np.min(np.abs(v)) <= tol:
+        if np.min(np.abs(v)) <= DIST_TOL:
             raise ZeroEntryWithQuasiOrder(
                 "collision entropy of a signed distribution needs nonzero components"
             )
@@ -91,15 +91,15 @@ def renyi_entropy(q, alpha: float, tol: float = DIST_TOL) -> float:
 
     v = np.clip(v, 0.0, None)
     if alpha == 0:
-        return float(np.log2(np.count_nonzero(v > tol)))
+        return float(np.log2(np.count_nonzero(v > DIST_TOL)))
     if alpha == 1:
         support = v[v > 0]
         return -float(np.sum(support * np.log2(support)))
     return float(np.log2(np.sum(v**alpha)) / (1.0 - alpha))
 
 
-def shannon_entropy(q, tol: float = DIST_TOL) -> float:
-    return renyi_entropy(q, 1.0, tol)
+def shannon_entropy(q) -> float:
+    return renyi_entropy(q, 1.0)
 
 
 def statistical_complexity(m: Machine, alpha: float = 2.0) -> float:
@@ -107,20 +107,20 @@ def statistical_complexity(m: Machine, alpha: float = 2.0) -> float:
     return renyi_entropy(m.stationary, alpha)
 
 
-def negativity(q, tol: float = DIST_TOL) -> float:
+def negativity(q) -> float:
     """l1 norm of a unit-sum vector; 1 exactly when it is nonnegative."""
-    v = _as_quasi_distribution(q, tol)
+    v = _as_quasi_distribution(q)
     return float(np.sum(np.abs(v)))
 
 
-def mana(q, tol: float = DIST_TOL) -> float:
+def mana(q) -> float:
     """Logarithmic negativity overhead: 2 log2 of the l1 norm.
 
     Splits the collision entropy of the rescaled absolute distribution as
     H2[|q|/||q||_1] = H2[q] + mana(q), so it measures the entropy cost of
     simulating the signed vector by sampling its absolute values.
     """
-    return 2.0 * float(np.log2(negativity(q, tol)))
+    return 2.0 * float(np.log2(negativity(q)))
 
 
 def memory_advantage(c_n2: float, c_mu2: float) -> float:
@@ -133,7 +133,7 @@ def memory_advantage(c_n2: float, c_mu2: float) -> float:
 # --- Sibson alpha-mutual information -----------------------------------------
 
 
-def alpha_mutual_information(px, py_given_x, alpha: float, tol: float = DIST_TOL) -> float:
+def alpha_mutual_information(px, py_given_x, alpha: float) -> float:
     """Sibson mutual information of order ``alpha`` for the chain X -> Y:
 
         (alpha / (alpha - 1)) * log2 sum_y [ sum_x P(x) P(y|x)^alpha ]^(1/alpha)
@@ -144,18 +144,18 @@ def alpha_mutual_information(px, py_given_x, alpha: float, tol: float = DIST_TOL
     """
     if alpha < 0:
         raise InvalidAlpha(f"order must be nonnegative, got {alpha}")
-    p = _as_quasi_distribution(px, tol)
-    if np.min(p) < -tol:
+    p = _as_quasi_distribution(px)
+    if np.min(p) < -DIST_TOL:
         raise NegativeConditional("input distribution must be nonnegative")
     p = np.clip(p, 0.0, None)
 
     cond = np.asarray(py_given_x, dtype=float)
     if cond.ndim != 2 or cond.shape[0] != p.size:
         raise ValueError(f"conditional must be ({p.size}, n_y), got {cond.shape}")
-    if np.min(cond) < -tol:
+    if np.min(cond) < -DIST_TOL:
         raise NegativeConditional("conditional rows must be nonnegative")
     row_sums = cond.sum(axis=1)
-    if np.max(np.abs(row_sums - 1.0)) > max(tol, 1e-12 * cond.shape[1]):
+    if np.max(np.abs(row_sums - 1.0)) > max(DIST_TOL, 1e-12 * cond.shape[1]):
         raise ValueError("conditional rows must sum to 1")
     cond = np.clip(cond, 0.0, None)
 
@@ -268,8 +268,7 @@ def excess_entropy_shannon(m: Machine, horizon: int = DEFAULT_HORIZON) -> Measur
 
 def perturbed_coin_excess_half(p: float) -> float:
     """1 - 2 log2(sqrt(p) + sqrt(1-p)), exact for the Perturbed Coin."""
-    if not 0.0 < p < 1.0:
-        raise UnsupportedProcess(f"p must lie in (0, 1), got {p}")
+    check_open_unit(p)
     return 1.0 - 2.0 * float(np.log2(np.sqrt(p) + np.sqrt(1.0 - p)))
 
 

@@ -29,7 +29,6 @@ import numpy as np
 
 from .errors import (
     DegenerateFixedSpace,
-    DegenerateParameter,
     NegativeRadicand,
     NoFeasiblePoint,
     NoUnitEigenvalue,
@@ -39,13 +38,17 @@ from .errors import (
 )
 from .machine import Machine, make_machine
 from .measures import half_excess_from_futures, mana, negativity, renyi_entropy
-from .processes import sns_past_future_overlap
+from .processes import check_not_half, check_open_unit, sns_past_future_overlap
 
 BRANCH_PLUS = "plus"
 BRANCH_MINUS = "minus"
 
 #: relative saturation tolerance |C_n2 - E_half|
 SAT_TOL = 1e-6
+#: largest residual ``verify_nmachine_properties`` accepts
+VERIFY_TOL = 1e-9
+#: first coordinate step of the pattern search
+INITIAL_STEP = 0.25
 
 
 def _branch_sign(branch: str) -> float:
@@ -287,7 +290,6 @@ class NMachineCheckReport:
     half_excess_gap: float
     word_horizon: int
     distribution_horizon: int
-    tol: float
 
     def worst(self) -> float:
         return max(
@@ -300,14 +302,14 @@ class NMachineCheckReport:
         )
 
     def passed(self) -> bool:
-        return self.worst() <= self.tol
+        return self.worst() <= VERIFY_TOL
 
     def __str__(self) -> str:
         return (
             f"fixed={self.stationary_fixed:.3e} "
             f"coarse={self.coarse_graining:.3e} symbol={self.symbol_conditionals:.3e} "
             f"word={self.word_conditionals:.3e} dist={self.word_distribution:.3e} "
-            f"half-excess={self.half_excess_gap:.3e} (tol {self.tol:g})"
+            f"half-excess={self.half_excess_gap:.3e} (tol {VERIFY_TOL:g})"
         )
 
 
@@ -315,18 +317,17 @@ def verify_nmachine_properties(
     source: Machine,
     built: Machine,
     horizon: int = 8,
-    tol: float = 1e-9,
 ) -> NMachineCheckReport:
     """Check every construction identity of ``built`` against ``source``.
 
-    Verified, each within ``tol``: the built stationary vector as a fixed
-    point of the built transitions, coarse-grained stationary weights, symbol
-    conditionals, word conditionals up to min(horizon, 6), word-distribution
-    equality up to ``horizon``, and agreement of the half-order
-    state-future mutual information at horizon, summed over the words each
-    source state can emit (the signed stationary weights enter that sum
-    linearly, so it stays real).  A horizon with more words than the
-    enumeration cap is refused before any enumeration.  Raises
+    Verified, each within ``VERIFY_TOL``: the built stationary vector as a
+    fixed point of the built transitions, coarse-grained stationary weights,
+    symbol conditionals, word conditionals up to min(horizon, 6),
+    word-distribution equality up to ``horizon``, and agreement of the
+    half-order state-future mutual information at horizon, summed over the
+    words each source state can emit (the signed stationary weights enter
+    that sum linearly, so it stays real).  A horizon with more words than
+    the enumeration cap is refused before any enumeration.  Raises
     ``PropertyViolated`` carrying the report if any residual is too large.
     """
     if built.groups is None:
@@ -381,7 +382,6 @@ def verify_nmachine_properties(
         half_excess_gap=half_gap,
         word_horizon=word_horizon,
         distribution_horizon=horizon,
-        tol=tol,
     )
     if not report.passed():
         raise PropertyViolated(report)
@@ -425,7 +425,6 @@ def assess_split_machine(
     parameters: Mapping[str, float],
     e_half: float,
     c_mu2: float,
-    sat_tol: float = SAT_TOL,
 ) -> NMachineResult:
     """Collision entropy, negativity bookkeeping, and bound flags for a built
     machine against a given half-order excess entropy and classical memory."""
@@ -434,7 +433,7 @@ def assess_split_machine(
     # vector with a near-zero entry and a zero baseline, and every split
     # point, the search's or one the caller gives, must be scored
     c_n2 = -float(np.log2(np.sum(pi * pi)))
-    threshold = sat_tol * max(1.0, abs(e_half))
+    threshold = SAT_TOL * max(1.0, abs(e_half))
     return NMachineResult(
         machine=machine,
         parameters=dict(parameters),
@@ -477,10 +476,7 @@ def perturbed_coin_ideal_params(p: float, branch: str = BRANCH_PLUS) -> tuple[fl
 
     Both roots work (they exchange the first two stationary weights).
     """
-    if p == 0.5:
-        raise DegenerateParameter("the Perturbed Coin model degenerates at p = 1/2")
-    if not 0.0 < p < 1.0:
-        raise DegenerateParameter(f"p must lie in (0, 1), got {p}")
+    check_not_half(check_open_unit(p))
     sign = _branch_sign(branch)
     q2 = 0.5 * p * (1.0 + sign * math.sqrt(1.0 + 8.0 * math.sqrt(p * (1.0 - p))))
     return 0.0, q2
@@ -588,11 +584,9 @@ class OptimizeOptions:
     seed: int = 0
     extra_starts: int = 8
     start_box: float = 1.5
-    initial_step: float = 0.25
     min_step: float = 1e-9
     max_evals: int = 20000
     max_params: int = 8
-    sat_tol: float = SAT_TOL
 
 
 def optimize_ideal(
@@ -625,7 +619,7 @@ def optimize_ideal(
     if len(names) > opts.max_params:
         raise ValueError(f"{len(names)} parameters exceed the cap {opts.max_params}")
     baseline = c_mu2 if c_mu2 is not None else renyi_entropy(source.stationary, 2)
-    threshold = opts.sat_tol * max(1.0, abs(e_half))
+    threshold = SAT_TOL * max(1.0, abs(e_half))
 
     def entropy_at(vec: np.ndarray) -> float | None:
         try:
@@ -645,7 +639,7 @@ def optimize_ideal(
 
     if not names:
         machine = build_split_machine(source, spec, {})
-        return assess_split_machine(machine, {}, e_half, baseline, opts.sat_tol)
+        return assess_split_machine(machine, {}, e_half, baseline)
 
     dims = len(names)
     starts = [np.zeros(dims)]
@@ -674,7 +668,7 @@ def optimize_ideal(
         x = start.copy()
         fx = value(x)
         evals += 1
-        step = opts.initial_step
+        step = INITIAL_STEP
         while step >= opts.min_step and evals < opts.max_evals:
             improved = False
             for i in range(dims):
@@ -698,6 +692,4 @@ def optimize_ideal(
             f"no parameters found with collision entropy >= {e_half:.9f}"
         )
     machine = build_split_machine(source, spec, dict(zip(names, best_x)))
-    return assess_split_machine(
-        machine, dict(zip(names, best_x)), e_half, baseline, opts.sat_tol
-    )
+    return assess_split_machine(machine, dict(zip(names, best_x)), e_half, baseline)

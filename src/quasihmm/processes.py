@@ -3,8 +3,8 @@
 Each factory returns a validated :class:`~quasihmm.machine.Machine`.  The
 Perturbed Coin, Golden Mean, and Even processes have two-state models; the
 Simple Nonunifilar Source (SNS) renewal process has a two-state generative
-model and a countable predictive model that is truncated here at a
-configurable tail mass.
+model and a countable predictive model that is truncated here at the tail
+mass ``TRUNCATION_EPS``.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from .errors import (
 )
 from .machine import Machine, make_machine
 
-#: default bound on the surviving probability beyond the truncated state set
-DEFAULT_TRUNCATION_EPS = 1e-12
+#: bound on the surviving probability beyond the truncated state set
+TRUNCATION_EPS = 1e-12
 
 #: cap on the states of a truncated SNS model: at 4096 states one dense
 #: matrix takes 128 MiB, and building and measuring such a model already
@@ -32,14 +32,16 @@ DEFAULT_TRUNCATION_EPS = 1e-12
 MAX_SNS_STATES = 4096
 
 
-def _check_open_unit(p: float) -> float:
+def check_open_unit(p: float) -> float:
+    """``p`` as a float; :class:`DegenerateParameter` outside (0, 1)."""
     p = float(p)
     if not 0.0 < p < 1.0:
         raise DegenerateParameter(f"p must lie strictly between 0 and 1, got {p}")
     return p
 
 
-def _check_not_half(p: float) -> float:
+def check_not_half(p: float) -> float:
+    """``p``; :class:`DegenerateParameter` at 1/2."""
     if p == 0.5:
         raise DegenerateParameter(
             "p = 1/2 collapses the process to an unbiased coin; "
@@ -61,7 +63,7 @@ def perturbed_coin_epsilon(p: float) -> Machine:
     with probability p; ``s1`` mirrors it.  Undefined at p = 1/2 where the
     process degenerates to an IID coin.
     """
-    p = _check_not_half(_check_open_unit(p))
+    p = check_not_half(check_open_unit(p))
     t0 = [[1 - p, 0.0], [p, 0.0]]
     t1 = [[0.0, p], [0.0, 1 - p]]
     return make_machine(("0", "1"), ("s0", "s1"), {"0": t0, "1": t1}, stationary=[0.5, 0.5])
@@ -74,7 +76,7 @@ def perturbed_coin_rjmc(p: float) -> Machine:
     same process as :func:`perturbed_coin_epsilon` with a more concentrated
     stationary vector.
     """
-    p = _check_not_half(_check_open_unit(p))
+    p = check_not_half(check_open_unit(p))
     if p < 0.5:
         t0 = [[0.0, 0.0], [0.0, 1 - p]]
         t1 = [
@@ -95,7 +97,7 @@ def golden_mean_epsilon(p: float) -> Machine:
     ``s0`` self-loops on 0 with probability p and emits 1 into ``s1`` with
     probability 1-p; ``s1`` always emits 0 back to ``s0``.
     """
-    p = _check_open_unit(p)
+    p = check_open_unit(p)
     t0 = [[p, 0.0], [1.0, 0.0]]
     t1 = [[0.0, 1 - p], [0.0, 0.0]]
     pi = [1 / (2 - p), (1 - p) / (2 - p)]
@@ -141,39 +143,39 @@ def _surviving(n: int, p: float) -> float:
     return p ** (n - 1) * (n * (1 - p) + p)
 
 
-def _truncation_walk(p: float, eps: float, limit: float) -> int:
+def _truncation_walk(p: float, limit: float) -> int:
     """The walk of :func:`sns_default_truncation`, left early with some
     n > ``limit`` once the result is known to exceed ``limit``."""
     # Phi(n) ~ n(1-p)p^(n-1) decays geometrically; walk out from a log estimate.
-    n = max(2, int(math.log(eps) / math.log(p)) // 2)
-    while _surviving(n + 1, p) >= eps:
+    n = max(2, int(math.log(TRUNCATION_EPS) / math.log(p)) // 2)
+    while _surviving(n + 1, p) >= TRUNCATION_EPS:
         n += 1
         if n > limit:
-            # Phi(n) >= eps here, so the walk back down would stop at n or above
+            # Phi(n) >= TRUNCATION_EPS here, so the walk back down would stop at n or above
             return n
-    while n > 2 and _surviving(n, p) < eps:
+    while n > 2 and _surviving(n, p) < TRUNCATION_EPS:
         n -= 1
     return n
 
 
-def sns_default_truncation(p: float, eps: float = DEFAULT_TRUNCATION_EPS) -> int:
-    """Smallest N whose surviving probability beyond N+1 drops below ``eps``."""
-    return _truncation_walk(_check_open_unit(p), eps, math.inf)
+def sns_default_truncation(p: float) -> int:
+    """Smallest N whose surviving probability beyond N+1 drops below
+    ``TRUNCATION_EPS``."""
+    return _truncation_walk(check_open_unit(p), math.inf)
 
 
-def _sns_truncation(
-    p: float, truncation: int | None, eps: float, allow_coarse: bool
-) -> tuple[int, float]:
+def _sns_truncation(p: float, truncation: int | None, allow_coarse: bool) -> tuple[int, float]:
     """Depth N and tail mass Phi(N+1) of a truncated SNS model with states
     0..N: ``truncation`` when given, else :func:`sns_default_truncation`.
 
     Every check runs before anything is allocated: N must be at least 2 and
     the model at most ``MAX_SNS_STATES`` states, and an explicit truncation
-    may leave more than ``eps`` tail mass only with ``allow_coarse``.
+    may leave more than ``TRUNCATION_EPS`` tail mass only with
+    ``allow_coarse``.
     """
     if truncation is None:
-        n = _truncation_walk(p, eps, MAX_SNS_STATES - 1)
-        asked = f"tail mass below {eps:g} at p = {p}"
+        n = _truncation_walk(p, MAX_SNS_STATES - 1)
+        asked = f"tail mass below {TRUNCATION_EPS:g} at p = {p}"
     else:
         n = truncation
         asked = f"truncation {n}"
@@ -182,10 +184,10 @@ def _sns_truncation(
     if n < 2:
         raise TruncationTooCoarse("need at least states 0..2")
     tail = _surviving(n + 1, p)
-    if truncation is not None and tail > eps and not allow_coarse:
+    if truncation is not None and tail > TRUNCATION_EPS and not allow_coarse:
         raise TruncationTooCoarse(
-            f"truncation {n} leaves tail mass {tail:.3e} above {eps:g}: give a larger "
-            "truncation or none for the default depth (from Python, the keyword "
+            f"truncation {n} leaves tail mass {tail:.3e} above {TRUNCATION_EPS:g}: give a "
+            "larger truncation or none for the default depth (from Python, the keyword "
             "allow_coarse=True accepts it)"
         )
     return n, tail
@@ -230,10 +232,7 @@ class SnsRenewalData:
 
 
 def sns_renewal_data(
-    p: float,
-    truncation: int | None = None,
-    eps: float = DEFAULT_TRUNCATION_EPS,
-    allow_coarse: bool = False,
+    p: float, truncation: int | None = None, allow_coarse: bool = False
 ) -> SnsRenewalData:
     """Waiting-time distribution, survival function, and firing rate.
 
@@ -242,13 +241,13 @@ def sns_renewal_data(
     so closed-form expectations, such as the firing rate (1 - p)/2, stay
     available as independent cross-checks.  The series is summed term by
     term in Python floats, in order from Phi(0).  An explicit
-    ``truncation`` that leaves more than ``eps`` tail mass is rejected unless
-    ``allow_coarse`` is set, and a model of more than ``MAX_SNS_STATES``
-    states is rejected with :class:`TruncationTooLarge` before the series
-    is summed.
+    ``truncation`` that leaves more than ``TRUNCATION_EPS`` tail mass is
+    rejected unless ``allow_coarse`` is set, and a model of more than
+    ``MAX_SNS_STATES`` states is rejected with :class:`TruncationTooLarge`
+    before the series is summed.
     """
-    p = _check_open_unit(p)
-    n, tail = _sns_truncation(p, truncation, eps, allow_coarse)
+    p = check_open_unit(p)
+    n, tail = _sns_truncation(p, truncation, allow_coarse)
 
     total = 1.0  # Phi(0)
     k = 1
@@ -268,17 +267,14 @@ def sns_g_machine(p: float) -> Machine:
     and stays (p) or emits 1 back to ``A`` (1-p).  Two 0-edges leave ``A``,
     so the model is non-unifilar; its stationary vector is uniform for all p.
     """
-    p = _check_open_unit(p)
+    p = check_open_unit(p)
     t0 = [[p, 1 - p], [0.0, p]]
     t1 = [[0.0, 0.0], [1 - p, 0.0]]
     return make_machine(("0", "1"), ("A", "B"), {"0": t0, "1": t1}, stationary=[0.5, 0.5])
 
 
 def sns_epsilon_truncated(
-    p: float,
-    truncation: int | None = None,
-    eps: float = DEFAULT_TRUNCATION_EPS,
-    allow_coarse: bool = False,
+    p: float, truncation: int | None = None, allow_coarse: bool = False
 ) -> Machine:
     """Truncated predictive model of the SNS process with states 0..N.
 
@@ -293,8 +289,8 @@ def sns_epsilon_truncated(
     p = 0.01); when it does not (N = 158-162), the failed build is refused
     with :class:`TruncationTooLarge` too.
     """
-    p = _check_open_unit(p)
-    n_max, _ = _sns_truncation(p, truncation, eps, allow_coarse)
+    p = check_open_unit(p)
+    n_max, _ = _sns_truncation(p, truncation, allow_coarse)
     check_sns_survival(n_max, p)
 
     size = n_max + 1
@@ -322,9 +318,7 @@ def sns_epsilon_truncated(
         ) from exc
 
 
-def sns_past_future_overlap(
-    p: float, truncation: int | None = None, eps: float = DEFAULT_TRUNCATION_EPS
-) -> tuple[float, float]:
+def sns_past_future_overlap(p: float, truncation: int | None = None) -> tuple[float, float]:
     """Squared Bhattacharyya overlap between the predictive-state distribution
     and the reverse-state conditionals of the SNS process:
 
@@ -335,8 +329,8 @@ def sns_past_future_overlap(
     value estimates the truncation residual by comparison with a slightly
     shallower truncation.
     """
-    p = _check_open_unit(p)
-    data = sns_renewal_data(p, truncation, eps)
+    p = check_open_unit(p)
+    data = sns_renewal_data(p, truncation)
 
     def overlap(n_cut: int) -> float:
         idx = np.arange(n_cut + 1)

@@ -23,6 +23,7 @@ import numpy as np
 from .errors import IsometryViolated, NonPSD, NotConverged, QuasiMachineUnsupported
 from .machine import Machine, make_machine
 from .processes import (
+    check_open_unit,
     check_sns_survival,
     sns_renewal_data,
     sns_root_waiting_grid,
@@ -37,6 +38,9 @@ TOPOLOGICAL = "topological"
 PSD_TOL = 1e-10
 #: eigenvalues above this count toward the rank
 RANK_TOL = 1e-10
+#: Gram-matrix horizon and largest residual of ``validate_unitary_relation``
+ISOMETRY_HORIZON = 24
+ISOMETRY_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,9 +218,7 @@ class UnitaryCheckReport:
     gram_residual: float
 
 
-def validate_unitary_relation(
-    m: Machine, horizon: int = 24, tol: float = 1e-8
-) -> UnitaryCheckReport:
+def validate_unitary_relation(m: Machine) -> UnitaryCheckReport:
     """Check that square-root transition amplitudes act isometrically.
 
     A single evolution step maps state j to the superposition of (next state,
@@ -225,21 +227,22 @@ def validate_unitary_relation(
 
         G[j, l] = sum_x sum_{k, k'} sqrt(T[x][j, k] T[x][l, k']) G[k, k']
 
-    with G the state-overlap Gram matrix.  Raises ``IsometryViolated`` when
-    the largest residual exceeds ``tol``.
+    with G the state-overlap Gram matrix at horizon ``ISOMETRY_HORIZON``.
+    Raises ``IsometryViolated`` when the largest residual exceeds
+    ``ISOMETRY_TOL``.
     """
     cls = m.classify()
     if not cls.classical:
         raise QuasiMachineUnsupported("unitary embedding requires nonnegative transitions")
     if not cls.unifilar:
         raise ValueError("unitary relation check requires a unifilar machine")
-    gram = gram_from_machine(m, horizon)
+    gram = gram_from_machine(m, ISOMETRY_HORIZON)
     overlaps = gram.overlaps
     residual = float(np.max(np.abs(m.fidelity_step(overlaps) - overlaps)))
-    if residual > tol:
+    if residual > ISOMETRY_TOL:
         raise IsometryViolated(f"overlap preservation residual {residual:.3e}")
     return UnitaryCheckReport(
-        max_residual=residual, horizon=horizon, gram_residual=gram.residual
+        max_residual=residual, horizon=ISOMETRY_HORIZON, gram_residual=gram.residual
     )
 
 
@@ -297,8 +300,7 @@ def wigner_qubit_representation(p: float) -> WignerRepresentation:
     A_lambda / 2 and channels through tr(F_lambda K A_lambda' K^dagger); the
     results are cross-checked against their closed forms before returning.
     """
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must lie in (0, 1), got {p}")
+    check_open_unit(p)
     sigma0 = np.array([np.sqrt(1 - p), np.sqrt(p)], dtype=complex)
     sigma1 = np.array([np.sqrt(p), np.sqrt(1 - p)], dtype=complex)
     rho = 0.5 * (np.outer(sigma0, sigma0.conj()) + np.outer(sigma1, sigma1.conj()))

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import DegenerateParameter, ValidationError
+from .errors import ValidationError
 from .machine import Machine, make_machine
-from .processes import perturbed_coin_epsilon
+from .processes import check_not_half, check_open_unit, perturbed_coin_epsilon
 
 
 class DimensionMismatch(ValidationError):
@@ -38,11 +38,11 @@ class SimilarityMap:
     z_inverse: np.ndarray
 
 
-def similarity_map(z, tol: float = linalg.STRUCT_TOL) -> SimilarityMap:
+def similarity_map(z) -> SimilarityMap:
     """Validate and invert a row-quasi-stochastic matrix."""
     mat = np.asarray(z, dtype=float)
     res = linalg.row_sum_residual(mat)
-    if res > tol:
+    if res > linalg.STRUCT_TOL:
         raise ValueError(f"map rows must sum to 1, residual {res:.3e}")
     inv = linalg.invert(mat)
     return SimilarityMap(z=mat, z_inverse=inv)
@@ -71,10 +71,7 @@ def apply_map(m: Machine, zmap: SimilarityMap) -> Machine:
 def rjmc_parameters(p: float) -> tuple[float, float]:
     """(a, b) at which the conjugated Perturbed Coin predictive model becomes
     its two-state generative model."""
-    if p == 0.5:
-        raise DegenerateParameter("the Perturbed Coin model degenerates at p = 1/2")
-    if not 0.0 < p < 1.0:
-        raise DegenerateParameter(f"p must lie in (0, 1), got {p}")
+    check_not_half(check_open_unit(p))
     if p < 0.5:
         return p / (2.0 * p - 1.0), 1.0
     return (p - 1.0) / (2.0 * p - 1.0), 1.0
@@ -87,8 +84,7 @@ def rjmc_domain_check(p: float, a: float, b: float) -> bool:
     For each parameter regime the admissible set is the union of two boxes
     (swapping the roles of a and b); bounds are inclusive.
     """
-    if p == 0.5 or not 0.0 < p < 1.0:
-        raise DegenerateParameter(f"p must lie in (0, 1) away from 1/2, got {p}")
+    check_not_half(check_open_unit(p))
     if a == b:
         return False
     lo = p / (2.0 * p - 1.0)

@@ -52,10 +52,10 @@ def _reference_row_sum_residual(m):
     return float(np.abs(_reference_as_matrix(m).sum(axis=1) - 1.0).max())
 
 
-def reference_left_fixed_vector(m, tol=linalg.STRUCT_TOL, eigen_tol=linalg.EIGEN_TOL):
+def reference_left_fixed_vector(m):
     a = _reference_as_matrix(m)
     res = float(np.abs(a.sum(axis=1) - 1.0).max())
-    if res > tol:
+    if res > linalg.STRUCT_TOL:
         raise ValueError(f"matrix is not quasi-stochastic: row-sum residual {res:.3e}")
     n = a.shape[0]
     bordered = np.ones((n + 1, n + 1))
@@ -66,18 +66,18 @@ def reference_left_fixed_vector(m, tol=linalg.STRUCT_TOL, eigen_tol=linalg.EIGEN
     except np.linalg.LinAlgError as exc:
         raise errors.DegenerateFixedSpace(f"eigenvalue 1 is not simple: {exc}") from exc
     cond = float(np.abs(bordered).sum(axis=0).max() * np.abs(inv).sum(axis=0).max())
-    if not cond <= linalg.DEGENERACY_COND / eigen_tol:
+    if not cond <= linalg.DEGENERACY_COND / linalg.EIGEN_TOL:
         raise errors.DegenerateFixedSpace(
             f"eigenvalue 1 is not numerically simple: bordered condition number {cond:.3e}"
         )
     v = inv[:n, n]
     residual = float(np.max(np.abs(v @ a - v)))
-    if residual > 10 * eigen_tol:
+    if residual > 10 * linalg.EIGEN_TOL:
         raise errors.NoUnitEigenvalue(f"fixed-vector residual {residual:.3e} exceeds tolerance")
     return v / v.sum()
 
 
-def reference_make_machine(alphabet, states, matrices, stationary=None, tol=linalg.STRUCT_TOL):
+def reference_make_machine(alphabet, states, matrices, stationary=None):
     """Returns (matrices, stationary, stationary residual)."""
     n = len(states)
     mats = {}
@@ -90,16 +90,16 @@ def reference_make_machine(alphabet, states, matrices, stationary=None, tol=lina
         mats[x] = np.array(a, dtype=float)
     total = sum(mats[x] for x in alphabet)
     res = _reference_row_sum_residual(total)
-    if res > tol:
+    if res > linalg.STRUCT_TOL:
         raise errors.MachineFormatError(f"summed transition matrix row-sum residual {res:.3e}")
     if stationary is None:
-        pi = reference_left_fixed_vector(total, tol=tol)
+        pi = reference_left_fixed_vector(total)
         residual = float(np.abs(pi @ total - pi).max())
     else:
         pi = np.asarray(stationary, dtype=float)
         if not np.all(np.isfinite(pi)):
             raise errors.StationaryMismatch("stationary vector has NaN or infinite entries")
-        if abs(pi.sum() - 1.0) > tol:
+        if abs(pi.sum() - 1.0) > linalg.STRUCT_TOL:
             raise errors.StationaryMismatch(f"stationary sums to {pi.sum():.12g}, expected 1")
         residual = float(np.max(np.abs(pi @ total - pi)))
         if residual > 10 * linalg.EIGEN_TOL:

@@ -108,6 +108,66 @@ def test_every_error_class_has_one_exit_code(error, capsys, monkeypatch):
     assert json.loads(lines[0]) == {"error": error.__name__, "message": "synthetic failure"}
 
 
+#: arguments each subcommand needs besides its options; a usage error is
+#: refused before a file is opened or a value computed
+SUBCOMMANDS = {
+    "make-machine": ("--process", "perturbed-coin", "--p", "0.3"),
+    "measures": ("m.json", "--all"),
+    "sweep": ("--p-grid", "0.3"),
+    "reproduce": ("fig5",),
+    "construct-nmachine": ("--process", "perturbed-coin", "--p", "0.3"),
+    "transform": ("--machine", "m.json", "--a", "0.5", "--b", "0.0"),
+    "wigner": ("--p", "0.3"),
+}
+WITH_HORIZON = {"measures", "sweep", "reproduce", "construct-nmachine"}
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_each_subcommand_takes_only_the_options_it_reads(command, capsys):
+    argv = [command, *SUBCOMMANDS[command]]
+    parsed = vars(cli.build_parser().parse_args(argv))
+    assert ("horizon" in parsed) == (command in WITH_HORIZON)
+    assert ("seed" in parsed) == (command == "construct-nmachine")
+    assert "tol" not in parsed and "out" in parsed
+    refused = [("--tol", "1e-3")]
+    if command != "construct-nmachine":
+        refused.append(("--seed", "1"))
+    if command not in WITH_HORIZON:
+        refused.append(("--horizon", "3"))
+    for option in refused:
+        code, out, err = run(capsys, *argv, *option)
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        message = f"quasihmm: unrecognized arguments: {' '.join(option)}"
+        assert json.loads(lines[0]) == {"error": "ValueError", "message": message}
+
+
+@pytest.mark.parametrize("argv", [
+    ("wigner", "--p", "abc"),
+    ("measures",),
+    (),
+    ("make-machine", "--process", "nope"),
+    ("sweep", "--horizon"),
+])
+def test_usage_error_exits_2_with_one_json_line(argv, capsys):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])
+    assert error["error"] == "ValueError" and error["message"].startswith("quasihmm")
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as raised:
+        cli.main(["wigner", "--help"])
+    assert raised.value.code == 0
+    assert "--p" in capsys.readouterr().out
+
+
 class TestOversizedSns:
     """A truncation beyond the state cap, or one whose survival probability
     underflows to 0, is refused before any allocation: exit 2, one JSON
@@ -236,7 +296,8 @@ class TestMeasures:
         assert error["error"] == "MachineFormatError"
         assert repr(field) in error["message"]
 
-    @pytest.mark.parametrize("groups", [[0], [0, 1, 2], [5, -3]])
+    @pytest.mark.parametrize("groups", [[0], [0, 1, 2], [5, -3], [0.5, 1.7], ["a", "b"],
+                                        [True, False]])
     def test_bad_groups_exit_2(self, capsys, tmp_path, groups):
         doc = perturbed_coin_epsilon(0.3).to_json_dict()
         doc["groups"] = groups
@@ -324,8 +385,7 @@ class TestSweep:
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
         for path in paths:
             assert cli.main(
-                ["sweep", "--process", "sns", "--p-grid", "0.2,0.5,0.8",
-                 "--seed", "7", "--out", str(path)]
+                ["sweep", "--process", "sns", "--p-grid", "0.2,0.5,0.8", "--out", str(path)]
             ) == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
 

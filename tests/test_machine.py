@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import quasihmm.linalg
 import quasihmm.machine
 from conftest import (
     all_words,
@@ -260,15 +261,16 @@ class TestClassify:
         assert not cls.classical and not cls.unifilar
 
 
-    def test_classification_is_remembered_per_tolerance(self):
-        # the 0.05 entry is a second branch at the default tolerance only
+    def test_classification_is_remembered(self, monkeypatch):
+        # the 0.05 entry is a second branch at the structural tolerance only
         t0 = [[0.6, 0.05], [0.0, 0.0]]
         t1 = [[0.0, 0.35], [1.0, 0.0]]
         m = make_machine(("0", "1"), ("a", "b"), {"0": t0, "1": t1})
         assert m.classify() is m.classify()
         assert not m.classify().unifilar
-        assert m.classify(tol=0.1).unifilar
+        monkeypatch.setattr(quasihmm.linalg, "STRUCT_TOL", 0.1)
         assert not m.classify().unifilar
+        assert make_machine(("0", "1"), ("a", "b"), {"0": t0, "1": t1}).classify().unifilar
 
 
 def _coin_matrices(coin):
@@ -315,10 +317,18 @@ class TestMakeMachineChecks:
         ([0], "groups has 1 entries, expected 2"),
         ([0, 1, 2], "groups has 3 entries, expected 2"),
         ([5, -3], "groups has a negative entry -3"),
+        ([0.5, 1.7], "groups entry 0.5 is not an integer"),
+        (["a", "b"], "groups entry 'a' is not an integer"),
+        ([True, False], "groups entry True is not an integer"),
     ])
     def test_make_machine_rejects_bad_groups(self, coin, groups, message):
         with pytest.raises(errors.MachineFormatError, match=message):
             make_machine(coin.alphabet, coin.states, _coin_matrices(coin), groups=groups)
+
+    def test_make_machine_takes_numpy_integer_groups(self, coin):
+        m = make_machine(coin.alphabet, coin.states, _coin_matrices(coin),
+                         groups=np.array([1, 0], dtype=np.int32))
+        assert m.groups == (1, 0) and all(type(g) is int for g in m.groups)
 
 
 class TestFutureFidelity:

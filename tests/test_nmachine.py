@@ -669,7 +669,7 @@ def reference_optimize(source, spec, e_half, opts):
 
     Returns (parameters, c_n2, trials)."""
     names = spec.param_names
-    threshold = opts.sat_tol * max(1.0, abs(e_half))
+    threshold = nm.SAT_TOL * max(1.0, abs(e_half))
 
     def entropy_at(vec):
         try:
@@ -702,7 +702,7 @@ def reference_optimize(source, spec, e_half, opts):
         x = start.copy()
         fx = objective(x)
         trials += 1
-        step = opts.initial_step
+        step = nm.INITIAL_STEP
         while step >= opts.min_step and trials < opts.max_evals:
             improved = False
             for i in range(dims):

@@ -7,6 +7,8 @@ import pytest
 from conftest import assert_stationary, oracle_word_probability, word_probability
 from quasihmm import errors
 from quasihmm.machine import same_process, word_distribution_distance
+from quasihmm.measures import perturbed_coin_excess_half
+from quasihmm.nmachine import perturbed_coin_ideal_params
 from quasihmm.processes import (
     MAX_SNS_STATES,
     even_process_epsilon,
@@ -23,6 +25,8 @@ from quasihmm.processes import (
     sns_waiting_time,
     unbiased_coin,
 )
+from quasihmm.quantum import wigner_qubit_representation
+from quasihmm.transforms import rjmc_domain_check, rjmc_parameters
 
 GRID = [0.1, 0.2, 0.3, 0.4, 0.6, 0.7, 0.8, 0.9]
 
@@ -55,6 +59,24 @@ class TestPerturbedCoin:
     def test_out_of_range(self):
         with pytest.raises(errors.DegenerateParameter):
             perturbed_coin_epsilon(1.2)
+
+    #: the Perturbed Coin functions of the other modules, each with whether
+    #: it refuses p = 1/2
+    P_CHECKED = {
+        "perturbed_coin_excess_half": (perturbed_coin_excess_half, False),
+        "wigner_qubit_representation": (wigner_qubit_representation, False),
+        "perturbed_coin_ideal_params": (perturbed_coin_ideal_params, True),
+        "rjmc_parameters": (rjmc_parameters, True),
+        "rjmc_domain_check": (lambda p: rjmc_domain_check(p, 0.0, 1.0), True),
+    }
+
+    @pytest.mark.parametrize("name,p", [
+        (name, p) for name, (_, half) in P_CHECKED.items()
+        for p in (0.0, 1.0, 1.5) + ((0.5,) if half else ())
+    ])
+    def test_p_is_checked_by_the_process_checks(self, name, p):
+        with pytest.raises(errors.DegenerateParameter):
+            self.P_CHECKED[name][0](p)
 
     def test_symbol_marginals_are_uniform(self):
         dist = perturbed_coin_epsilon(0.3).word_distribution(1)

@@ -361,7 +361,7 @@ class TestWignerMachine:
     @pytest.mark.parametrize("p", [0.1, 0.3, 0.7])
     def test_reproduces_perturbed_coin_process(self, p):
         machine = wigner_as_machine(wigner_qubit_representation(p))
-        assert same_process(machine, perturbed_coin_epsilon(p), horizon=8, tol=1e-9)
+        assert same_process(machine, perturbed_coin_epsilon(p))
 
     def test_classification_is_quasi_nonunifilar(self):
         for p in (0.2, 0.8):
