@@ -24,7 +24,6 @@ from .measures import (
     excess_entropy_half_closed_form,
     excess_entropy_shannon,
     mana,
-    memory_advantage,
     negativity,
     perturbed_coin_excess_half,
     renyi_entropy,
@@ -40,14 +39,12 @@ from .nmachine import (
     assess_split_machine,
     build_split_machine,
     generic_split_spec,
-    golden_mean_bad_nmachine,
     golden_mean_bad_split_spec,
     optimize_ideal,
     perturbed_coin_ideal_params,
     perturbed_coin_split_spec,
     sns_ideal_params,
     sns_split_spec,
-    trivial_split_spec,
     verify_nmachine_properties,
 )
 from .processes import (

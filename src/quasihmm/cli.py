@@ -257,7 +257,7 @@ class _SnsRow(_Row):
         **_SHARED_COLUMNS,
         **_SPLIT_COLUMNS,
         "C_g2": lambda row: ms.renyi_entropy(row.source.stationary, 2),
-        "C_q2": lambda row: qm.quantum_complexity(qm.sns_gram_ensemble(row.p, row.truncation)),
+        "C_q2": lambda row: qm.quantum_complexity(qm.sns_gram_ensemble(row.renewal)),
     }
 
     @functools.cached_property
@@ -266,14 +266,19 @@ class _SnsRow(_Row):
         return procs.sns_g_machine(self.p)
 
     @functools.cached_property
+    def renewal(self) -> procs.SnsRenewalData:
+        """The renewal series, shared by C_mu2, C_q2 and the overlap."""
+        return procs.sns_renewal_data(self.p, self.truncation)
+
+    @functools.cached_property
     def c_mu2(self) -> float:
-        weights = procs.sns_renewal_data(self.p, self.truncation).stationary_weights()
+        weights = self.renewal.stationary_weights()
         return ms.renyi_entropy(weights / weights.sum(), 2)
 
     @functools.cached_property
     def overlap(self) -> tuple[float, float]:
         """The past-future overlap, shared by E_half and the ideal split."""
-        return procs.sns_past_future_overlap(self.p, self.truncation)
+        return procs.sns_past_future_overlap(self.renewal)
 
     @functools.cached_property
     def e_half(self) -> float:

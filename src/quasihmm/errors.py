@@ -108,10 +108,6 @@ class QuasiMachineUnsupported(UnsupportedError):
     """Operation defined only for machines with nonnegative transitions."""
 
 
-class ZeroBaseline(UnsupportedError):
-    """Relative memory advantage is undefined for a zero classical baseline."""
-
-
 # --- quantum ----------------------------------------------------------------
 
 class NotConverged(NumericalError):

@@ -22,11 +22,10 @@ from .errors import (
     NegativeEntriesUnsupportedOrder,
     QuasiMachineUnsupported,
     UnsupportedProcess,
-    ZeroBaseline,
     ZeroEntryWithQuasiOrder,
 )
 from .machine import Machine
-from .processes import check_open_unit, sns_past_future_overlap
+from .processes import check_open_unit, sns_past_future_overlap, sns_renewal_data
 
 #: tolerance for normalization / nonnegativity checks on distributions
 DIST_TOL = 1e-9
@@ -121,13 +120,6 @@ def mana(q) -> float:
     simulating the signed vector by sampling its absolute values.
     """
     return 2.0 * float(np.log2(negativity(q)))
-
-
-def memory_advantage(c_n2: float, c_mu2: float) -> float:
-    """Relative memory advantage |c_n2 - c_mu2| / c_mu2."""
-    if c_mu2 <= 0:
-        raise ZeroBaseline(f"classical baseline must be positive, got {c_mu2}")
-    return abs(c_n2 - c_mu2) / c_mu2
 
 
 # --- Sibson alpha-mutual information -----------------------------------------
@@ -279,14 +271,12 @@ def sns_excess_entropy_half(
 ) -> tuple[float, float]:
     """Half-order excess entropy of the SNS process with truncated series;
     returns (value, truncation residual in bits).  ``overlap`` is the pair
-    :func:`sns_past_future_overlap` returns for ``p`` and ``truncation``,
-    when the caller has it already."""
-    overlap, overlap_residual = (
-        overlap if overlap is not None else sns_past_future_overlap(p, truncation)
-    )
-    value = -float(np.log2(overlap))
-    residual = abs(overlap_residual / (overlap * np.log(2.0)))
-    return value, residual
+    :func:`sns_past_future_overlap` returns for the renewal data of ``p`` and
+    ``truncation``, when the caller has it already."""
+    if overlap is None:
+        overlap = sns_past_future_overlap(sns_renewal_data(p, truncation))
+    value, residual = overlap
+    return -float(np.log2(value)), abs(residual / (value * np.log(2.0)))
 
 
 def excess_entropy_half_closed_form(

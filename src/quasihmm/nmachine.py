@@ -38,7 +38,12 @@ from .errors import (
 )
 from .machine import Machine, make_machine
 from .measures import half_excess_from_futures, mana, negativity, renyi_entropy
-from .processes import check_not_half, check_open_unit, sns_past_future_overlap
+from .processes import (
+    check_not_half,
+    check_open_unit,
+    sns_past_future_overlap,
+    sns_renewal_data,
+)
 
 BRANCH_PLUS = "plus"
 BRANCH_MINUS = "minus"
@@ -78,7 +83,9 @@ class SplitSpec:
     source transition (row j, copy l_j, symbol x, target k) the entry
     ``rules[(j, l_j, x, k)]`` lists affine expressions for the first
     ``copy_counts[k] - 1`` shares; the last share is the remainder.  Missing
-    rules put the full mass on the target's copy 0.
+    rules put the full mass on the target's copy 0.  A rule whose key names
+    no source row, copy, symbol or target is refused when the spec is laid
+    out for a source.
     """
 
     copy_counts: tuple[int, ...]
@@ -112,6 +119,9 @@ class CompiledSplit:
     every remainder) that has one, so the arithmetic is that of
     ``Affine.evaluate`` and the remainder rule, operation for operation, and
     the matrices match the per-share construction bit for bit.
+
+    :meth:`build` lays out the rule-free default in one broadcast and visits
+    only the entries the rules name, so its cost scales with the rules.
     """
 
     gather: np.ndarray
@@ -129,57 +139,59 @@ class CompiledSplit:
         counts = spec.copy_counts
         n_src = len(counts)
         extended = spec.extended_states()
-        index = {pair: i for i, pair in enumerate(extended)}
-        param_index = {name: i for i, name in enumerate(spec.param_names)}
         size = len(extended)
-        # each extended entry as (kind, index): 0 source entry, 1 head,
-        # 2 remainder, 3 zero
-        kinds = np.zeros((len(source.alphabet), size, size), dtype=np.intp)
-        where = np.zeros_like(kinds)
+        index = {pair: i for i, pair in enumerate(extended)}
+        symbol_index = {x: s for s, x in enumerate(source.alphabet)}
+        param_index = {name: i for i, name in enumerate(spec.param_names)}
+        groups = tuple(k for k, _ in extended)
+        heads_at = len(source.alphabet) * n_src * n_src
+        remainders_at = heads_at + sum(len(rule) for rule in spec.rules.values())
+        zero_at = remainders_at + len(spec.rules)
+
+        # without a rule, copy 0 of target k takes source entry
+        # (s * n_src + j) * n_src + k and every other copy the zero
+        group = np.array(groups)
+        symbols = np.arange(len(source.alphabet))[:, None, None]
+        gather = (symbols * n_src + group[:, None]) * n_src + group
+        gather[:, :, np.array([l > 0 for _, l in extended])] = zero_at
+
         consts: list[float] = []
         remainder_sources: list[int] = []
         # layer m first appears after layer m - 1, so the dicts keep
         # the layers in order
         terms: dict[int, list[tuple[int, int, float]]] = {}
         remainder_terms: dict[int, list[tuple[int, int]]] = {}
+        # flat positions in ``gather`` that the rules fill, and their values
+        ruled: list[int] = []
+        taken: list[int] = []
+        for key, rule in spec.rules.items():
+            j, l_j, x, k = key
+            if (j, l_j) not in index or x not in symbol_index or k not in range(n_src):
+                raise SpecMismatch(
+                    f"rule for {key} names no entry of copy counts {counts} "
+                    f"over symbols {source.alphabet}"
+                )
+            if len(rule) != counts[k] - 1:
+                raise SpecMismatch(
+                    f"rule for {key} has {len(rule)} shares, expected {counts[k] - 1}"
+                )
+            s = symbol_index[x]
+            r = len(remainder_sources)
+            remainder_sources.append((s * n_src + j) * n_src + k)
+            for l_k, expr in enumerate(rule):
+                h = len(consts)
+                consts.append(expr.const)
+                for m, (name, coef) in enumerate(expr.coeffs.items()):
+                    if name not in param_index:
+                        raise SpecMismatch(f"rule for {key} uses unknown parameter {name!r}")
+                    terms.setdefault(m, []).append((h, param_index[name], coef))
+                remainder_terms.setdefault(l_k, []).append((r, h))
+                taken.append(heads_at + h)
+            taken.append(remainders_at + r)
+            at = (s * size + index[(j, l_j)]) * size + index[(k, 0)]
+            ruled.extend(range(at, at + counts[k]))
+        np.put(gather, ruled, taken)
 
-        for s, x in enumerate(source.alphabet):
-            for row, (j, l_j) in enumerate(extended):
-                for k in range(n_src):
-                    entry = (s * n_src + j) * n_src + k
-                    cols = [index[(k, l_k)] for l_k in range(counts[k])]
-                    rule = spec.rules.get((j, l_j, x, k))
-                    if rule is None:
-                        where[s, row, cols[0]] = entry
-                        kinds[s, row, cols[1:]] = 3
-                        continue
-                    if len(rule) != counts[k] - 1:
-                        raise SpecMismatch(
-                            f"rule for {(j, l_j, x, k)} has {len(rule)} shares, "
-                            f"expected {counts[k] - 1}"
-                        )
-                    r = len(remainder_sources)
-                    remainder_sources.append(entry)
-                    for l_k, expr in enumerate(rule):
-                        h = len(consts)
-                        consts.append(expr.const)
-                        for m, (name, coef) in enumerate(expr.coeffs.items()):
-                            if name not in param_index:
-                                raise SpecMismatch(
-                                    f"rule for {(j, l_j, x, k)} uses unknown parameter {name!r}"
-                                )
-                            terms.setdefault(m, []).append((h, param_index[name], coef))
-                        remainder_terms.setdefault(l_k, []).append((r, h))
-                        kinds[s, row, cols[l_k]] = 1
-                        where[s, row, cols[l_k]] = h
-                    kinds[s, row, cols[-1]] = 2
-                    where[s, row, cols[-1]] = r
-
-        n_entries = len(source.alphabet) * n_src * n_src
-        offsets = np.array(
-            [0, n_entries, n_entries + len(consts),
-             n_entries + len(consts) + len(remainder_sources)]
-        )
         term_layers = tuple(
             (np.array(h, dtype=np.intp), np.array(i, dtype=np.intp), np.array(c, dtype=float))
             for h, i, c in (zip(*layer) for layer in terms.values())
@@ -189,7 +201,7 @@ class CompiledSplit:
             for r, h in (zip(*layer) for layer in remainder_terms.values())
         )
         return cls(
-            gather=offsets[kinds] + where,
+            gather=gather,
             consts=np.array(consts, dtype=float),
             term_layers=term_layers,
             remainder_sources=np.array(remainder_sources, dtype=np.intp),
@@ -198,7 +210,7 @@ class CompiledSplit:
                 f"{source.states[k]}.{l}" if counts[k] > 1 else source.states[k]
                 for k, l in extended
             ),
-            groups=tuple(k for k, _ in extended),
+            groups=groups,
         )
 
     def matrices(self, source: Machine, theta: np.ndarray) -> np.ndarray:
@@ -216,11 +228,6 @@ class CompiledSplit:
             [entries, heads, entries[self.remainder_sources] - taken, [0.0]]
         )
         return values[self.gather]
-
-
-def trivial_split_spec(source: Machine) -> SplitSpec:
-    """One copy per state and no parameters: rebuilds the source machine."""
-    return SplitSpec(copy_counts=(1,) * source.n_states)
 
 
 def generic_split_spec(source: Machine, copy_counts: Sequence[int]) -> SplitSpec:
@@ -427,11 +434,15 @@ def assess_split_machine(
     c_mu2: float,
 ) -> NMachineResult:
     """Collision entropy, negativity bookkeeping, and bound flags for a built
-    machine against a given half-order excess entropy and classical memory."""
+    machine against a given half-order excess entropy and classical memory.
+
+    The advantage is the relative memory advantage |c_n2 - c_mu2| / c_mu2,
+    NaN at a zero baseline.
+    """
     pi = np.asarray(machine.stationary)
-    # not measures.renyi_entropy and memory_advantage: they refuse a signed
-    # vector with a near-zero entry and a zero baseline, and every split
-    # point, the search's or one the caller gives, must be scored
+    # not measures.renyi_entropy: it refuses a signed vector with a
+    # near-zero entry, and every split point, the search's or one the
+    # caller gives, must be scored
     c_n2 = -float(np.log2(np.sum(pi * pi)))
     threshold = SAT_TOL * max(1.0, abs(e_half))
     return NMachineResult(
@@ -513,10 +524,12 @@ def sns_ideal_params(
 
     where V is the truncated past-future overlap (so -log2 V is the excess
     entropy).  A negative radicand is reported rather than assumed away.
-    ``overlap`` is the pair :func:`sns_past_future_overlap` returns for ``p``
-    and ``truncation``, when the caller has it already.
+    ``overlap`` is the pair :func:`sns_past_future_overlap` returns for the
+    renewal data of ``p`` and ``truncation``, when the caller has it already.
     """
-    value, residual = overlap if overlap is not None else sns_past_future_overlap(p, truncation)
+    if overlap is None:
+        overlap = sns_past_future_overlap(sns_renewal_data(p, truncation))
+    value, residual = overlap
     if residual > 1e-9:
         raise TruncationTooCoarse(
             f"past-future overlap truncation residual {residual:.3e} too large"
@@ -545,29 +558,6 @@ def golden_mean_bad_split_spec(p: float) -> SplitSpec:
             (1, 0, "0", 0): (Affine(0.5),),
         },
     )
-
-
-def golden_mean_bad_nmachine(
-    p: float, q: float, horizon: int = 12, source: Machine | None = None
-) -> NMachineResult:
-    """Build and assess the no-advantage Golden Mean split at parameter q.
-
-    The split stationary vector is pinned at
-    (1-p)/(2-p) * [1/(2-2p), 1/(2-2p), 1] for every q; this is re-derived
-    from the built machine and cross-checked before returning.
-    """
-    from .measures import excess_entropy_half
-    from .processes import golden_mean_epsilon
-
-    src = source if source is not None else golden_mean_epsilon(p)
-    machine = build_split_machine(src, golden_mean_bad_split_spec(p), {"q": q})
-    scale = (1 - p) / (2 - p)
-    pinned = np.array([scale / (2 - 2 * p), scale / (2 - 2 * p), scale])
-    if np.max(np.abs(np.asarray(machine.stationary) - pinned)) > 1e-9:
-        raise ArithmeticError("split stationary vector moved off its pinned value")
-    e_half = excess_entropy_half(src, horizon).value
-    c_mu2 = renyi_entropy(src.stationary, 2)
-    return assess_split_machine(machine, {"q": q}, e_half, c_mu2)
 
 
 # --- derivative-free parameter optimization --------------------------------------

@@ -318,19 +318,18 @@ def sns_epsilon_truncated(
         ) from exc
 
 
-def sns_past_future_overlap(p: float, truncation: int | None = None) -> tuple[float, float]:
+def sns_past_future_overlap(data: SnsRenewalData) -> tuple[float, float]:
     """Squared Bhattacharyya overlap between the predictive-state distribution
     and the reverse-state conditionals of the SNS process:
 
         sum_m ( sum_n mu * sqrt(phi(m+n) * Phi(n)) )^2
 
     This is the quantity whose negative log is the process's half-order excess
-    entropy.  Both sums are truncated at the same index; the second return
+    entropy.  Both sums are truncated at ``data.truncation``; the second return
     value estimates the truncation residual by comparison with a slightly
     shallower truncation.
     """
-    p = check_open_unit(p)
-    data = sns_renewal_data(p, truncation)
+    p = data.p
 
     def overlap(n_cut: int) -> float:
         idx = np.arange(n_cut + 1)

@@ -23,9 +23,9 @@ import numpy as np
 from .errors import IsometryViolated, NonPSD, NotConverged, QuasiMachineUnsupported
 from .machine import Machine, make_machine
 from .processes import (
+    SnsRenewalData,
     check_open_unit,
     check_sns_survival,
-    sns_renewal_data,
     sns_root_waiting_grid,
     sns_surviving,
 )
@@ -121,7 +121,7 @@ def gram_from_machine(
     return gram
 
 
-def sns_gram_ensemble(p: float, truncation: int | None = None) -> GramEnsemble:
+def sns_gram_ensemble(data: SnsRenewalData) -> GramEnsemble:
     """Gram ensemble of the SNS process's quantum model from renewal data.
 
     State n is encoded with amplitudes sqrt(phi(n+k)/Phi(n)) on the waiting
@@ -132,8 +132,7 @@ def sns_gram_ensemble(p: float, truncation: int | None = None) -> GramEnsemble:
     whose Phi(N) underflows to 0 is refused with ``TruncationTooLarge``
     before anything is divided.
     """
-    data = sns_renewal_data(p, truncation)
-    n_cut = data.truncation
+    p, n_cut = data.p, data.truncation
     check_sns_survival(n_cut, p)
     idx = np.arange(n_cut + 1)
     root_phi = sns_root_waiting_grid(n_cut, p)

@@ -144,9 +144,10 @@ def test_criterion_4_inequality_chain_and_even_process():
         e_half = perturbed_coin_excess_half(p)
         chain_ok &= c_mu2 >= c_q2 - 1e-12 and c_q2 >= e_half - margin
     for p in SNS_GRID:
-        weights = sns_renewal_data(p).stationary_weights()
+        data = sns_renewal_data(p)
+        weights = data.stationary_weights()
         c_mu2 = renyi_entropy(weights / weights.sum(), 2)
-        c_q2 = quantum_complexity(sns_gram_ensemble(p))
+        c_q2 = quantum_complexity(sns_gram_ensemble(data))
         e_half, _ = sns_excess_entropy_half(p)
         chain_ok &= c_mu2 >= c_q2 - 1e-12 and c_q2 >= e_half - margin
 
@@ -166,7 +167,7 @@ def test_criterion_5_sns_renewal_and_saturation():
         data = sns_renewal_data(p)
         assert sns_surviving(data.truncation + 1, p) < 1e-12
         worst_mu = max(worst_mu, abs(data.mean_firing_rate - (1 - p) / 2))
-        overlap, _ = sns_past_future_overlap(p)
+        overlap, _ = sns_past_future_overlap(data)
         machine = sns_ideal(p)
         c_n2 = renyi_entropy(machine.stationary, 2)
         worst_sat = max(worst_sat, abs(c_n2 + math.log2(overlap)))

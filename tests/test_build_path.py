@@ -25,7 +25,6 @@ from quasihmm.nmachine import (
     perturbed_coin_split_spec,
     sns_ideal_params,
     sns_split_spec,
-    trivial_split_spec,
 )
 from quasihmm.processes import (
     even_process_epsilon,
@@ -179,7 +178,7 @@ class TestBuildMatchesReference:
         cases += [(source, spec, rng.uniform(-0.3, 0.3, len(spec.param_names)))
                   for source, spec, _ in list(cases)]
         for source in (perturbed_coin_epsilon(0.3), golden_mean_epsilon(0.4), sns_g_machine(0.6)):
-            cases.append((source, trivial_split_spec(source), ()))
+            cases.append((source, generic_split_spec(source, (1,) * source.n_states), ()))
             for counts in ((2, 1), (2, 2), (3, 1)):
                 spec = generic_split_spec(source, counts)
                 cases += [(source, spec, rng.uniform(-1.0, 1.0, len(spec.param_names)))

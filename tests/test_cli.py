@@ -78,7 +78,7 @@ EXIT_CODES = {
     ), 2),
     **dict.fromkeys((
         "UnsupportedError", "QuasiMachineUnsupported", "NegativeEntriesUnsupportedOrder",
-        "ZeroEntryWithQuasiOrder", "NegativeConditional", "InvalidAlpha", "ZeroBaseline",
+        "ZeroEntryWithQuasiOrder", "NegativeConditional", "InvalidAlpha",
     ), 3),
     **dict.fromkeys((
         "NumericalError", "NoUnitEigenvalue", "DegenerateFixedSpace", "SingularMatrix",

@@ -12,7 +12,6 @@ from quasihmm.measures import (
     excess_entropy_shannon,
     half_excess_from_futures,
     mana,
-    memory_advantage,
     negativity,
     perturbed_coin_excess_half,
     renyi_entropy,
@@ -107,19 +106,6 @@ class TestNegativityAndMana:
             rescaled = np.abs(q) / np.sum(np.abs(q))
             lhs = renyi_entropy(rescaled, 2) - renyi_entropy(q, 2)
             assert lhs == pytest.approx(mana(q), abs=1e-10)
-
-
-class TestMemoryAdvantage:
-    def test_equal_inputs(self):
-        assert memory_advantage(0.7, 0.7) == 0.0
-
-    def test_perturbed_coin_value(self):
-        e_half = perturbed_coin_excess_half(0.3)
-        assert memory_advantage(e_half, 1.0) == pytest.approx(1.0 - e_half, abs=1e-12)
-
-    def test_zero_baseline(self):
-        with pytest.raises(errors.ZeroBaseline):
-            memory_advantage(0.1, 0.0)
 
 
 class TestAlphaMutualInformation:
@@ -280,9 +266,10 @@ class TestOrderingRelations:
         from quasihmm.processes import sns_renewal_data
         from quasihmm.quantum import sns_gram_ensemble
 
-        weights = sns_renewal_data(p).stationary_weights()
+        data = sns_renewal_data(p)
+        weights = data.stationary_weights()
         c_mu2 = renyi_entropy(weights / weights.sum(), 2)
-        c_q2 = quantum_complexity(sns_gram_ensemble(p))
+        c_q2 = quantum_complexity(sns_gram_ensemble(data))
         e_half, _ = sns_excess_entropy_half(p)
         assert c_mu2 >= c_q2 - 1e-12
         assert c_q2 >= e_half - 1e-6

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from quasihmm.machine import Machine, make_machine, same_process, word_distribut
 from quasihmm.measures import (
     excess_entropy_half,
     half_excess_from_futures,
-    memory_advantage,
     perturbed_coin_excess_half,
     renyi_entropy,
     sns_excess_entropy_half,
@@ -25,19 +25,18 @@ from quasihmm.nmachine import (
     assess_split_machine,
     build_split_machine,
     generic_split_spec,
-    golden_mean_bad_nmachine,
     golden_mean_bad_split_spec,
     optimize_ideal,
     perturbed_coin_ideal_params,
     perturbed_coin_split_spec,
     sns_ideal_params,
     sns_split_spec,
-    trivial_split_spec,
     verify_nmachine_properties,
 )
 from quasihmm.processes import (
     golden_mean_epsilon,
     perturbed_coin_epsilon,
+    sns_epsilon_truncated,
     sns_g_machine,
     sns_renewal_data,
 )
@@ -57,6 +56,15 @@ def sns_ideal_machine(p, branch=BRANCH_PLUS):
     gamma, eta = sns_ideal_params(p, branch=branch)
     built = build_split_machine(source, sns_split_spec(p), {"gamma": gamma, "eta": eta})
     return source, built, (gamma, eta)
+
+
+def golden_mean_bad(p, q):
+    """The no-advantage Golden Mean split at parameter q, assessed against the
+    source's E_half at horizon 12 and its C_mu2."""
+    source = golden_mean_epsilon(p)
+    built = build_split_machine(source, golden_mean_bad_split_spec(p), {"q": q})
+    e_half = excess_entropy_half(source, 12).value
+    return assess_split_machine(built, {"q": q}, e_half, renyi_entropy(source.stationary, 2))
 
 
 @pytest.fixture(scope="module")
@@ -79,7 +87,7 @@ class TestAffine:
 class TestBuildSplitMachine:
     def test_trivial_split_reproduces_source(self):
         source = perturbed_coin_epsilon(0.3)
-        built = build_split_machine(source, trivial_split_spec(source), {})
+        built = build_split_machine(source, generic_split_spec(source, (1, 1)), {})
         for x in source.alphabet:
             assert np.allclose(built.matrices[x], source.matrices[x], atol=0)
         assert built.stationary == pytest.approx(source.stationary, abs=1e-12)
@@ -174,7 +182,7 @@ class TestVerifyProperties:
 
     def test_trivial_split_passes(self):
         source = perturbed_coin_epsilon(0.3)
-        built = build_split_machine(source, trivial_split_spec(source), {})
+        built = build_split_machine(source, generic_split_spec(source, (1, 1)), {})
         assert verify_nmachine_properties(source, built).passed()
 
     def test_corrupted_shares_violate(self):
@@ -375,6 +383,18 @@ class TestAssessUsesMeasures:
             assert result.mana.hex() == (2.0 * float(np.log2(ell1))).hex()
         assert signs == {True, False}
 
+    def test_perturbed_coin_advantage(self):
+        # the ideal split saturates C_n2 = E_half, and C_mu2 = 1
+        p = 0.3
+        source, built, (q1, q2) = pc_ideal_machine(p)
+        e_half = perturbed_coin_excess_half(p)
+        c_mu2 = renyi_entropy(source.stationary, 2)
+        assert c_mu2 == pytest.approx(1.0, abs=1e-12)
+        result = assess_split_machine(built, {"q1": q1, "q2": q2}, e_half, c_mu2)
+        assert result.advantage == pytest.approx(1.0 - e_half, abs=1e-12)
+        # no advantage over a baseline equal to the split's own memory
+        assert assess_split_machine(built, {}, e_half, result.c_n2).advantage == 0.0
+
     def test_point_refused_by_the_measures_is_still_scored(self):
         # bisect between two seeded points of a (3, 1) split for one where a
         # copy's weight vanishes and another copy's is negative
@@ -398,8 +418,6 @@ class TestAssessUsesMeasures:
         assert abs(pi[1]) <= 1e-9 and pi[0] < -0.1
         with pytest.raises(errors.ZeroEntryWithQuasiOrder):
             renyi_entropy(pi, 2)
-        with pytest.raises(errors.ZeroBaseline):
-            memory_advantage(1.0, 0.0)
         result = assess_split_machine(built, {}, 0.5, 0.0)
         assert result.c_n2 == -float(np.log2(np.sum(pi * pi)))
         assert math.isnan(result.advantage)
@@ -466,7 +484,7 @@ class TestSnsIdealParams:
     def test_negative_radicand_reported(self, monkeypatch):
         import quasihmm.nmachine as nm
 
-        monkeypatch.setattr(nm, "sns_past_future_overlap", lambda p, truncation=None: (0.3, 0.0))
+        monkeypatch.setattr(nm, "sns_past_future_overlap", lambda data: (0.3, 0.0))
         with pytest.raises(errors.NegativeRadicand):
             sns_ideal_params(0.5)
 
@@ -477,29 +495,29 @@ class TestSnsIdealParams:
 
 class TestGoldenMeanBad:
     def test_stationary_independent_of_parameter(self):
-        a = golden_mean_bad_nmachine(0.5, -0.2)
-        b = golden_mean_bad_nmachine(0.5, 0.2)
+        a = golden_mean_bad(0.5, -0.2)
+        b = golden_mean_bad(0.5, 0.2)
         assert a.machine.stationary == pytest.approx(b.machine.stationary, abs=1e-12)
 
     def test_stationary_closed_form(self):
         p = 0.5
-        result = golden_mean_bad_nmachine(p, -0.3)
+        result = golden_mean_bad(p, -0.3)
         scale = (1 - p) / (2 - p)
         expected = [scale / (2 - 2 * p), scale / (2 - 2 * p), scale]
         assert result.machine.stationary == pytest.approx(expected, abs=1e-12)
 
     def test_no_memory_advantage(self):
-        result = golden_mean_bad_nmachine(0.5, -0.2)
+        result = golden_mean_bad(0.5, -0.2)
         assert result.c_n2 > result.c_mu2
         assert not result.saturated
 
     @pytest.mark.parametrize("q", [-0.4, -0.2, 0.3])
     def test_generates_source_process(self, q):
-        result = golden_mean_bad_nmachine(0.5, q)
+        result = golden_mean_bad(0.5, q)
         assert same_process(result.machine, golden_mean_epsilon(0.5))
 
     def test_negative_parameter_injects_negativity(self):
-        result = golden_mean_bad_nmachine(0.5, 0.2)
+        result = golden_mean_bad(0.5, 0.2)
         # q > 0 puts -q < 0 on the cross edges
         assert not result.machine.classify().classical
 
@@ -589,7 +607,7 @@ class TestOptimizeIdeal:
     def test_trivial_spec_returns_source_memory(self):
         source = perturbed_coin_epsilon(0.3)
         result = optimize_ideal(
-            source, trivial_split_spec(source), perturbed_coin_excess_half(0.3)
+            source, generic_split_spec(source, (1, 1)), perturbed_coin_excess_half(0.3)
         )
         assert result.c_n2 == pytest.approx(1.0, abs=1e-12)
         assert not result.saturated
@@ -738,6 +756,15 @@ def _random_params(spec, rng, scale=1.0):
     return dict(zip(spec.param_names, rng.uniform(-scale, scale, len(spec.param_names))))
 
 
+def _points_and_signed_zeros(spec, rng, scale, count):
+    """``count`` random points, then the first with every other parameter -0.0."""
+    points = [_random_params(spec, rng, scale) for _ in range(count)]
+    signed_zeros = dict(points[0])
+    for name in spec.param_names[::2]:
+        signed_zeros[name] = -0.0
+    return points + [signed_zeros]
+
+
 class TestCompiledSplitMatchesReference:
     def test_perturbed_coin_spec(self):
         rng = np.random.default_rng(0)
@@ -775,12 +802,7 @@ class TestCompiledSplitMatchesReference:
         source = make_source()
         spec = generic_split_spec(source, counts)
         rng = np.random.default_rng(sum(counts))
-        points = [_random_params(spec, rng, 1.5) for _ in range(4)]
-        signed_zeros = dict(points[0])
-        for name in spec.param_names[::2]:
-            signed_zeros[name] = -0.0
-        points.append(signed_zeros)
-        for params in points:
+        for params in _points_and_signed_zeros(spec, rng, 1.5, 4):
             try:
                 reference = reference_build(source, spec, params)
             except errors.DegenerateFixedSpace:
@@ -800,7 +822,7 @@ class TestCompiledSplitMatchesReference:
                                  Affine(-0.2, {"c": 2.0})),
                 (0, 2, "0", 0): (Affine(0.0, {"b": 1.0, "a": 1.0 / 3.0}), Affine(0.1)),
                 (1, 1, "1", 1): (Affine(0.05, {"a": -1.0, "c": 0.7, "b": 0.2}),),
-                (2, 0, "1", 1): (Affine(0.3, {"a": 1e-17, "b": 1.0}),),
+                (0, 2, "1", 1): (Affine(0.3, {"a": 1e-17, "b": 1.0}),),
             },
         )
         rng = np.random.default_rng(2)
@@ -808,6 +830,29 @@ class TestCompiledSplitMatchesReference:
             params = _random_params(spec, rng)
             assert_same_machine(build_split_machine(source, spec, params),
                                 reference_build(source, spec, params))
+
+    def test_large_sparse_source_without_rules(self):
+        # 296 states, one of them doubled: every other entry takes the
+        # rule-free default of copy 0 and the trailing zero
+        source = sns_epsilon_truncated(0.9)
+        assert source.n_states == 296
+        spec = generic_split_spec(source, (2,) + (1,) * (source.n_states - 1))
+        rng = np.random.default_rng(3)
+        for params in _points_and_signed_zeros(spec, rng, 0.05, 3):
+            assert_same_machine(build_split_machine(source, spec, params),
+                                reference_build(source, spec, params))
+
+    @pytest.mark.parametrize("key", [
+        (0, 0, "2", 0),  # unknown symbol
+        (0, 5, "0", 0),  # unknown copy
+        (7, 0, "0", 0),  # unknown source state
+        (0, 0, "0", 9),  # unknown target
+    ])
+    def test_rule_naming_no_entry_rejected(self, key):
+        spec = SplitSpec(copy_counts=(2, 1), param_names=("q",),
+                         rules={key: (Affine(0.0, {"q": 1.0}),)})
+        with pytest.raises(errors.SpecMismatch, match=re.escape(str(key))):
+            build_split_machine(perturbed_coin_epsilon(0.3), spec, {"q": 0.1})
 
     def test_rule_with_wrong_share_count_rejected(self):
         spec = SplitSpec(copy_counts=(2, 1), rules={(0, 0, "0", 0): (Affine(), Affine())})

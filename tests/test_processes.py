@@ -249,7 +249,7 @@ class TestSnsMachines:
 class TestPastFutureOverlap:
     def test_matches_plain_double_loop(self):
         p = 0.5
-        value, _ = sns_past_future_overlap(p)
+        value, _ = sns_past_future_overlap(sns_renewal_data(p))
         mu = (1 - p) / 2
         cut = 200
         total = 0.0
@@ -264,7 +264,7 @@ class TestPastFutureOverlap:
 
     def test_residual_reported_small_at_default_truncation(self):
         for p in (0.2, 0.5, 0.8):
-            _, residual = sns_past_future_overlap(p)
+            _, residual = sns_past_future_overlap(sns_renewal_data(p))
             assert residual < 1e-10
 
 
@@ -359,7 +359,7 @@ class TestStateCap:
             with pytest.raises(errors.TruncationTooLarge):
                 sns_epsilon_truncated(p)
             with pytest.raises(errors.TruncationTooLarge):
-                sns_past_future_overlap(p)
+                sns_past_future_overlap(sns_renewal_data(p))
 
     def test_cap_boundary_agrees_with_uncapped_walk(self):
         # bisect p to the last default truncation inside the cap

@@ -183,13 +183,13 @@ class TestRenyi2WithoutSpectrum:
 
     def test_fig9_grid(self):
         for p in cli.default_grid("sns"):
-            assert_matches_reference(sns_gram_ensemble(p))
+            assert_matches_reference(sns_gram_ensemble(sns_renewal_data(p)))
 
     def test_sns_sweep_at_truncation_120(self):
         compared = 0
         for p in cli.default_grid("sns"):
             try:
-                gram = sns_gram_ensemble(p, 120)
+                gram = sns_gram_ensemble(sns_renewal_data(p, 120))
             except errors.TruncationTooCoarse:
                 continue
             assert_matches_reference(gram)
@@ -254,13 +254,13 @@ class TestRenyi2WithoutSpectrum:
 
 class TestSnsGram:
     def test_unit_diagonal(self):
-        gram = sns_gram_ensemble(0.5)
+        gram = sns_gram_ensemble(sns_renewal_data(0.5))
         assert np.allclose(np.diag(gram.overlaps), 1.0, atol=1e-9)
 
     def test_close_to_machine_route(self):
         # the predictive machine's future fidelities approximate the renewal
         # closed form at matching truncation
-        gram_closed = sns_gram_ensemble(0.5)
+        gram_closed = sns_gram_ensemble(sns_renewal_data(0.5))
         machine = sns_epsilon_truncated(0.5)
         gram_machine = gram_from_machine(machine, 40)
         k = 12  # early states are well converged at this truncation
@@ -271,14 +271,15 @@ class TestSnsGram:
     def test_underflowing_survival_is_refused(self):
         # Phi(400) underflows to 0 at p = 0.01; Phi(157) does not
         with pytest.raises(errors.TruncationTooLarge):
-            sns_gram_ensemble(0.01, 400)
-        assert np.all(np.isfinite(sns_gram_ensemble(0.01, 157).overlaps))
+            sns_gram_ensemble(sns_renewal_data(0.01, 400))
+        assert np.all(np.isfinite(sns_gram_ensemble(sns_renewal_data(0.01, 157)).overlaps))
 
     @pytest.mark.parametrize("p", [0.2, 0.4, 0.5, 0.6, 0.8])
     def test_complexity_sits_between_bounds(self, p):
-        weights = sns_renewal_data(p).stationary_weights()
+        data = sns_renewal_data(p)
+        weights = data.stationary_weights()
         c_mu2 = renyi_entropy(weights / weights.sum(), 2)
-        c_q2 = quantum_complexity(sns_gram_ensemble(p))
+        c_q2 = quantum_complexity(sns_gram_ensemble(data))
         e_half, _ = sns_excess_entropy_half(p)
         assert e_half - 1e-6 <= c_q2 <= c_mu2 + 1e-12
 

@@ -51,7 +51,7 @@ def _sns_row(p, horizon, truncation=None):
     weights = data.stationary_weights()
     c_mu2 = ms.renyi_entropy(weights / weights.sum(), 2)
     c_g2 = ms.renyi_entropy(procs.sns_g_machine(p).stationary, 2)
-    c_q2 = qm.quantum_complexity(qm.sns_gram_ensemble(p, truncation))
+    c_q2 = qm.quantum_complexity(qm.sns_gram_ensemble(data))
     e_half, _ = ms.sns_excess_entropy_half(p, truncation)
     gamma, eta = nm.sns_ideal_params(p, truncation, nm.BRANCH_PLUS)
     built = nm.build_split_machine(
@@ -245,6 +245,15 @@ class TestOnlyPrintedColumnsAreComputed:
         assert code == 0
         assert calls == {"sns_past_future_overlap": len(cli.default_grid("sns"))}
 
+    @pytest.mark.parametrize("figure", ["fig9", "fig10"])
+    def test_one_renewal_series_per_sns_row(self, capsys, monkeypatch, figure):
+        calls = {}
+        for module in (procs, ms, nm):
+            _counting(monkeypatch, module, "sns_renewal_data", calls)
+        code, _, _ = run(capsys, "reproduce", figure)
+        assert code == 0
+        assert calls == {"sns_renewal_data": len(cli.default_grid("sns"))}
+
     def test_no_row_outlives_its_call(self, capsys, monkeypatch):
         calls = {}
         _counting(monkeypatch, procs, "sns_past_future_overlap", calls)
@@ -314,7 +323,7 @@ def test_column_tables_cover_the_full_rows():
 
 def test_shared_overlap_gives_the_same_bits():
     for p in (0.05, 0.5, 0.95):
-        overlap = procs.sns_past_future_overlap(p)
+        overlap = procs.sns_past_future_overlap(procs.sns_renewal_data(p))
         assert ms.sns_excess_entropy_half(p, None, overlap) == ms.sns_excess_entropy_half(p)
         shared = np.array(nm.sns_ideal_params(p, None, nm.BRANCH_PLUS, overlap))
         assert shared.tobytes() == np.array(nm.sns_ideal_params(p)).tobytes()
