@@ -21,15 +21,12 @@ from .measures import (
     MeasureReport,
     alpha_mutual_information,
     excess_entropy_half,
-    excess_entropy_half_closed_form,
     excess_entropy_shannon,
     mana,
     negativity,
     perturbed_coin_excess_half,
     renyi_entropy,
-    shannon_entropy,
     sns_excess_entropy_half,
-    statistical_complexity,
 )
 from .nmachine import (
     Affine,

@@ -393,7 +393,8 @@ _CONFIG_FIELDS = {
 
 def _read_sweep_config(path: str) -> dict:
     """The fields a sweep config file sets, each checked for its JSON type; a
-    null field counts as unset, and ``p_grid`` must be set."""
+    null field counts as unset, ``p_grid`` must be set, and a bool is not a
+    number."""
     doc = json.loads(Path(path).read_text())
     if not isinstance(doc, dict):
         raise ValueError("sweep config must be a JSON object")
@@ -401,9 +402,9 @@ def _read_sweep_config(path: str) -> dict:
     if "p_grid" not in doc:
         raise ValueError("sweep config field 'p_grid' is required")
     for key, (kind, what) in _CONFIG_FIELDS.items():
-        if key in doc and not isinstance(doc[key], kind):
+        if key in doc and (not isinstance(doc[key], kind) or isinstance(doc[key], bool)):
             raise ValueError(f"sweep config field {key!r} must be {what}")
-    if not all(isinstance(p, (int, float)) for p in doc["p_grid"]):
+    if not all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in doc["p_grid"]):
         raise ValueError("sweep config field 'p_grid' must be a list of numbers")
     return doc
 
@@ -422,6 +423,8 @@ def cmd_sweep(args) -> int:
         if args.p_grid is not None:
             grid = _parse_grid(args.p_grid)
         else:
+            if not args.p_step > 0:
+                raise ValueError(f"--p-step must be positive, got {args.p_step}")
             grid = list(np.arange(args.p_min, args.p_max + 1e-12, args.p_step).round(12))
             degenerate = _SWEEP_ROWS[process].degenerate_p
             if degenerate is not None:
@@ -604,7 +607,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_wig.set_defaults(handler=cmd_wigner)
 
     for p_sub in (p_meas, p_sweep, p_rep, p_nm):
-        p_sub.add_argument("--horizon", type=int, default=12, help="estimation horizon")
+        p_sub.add_argument(
+            "--horizon", type=int, default=ms.DEFAULT_HORIZON, help="estimation horizon"
+        )
 
     return parser
 

@@ -81,7 +81,7 @@ class TruncationTooLarge(ValidationError):
 
 
 class UnsupportedProcess(ValidationError):
-    """No closed form is available for the requested process."""
+    """A sweep names a process that has no column table."""
 
 
 # --- measures ---------------------------------------------------------------
@@ -109,10 +109,6 @@ class QuasiMachineUnsupported(UnsupportedError):
 
 
 # --- quantum ----------------------------------------------------------------
-
-class NotConverged(NumericalError):
-    """Horizon-truncated quantity did not converge below the requested residual."""
-
 
 class NonPSD(NumericalError):
     """Gram/density spectrum has a negative eigenvalue beyond tolerance."""

@@ -21,7 +21,6 @@ from .errors import (
     NegativeConditional,
     NegativeEntriesUnsupportedOrder,
     QuasiMachineUnsupported,
-    UnsupportedProcess,
     ZeroEntryWithQuasiOrder,
 )
 from .machine import Machine
@@ -95,15 +94,6 @@ def renyi_entropy(q, alpha: float) -> float:
         support = v[v > 0]
         return -float(np.sum(support * np.log2(support)))
     return float(np.log2(np.sum(v**alpha)) / (1.0 - alpha))
-
-
-def shannon_entropy(q) -> float:
-    return renyi_entropy(q, 1.0)
-
-
-def statistical_complexity(m: Machine, alpha: float = 2.0) -> float:
-    """Renyi-``alpha`` entropy of the machine's stationary distribution."""
-    return renyi_entropy(m.stationary, alpha)
 
 
 def negativity(q) -> float:
@@ -277,15 +267,3 @@ def sns_excess_entropy_half(
         overlap = sns_past_future_overlap(sns_renewal_data(p, truncation))
     value, residual = overlap
     return -float(np.log2(value)), abs(residual / (value * np.log(2.0)))
-
-
-def excess_entropy_half_closed_form(
-    process: str, p: float, truncation: int | None = None
-) -> float:
-    """Closed-form half-order excess entropy for the supported processes
-    ("perturbed-coin" or "sns")."""
-    if process == "perturbed-coin":
-        return perturbed_coin_excess_half(p)
-    if process == "sns":
-        return sns_excess_entropy_half(p, truncation)[0]
-    raise UnsupportedProcess(f"no closed form for process {process!r}")

@@ -54,6 +54,10 @@ SAT_TOL = 1e-6
 VERIFY_TOL = 1e-9
 #: first coordinate step of the pattern search
 INITIAL_STEP = 0.25
+#: trial points of one whole search, counting the repeats its memo answers
+MAX_EVALS = 20000
+#: most free parameters the search takes
+MAX_PARAMS = 8
 
 
 def _branch_sign(branch: str) -> float:
@@ -83,9 +87,10 @@ class SplitSpec:
     source transition (row j, copy l_j, symbol x, target k) the entry
     ``rules[(j, l_j, x, k)]`` lists affine expressions for the first
     ``copy_counts[k] - 1`` shares; the last share is the remainder.  Missing
-    rules put the full mass on the target's copy 0.  A rule whose key names
-    no source row, copy, symbol or target is refused when the spec is laid
-    out for a source.
+    rules put the full mass on the target's copy 0.  A rule that is not a
+    4-tuple key with a tuple of shares, or whose key names no source row,
+    copy, symbol or target, is refused when the spec is laid out for a
+    source.
     """
 
     copy_counts: tuple[int, ...]
@@ -145,6 +150,12 @@ class CompiledSplit:
         param_index = {name: i for i, name in enumerate(spec.param_names)}
         groups = tuple(k for k, _ in extended)
         heads_at = len(source.alphabet) * n_src * n_src
+        for key, rule in spec.rules.items():
+            if not (isinstance(key, tuple) and len(key) == 4 and isinstance(rule, tuple)):
+                raise SpecMismatch(
+                    f"rule for {key} must map a (row, copy, symbol, target) key to a tuple "
+                    "of shares"
+                )
         remainders_at = heads_at + sum(len(rule) for rule in spec.rules.values())
         zero_at = remainders_at + len(spec.rules)
 
@@ -261,7 +272,8 @@ def build_split_machine(
     source probability) holds by construction; the stationary quasiprobability
     is computed fresh and a degenerate fixed space (possible at isolated
     parameter values) propagates as an error.  The matrices come from the
-    spec's compiled layout for ``source``, built on first use.
+    spec's compiled layout for ``source``, built on first use.  ``params``
+    must name exactly the spec's parameters.
     """
     if len(spec.copy_counts) != source.n_states:
         raise SpecMismatch(
@@ -270,6 +282,9 @@ def build_split_machine(
     missing = [name for name in spec.param_names if name not in params]
     if missing:
         raise SpecMismatch(f"missing parameter values: {missing}")
+    if len(params) > len(spec.param_names):
+        extra = [name for name in params if name not in spec.param_names]
+        raise SpecMismatch(f"parameters not in the spec: {extra}")
 
     compiled = spec.compiled(source)
     theta = np.array([params[name] for name in spec.param_names], dtype=float)
@@ -565,18 +580,12 @@ def golden_mean_bad_split_spec(p: float) -> SplitSpec:
 
 @dataclass(frozen=True)
 class OptimizeOptions:
-    """Knobs for the deterministic multi-start pattern search.
-
-    ``max_evals`` caps the trial points of the whole search, counting the
-    repeats that the search's memo answers without a build.
-    """
+    """Knobs for the deterministic multi-start pattern search."""
 
     seed: int = 0
     extra_starts: int = 8
     start_box: float = 1.5
     min_step: float = 1e-9
-    max_evals: int = 20000
-    max_params: int = 8
 
 
 def optimize_ideal(
@@ -601,13 +610,13 @@ def optimize_ideal(
 
     The search remembers the objective of every point any start tried,
     keyed by the parameter vector's bytes, and answers a repeated point from
-    that memo, also when an earlier start tried it; ``opts.max_evals`` still
+    that memo, also when an earlier start tried it; ``MAX_EVALS`` still
     counts it as a trial, so the memo changes how many machines are built but
     not the search or its result.
     """
     names = spec.param_names
-    if len(names) > opts.max_params:
-        raise ValueError(f"{len(names)} parameters exceed the cap {opts.max_params}")
+    if len(names) > MAX_PARAMS:
+        raise ValueError(f"{len(names)} parameters exceed the cap {MAX_PARAMS}")
     baseline = c_mu2 if c_mu2 is not None else renyi_entropy(source.stationary, 2)
     threshold = SAT_TOL * max(1.0, abs(e_half))
 
@@ -659,7 +668,7 @@ def optimize_ideal(
         fx = value(x)
         evals += 1
         step = INITIAL_STEP
-        while step >= opts.min_step and evals < opts.max_evals:
+        while step >= opts.min_step and evals < MAX_EVALS:
             improved = False
             for i in range(dims):
                 for sign in (1.0, -1.0):

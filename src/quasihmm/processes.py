@@ -164,14 +164,13 @@ def sns_default_truncation(p: float) -> int:
     return _truncation_walk(check_open_unit(p), math.inf)
 
 
-def _sns_truncation(p: float, truncation: int | None, allow_coarse: bool) -> tuple[int, float]:
+def _sns_truncation(p: float, truncation: int | None) -> tuple[int, float]:
     """Depth N and tail mass Phi(N+1) of a truncated SNS model with states
     0..N: ``truncation`` when given, else :func:`sns_default_truncation`.
 
     Every check runs before anything is allocated: N must be at least 2 and
     the model at most ``MAX_SNS_STATES`` states, and an explicit truncation
-    may leave more than ``TRUNCATION_EPS`` tail mass only with
-    ``allow_coarse``.
+    may not leave more than ``TRUNCATION_EPS`` tail mass.
     """
     if truncation is None:
         n = _truncation_walk(p, MAX_SNS_STATES - 1)
@@ -184,11 +183,10 @@ def _sns_truncation(p: float, truncation: int | None, allow_coarse: bool) -> tup
     if n < 2:
         raise TruncationTooCoarse("need at least states 0..2")
     tail = _surviving(n + 1, p)
-    if truncation is not None and tail > TRUNCATION_EPS and not allow_coarse:
+    if truncation is not None and tail > TRUNCATION_EPS:
         raise TruncationTooCoarse(
             f"truncation {n} leaves tail mass {tail:.3e} above {TRUNCATION_EPS:g}: give a "
-            "larger truncation or none for the default depth (from Python, the keyword "
-            "allow_coarse=True accepts it)"
+            "larger truncation or none for the default depth"
         )
     return n, tail
 
@@ -231,9 +229,7 @@ class SnsRenewalData:
         return self.mean_firing_rate * sns_surviving(n, self.p)
 
 
-def sns_renewal_data(
-    p: float, truncation: int | None = None, allow_coarse: bool = False
-) -> SnsRenewalData:
+def sns_renewal_data(p: float, truncation: int | None = None) -> SnsRenewalData:
     """Waiting-time distribution, survival function, and firing rate.
 
     The mean firing rate is summed numerically from the survival series (the
@@ -242,12 +238,12 @@ def sns_renewal_data(
     available as independent cross-checks.  The series is summed term by
     term in Python floats, in order from Phi(0).  An explicit
     ``truncation`` that leaves more than ``TRUNCATION_EPS`` tail mass is
-    rejected unless ``allow_coarse`` is set, and a model of more than
+    rejected with :class:`TruncationTooCoarse`, and a model of more than
     ``MAX_SNS_STATES`` states is rejected with :class:`TruncationTooLarge`
     before the series is summed.
     """
     p = check_open_unit(p)
-    n, tail = _sns_truncation(p, truncation, allow_coarse)
+    n, tail = _sns_truncation(p, truncation)
 
     total = 1.0  # Phi(0)
     k = 1
@@ -273,9 +269,7 @@ def sns_g_machine(p: float) -> Machine:
     return make_machine(("0", "1"), ("A", "B"), {"0": t0, "1": t1}, stationary=[0.5, 0.5])
 
 
-def sns_epsilon_truncated(
-    p: float, truncation: int | None = None, allow_coarse: bool = False
-) -> Machine:
+def sns_epsilon_truncated(p: float, truncation: int | None = None) -> Machine:
     """Truncated predictive model of the SNS process with states 0..N.
 
     State n (n zeros seen since the last 1) advances on 0 with probability
@@ -290,7 +284,7 @@ def sns_epsilon_truncated(
     with :class:`TruncationTooLarge` too.
     """
     p = check_open_unit(p)
-    n_max, _ = _sns_truncation(p, truncation, allow_coarse)
+    n_max, _ = _sns_truncation(p, truncation)
     check_sns_survival(n_max, p)
 
     size = n_max + 1

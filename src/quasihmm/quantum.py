@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IsometryViolated, NonPSD, NotConverged, QuasiMachineUnsupported
+from .errors import IsometryViolated, NonPSD, QuasiMachineUnsupported
 from .machine import Machine, make_machine
 from .processes import (
     SnsRenewalData,
@@ -32,12 +32,9 @@ from .processes import (
 
 RENYI2 = "renyi2"
 VON_NEUMANN = "von-neumann"
-TOPOLOGICAL = "topological"
 
 #: tolerance on negative Gram-spectrum eigenvalues
 PSD_TOL = 1e-10
-#: eigenvalues above this count toward the rank
-RANK_TOL = 1e-10
 #: Gram-matrix horizon and largest residual of ``validate_unitary_relation``
 ISOMETRY_HORIZON = 24
 ISOMETRY_TOL = 1e-8
@@ -69,8 +66,8 @@ class GramEnsemble:
         ascending; computed when first read and then remembered, so every
         measure of one ensemble shares one eigensolve.  Read-only.
 
-        The von Neumann and topological measures read it; the Rényi-2
-        measure reads it only when its Cholesky certificate fails."""
+        The von Neumann measure reads it; the Rényi-2 measure reads it only
+        when its Cholesky certificate fails."""
         values = np.linalg.eigvalsh(self._symmetrised_density())
         values.setflags(write=False)
         return values
@@ -84,15 +81,12 @@ class GramEnsemble:
         return sym
 
 
-def gram_from_machine(
-    m: Machine, horizon: int, convergence_tol: float | None = None
-) -> GramEnsemble:
+def gram_from_machine(m: Machine, horizon: int) -> GramEnsemble:
     """Gram ensemble of a classical machine at a finite future horizon.
 
     Overlap (j, k) is ``sum_w sqrt(P(w|j) P(w|k))`` over length-``horizon``
     words; for unifilar machines the sums contract geometrically in the
-    horizon.  When ``convergence_tol`` is given, a residual above it raises
-    ``NotConverged`` instead of returning a stale estimate.
+    horizon.
 
     The machine remembers the ensemble of the last horizon asked, so the
     measures of one machine and horizon (``C_q2`` and ``C_q_vN``) share it.
@@ -114,10 +108,6 @@ def gram_from_machine(
         )
         memo.clear()
         memo[horizon] = gram
-    if convergence_tol is not None and gram.residual > convergence_tol:
-        raise NotConverged(
-            f"overlap residual {gram.residual:.3e} above {convergence_tol:g} at horizon {horizon}"
-        )
     return gram
 
 
@@ -177,12 +167,11 @@ def quantum_complexity(g: GramEnsemble, kind: str = RENYI2) -> float:
     """Spectral memory measure of a Gram ensemble.
 
     ``renyi2``: -log2 of the purity; ``von-neumann``: spectral Shannon
-    entropy; ``topological``: log2 of the number of eigenvalues above
-    ``RANK_TOL``.
+    entropy.
 
     The Rényi-2 value comes from :func:`_certified_purity`, with no
     eigensolve, whenever its Cholesky certificate holds; otherwise, and for
-    the other kinds, from :attr:`GramEnsemble.spectrum`.  Either way an
+    the von Neumann kind, from :attr:`GramEnsemble.spectrum`.  Either way an
     ensemble with an eigenvalue below -PSD_TOL raises ``NonPSD``, with the
     same message.
     """
@@ -199,8 +188,6 @@ def quantum_complexity(g: GramEnsemble, kind: str = RENYI2) -> float:
     if kind == VON_NEUMANN:
         support = spectrum[spectrum > 0]
         return -float(np.sum(support * np.log2(support)))
-    if kind == TOPOLOGICAL:
-        return float(np.log2(np.count_nonzero(spectrum > RANK_TOL)))
     raise ValueError(f"unknown complexity kind {kind!r}")
 
 

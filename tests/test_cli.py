@@ -82,7 +82,7 @@ EXIT_CODES = {
     ), 3),
     **dict.fromkeys((
         "NumericalError", "NoUnitEigenvalue", "DegenerateFixedSpace", "SingularMatrix",
-        "NonPSD", "NotConverged", "IsometryViolated", "NegativeRadicand", "NoFeasiblePoint",
+        "NonPSD", "IsometryViolated", "NegativeRadicand", "NoFeasiblePoint",
         "PropertyViolated", "EnumerationCapExceeded",
     ), 4),
 }
@@ -236,7 +236,7 @@ class TestCoarseSns:
         assert doc["error"] == "TruncationTooCoarse"
         assert f"truncation {truncation} " in doc["message"]
         assert "larger truncation or none" in doc["message"]
-        assert "pass allow_coarse=True to override" not in doc["message"]
+        assert "allow_coarse" not in doc["message"]
 
 
 @pytest.fixture
@@ -443,6 +443,11 @@ class TestSweep:
             ({"process": "sns", "p_grid": [0.2], "truncation": "abc"}, "'truncation'"),
             ({"p_grid": [0.2], "output_path": 5}, "'output_path'"),
             ({"process": 5, "p_grid": [0.2]}, "'process'"),
+            # a bool is not a number, although Python's bool is an int
+            ({"p_grid": [0.3], "horizon": True}, "'horizon'"),
+            ({"process": "sns", "p_grid": [0.3], "truncation": False}, "'truncation'"),
+            ({"p_grid": [True]}, "'p_grid'"),
+            ({"p_grid": [0.3, False]}, "'p_grid'"),
         ],
     )
     def test_malformed_config_is_validation_error(self, capsys, tmp_path, doc, field):
@@ -507,6 +512,23 @@ class TestSweep:
         assert code == 0
         ps = [line.split(",")[0] for line in out.strip().splitlines()[1:]]
         assert ps == ["0.4", "0.6"]
+
+    @pytest.mark.parametrize("step", ["0", "-0.1", "nan"])
+    def test_step_that_is_not_positive_is_refused(self, capsys, step):
+        code, out, err = run(capsys, "sweep", "--p-step", step)
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])
+        assert error["error"] == "ValueError"
+        assert "--p-step" in error["message"]
+
+    def test_horizon_default_is_the_measures_default(self, monkeypatch):
+        monkeypatch.setattr(cli.ms, "DEFAULT_HORIZON", 7)
+        for command in (["measures", "m.json"], ["sweep"], ["reproduce", "fig5"],
+                        ["construct-nmachine", "--process", "sns", "--p", "0.5"]):
+            assert cli.build_parser().parse_args(command).horizon == 7
 
 
 class TestReproduce:
@@ -689,6 +711,17 @@ class TestConstructNMachine:
         )
         assert code == 4
         assert json.loads(err)["error"] == "DegenerateFixedSpace"
+
+    def test_parameter_the_spec_does_not_have_is_refused(self, capsys):
+        code, out, err = run(
+            capsys, "construct-nmachine", "--process", "perturbed-coin",
+            "--p", "0.3", "--params", "q1=0,q2=0.1,zz=3",
+        )
+        assert code == 2
+        assert out == ""
+        error = json.loads(err)
+        assert error["error"] == "SpecMismatch"
+        assert "zz" in error["message"]
 
 
 class TestTransform:

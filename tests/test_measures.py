@@ -8,7 +8,6 @@ from quasihmm import errors
 from quasihmm.measures import (
     alpha_mutual_information,
     excess_entropy_half,
-    excess_entropy_half_closed_form,
     excess_entropy_shannon,
     half_excess_from_futures,
     mana,
@@ -16,7 +15,6 @@ from quasihmm.measures import (
     perturbed_coin_excess_half,
     renyi_entropy,
     sns_excess_entropy_half,
-    statistical_complexity,
 )
 from quasihmm.processes import (
     even_process_epsilon,
@@ -79,11 +77,6 @@ class TestRenyiEntropy:
             q = rng.dirichlet(np.ones(n))
             values = [renyi_entropy(q, a) for a in (0.0, 0.5, 1.0, 2.0)]
             assert all(a >= b - 1e-10 for a, b in zip(values, values[1:]))
-
-    def test_statistical_complexity_shortcut(self):
-        m = perturbed_coin_epsilon(0.3)
-        assert statistical_complexity(m) == 1.0
-        assert statistical_complexity(m, alpha=0) == 1.0
 
 
 class TestNegativityAndMana:
@@ -233,15 +226,6 @@ class TestClosedForms:
         expected = 1 - 2 * math.log2(0.5 + math.sqrt(0.75))
         assert perturbed_coin_excess_half(0.25) == pytest.approx(expected, abs=1e-15)
         assert perturbed_coin_excess_half(0.25) == pytest.approx(0.10003137304700838, abs=1e-12)
-
-    def test_dispatcher(self):
-        assert excess_entropy_half_closed_form("perturbed-coin", 0.3) == (
-            perturbed_coin_excess_half(0.3)
-        )
-        value, _ = sns_excess_entropy_half(0.5)
-        assert excess_entropy_half_closed_form("sns", 0.5) == value
-        with pytest.raises(errors.UnsupportedProcess):
-            excess_entropy_half_closed_form("nonsense", 0.5)
 
     def test_sns_closed_form_cross_checked_by_horizon_estimate(self):
         value, _ = sns_excess_entropy_half(0.5)

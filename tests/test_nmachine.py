@@ -640,11 +640,12 @@ class TestOptimizeIdeal:
         with pytest.raises(errors.NoFeasiblePoint):
             optimize_ideal(source, perturbed_coin_split_spec(0.3), 10.0)
 
-    def test_parameter_cap(self):
+    def test_parameter_cap(self, monkeypatch):
         source = golden_mean_epsilon(0.5)
         spec = generic_split_spec(source, (2, 1))
+        monkeypatch.setattr(nm, "MAX_PARAMS", 2)
         with pytest.raises(ValueError):
-            optimize_ideal(source, spec, 0.2, OptimizeOptions(max_params=2))
+            optimize_ideal(source, spec, 0.2)
 
 
 # --- reference paths for the compiled split and the memoised search -------------
@@ -721,7 +722,7 @@ def reference_optimize(source, spec, e_half, opts):
         fx = objective(x)
         trials += 1
         step = nm.INITIAL_STEP
-        while step >= opts.min_step and trials < opts.max_evals:
+        while step >= opts.min_step and trials < nm.MAX_EVALS:
             improved = False
             for i in range(dims):
                 for sign in (1.0, -1.0):
@@ -861,8 +862,24 @@ class TestCompiledSplitMatchesReference:
 
     def test_rule_with_undeclared_parameter_rejected(self):
         spec = SplitSpec(copy_counts=(2, 1), rules={(0, 0, "0", 0): (Affine(0.0, {"q": 1.0}),)})
-        with pytest.raises(errors.SpecMismatch):
+        with pytest.raises(errors.SpecMismatch, match="unknown parameter 'q'"):
+            build_split_machine(perturbed_coin_epsilon(0.3), spec, {})
+
+    @pytest.mark.parametrize("key, rule", [
+        ((0, 0, "0"), (Affine(0.0, {"q": 1.0}),)),  # key of three fields
+        ((0, 0, "0", 0, 0), (Affine(0.0, {"q": 1.0}),)),  # key of five fields
+        ((0, 0, "0", 0), Affine(0.0, {"q": 1.0})),  # one share, not a tuple of them
+    ])
+    def test_malformed_rule_rejected(self, key, rule):
+        spec = SplitSpec(copy_counts=(2, 1), param_names=("q",), rules={key: rule})
+        with pytest.raises(errors.SpecMismatch, match=re.escape(str(key))):
             build_split_machine(perturbed_coin_epsilon(0.3), spec, {"q": 0.1})
+
+    def test_parameter_the_spec_does_not_have_rejected(self):
+        spec = perturbed_coin_split_spec(0.3)
+        with pytest.raises(errors.SpecMismatch, match=r"\['zz'\]"):
+            build_split_machine(perturbed_coin_epsilon(0.3), spec,
+                                {"q1": 0.0, "q2": 0.1, "zz": 3.0})
 
 
 def _optimizer_case(name):
@@ -885,9 +902,10 @@ class TestMemoisedSearchMatchesReference:
         "perturbed-coin-0.2", "perturbed-coin-0.3", "perturbed-coin-0.7",
         "golden-mean-bad", "golden-mean-generic-2-1",
     ])
-    def test_bit_identical_result(self, case, seed, max_evals):
+    def test_bit_identical_result(self, monkeypatch, case, seed, max_evals):
         source, spec, e_half = _optimizer_case(case)
-        opts = OptimizeOptions(seed=seed, max_evals=max_evals)
+        monkeypatch.setattr(nm, "MAX_EVALS", max_evals)
+        opts = OptimizeOptions(seed=seed)
         params, c_n2, _ = reference_optimize(source, spec, e_half, opts)
         result = optimize_ideal(source, spec, e_half, opts)
         assert list(result.parameters) == list(params)

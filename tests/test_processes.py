@@ -237,9 +237,6 @@ class TestSnsMachines:
     def test_explicit_coarse_truncation_rejected(self):
         with pytest.raises(errors.TruncationTooCoarse):
             sns_epsilon_truncated(0.5, truncation=5)
-        machine = sns_epsilon_truncated(0.5, truncation=5, allow_coarse=True)
-        assert machine.n_states == 6
-        assert_stationary(machine)
 
     def test_unifilar_classification(self):
         cls = sns_epsilon_truncated(0.5).classify()
@@ -379,7 +376,7 @@ class TestStateCap:
         with pytest.raises(errors.TruncationTooCoarse):
             sns_renewal_data(0.5, truncation=1)
         with pytest.raises(errors.TruncationTooLarge):
-            sns_renewal_data(0.5, truncation=10**9, allow_coarse=True)
+            sns_renewal_data(0.5, truncation=10**9)
 
     def test_underflowing_survival_is_refused(self):
         # at p = 0.01, Phi(162) is the last nonzero survival value: the

@@ -21,7 +21,6 @@ from quasihmm.quantum import (
     PHASE_POINTS,
     PSD_TOL,
     RENYI2,
-    TOPOLOGICAL,
     VON_NEUMANN,
     gram_from_machine,
     phase_point_operators,
@@ -81,11 +80,6 @@ class TestGramFromMachine:
         with pytest.raises(errors.QuasiMachineUnsupported):
             gram_from_machine(quasi, 4)
 
-    def test_not_converged(self):
-        # the even process overlap decays like 2^(-L/2): far from settled at L=2
-        with pytest.raises(errors.NotConverged):
-            gram_from_machine(even_process_epsilon(), 2, convergence_tol=1e-12)
-
     def test_gram_psd_across_zoo(self):
         for machine in ZOO:
             gram = gram_from_machine(machine, 14)
@@ -106,14 +100,12 @@ class TestQuantumComplexity:
         )
         assert quantum_complexity(gram, RENYI2) == pytest.approx(2.0, abs=1e-12)
         assert quantum_complexity(gram, VON_NEUMANN) == pytest.approx(2.0, abs=1e-12)
-        assert quantum_complexity(gram, TOPOLOGICAL) == pytest.approx(2.0, abs=1e-12)
 
     def test_all_ones_gram_is_pure(self):
         gram = GramEnsemble(
             weights=np.array([0.5, 0.5]), overlaps=np.ones((2, 2)), horizon=1, residual=0.0
         )
         assert quantum_complexity(gram, RENYI2) == pytest.approx(0.0, abs=1e-12)
-        assert quantum_complexity(gram, TOPOLOGICAL) == pytest.approx(0.0, abs=1e-12)
 
     def test_von_neumann_dominates_renyi2(self):
         for machine in ZOO:

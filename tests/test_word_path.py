@@ -330,10 +330,3 @@ class TestOneGramSpectrum:
         for kind in (quantum.RENYI2, quantum.VON_NEUMANN):
             with pytest.raises(errors.NonPSD):
                 quantum.quantum_complexity(gram, kind)
-
-    def test_convergence_checked_on_a_remembered_ensemble(self):
-        machine = sns_epsilon_truncated(0.5)
-        gram = quantum.gram_from_machine(machine, 2)
-        assert gram.residual > 0
-        with pytest.raises(errors.NotConverged):
-            quantum.gram_from_machine(machine, 2, convergence_tol=gram.residual / 2)
