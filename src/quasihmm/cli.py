@@ -30,7 +30,6 @@ from . import processes as procs
 from . import quantum as qm
 from . import transforms as tf
 from .errors import (
-    InvalidAlpha,
     NumericalError,
     QuasiHmmError,
     UnsupportedProcess,
@@ -102,67 +101,22 @@ def cmd_make_machine(args) -> int:
 
 # --- measures --------------------------------------------------------------------
 
-MEASURE_CHOICES = (
-    "c-mu2",
-    "c-mu1",
-    "c-mu0",
-    "c-q2",
-    "c-q-von-neumann",
-    "excess-half",
-    "excess-shannon",
-    "negativity",
-    "mana",
-)
 
-_CLASSICAL_ONLY = {"c-q2", "c-q-von-neumann", "excess-half", "excess-shannon"}
-#: Renyi orders other than 2 are undefined on a signed stationary vector
-_UNSIGNED_ONLY = {"c-mu1", "c-mu0"}
-
-
-def _one_measure(machine: Machine, name: str, horizon: int) -> ms.MeasureReport:
-    pi = machine.stationary
-    if name == "c-mu2":
-        return ms.MeasureReport("C_mu2", ms.renyi_entropy(pi, 2), {"alpha": 2})
-    if name == "c-mu1":
-        return ms.MeasureReport("C_mu1", ms.renyi_entropy(pi, 1), {"alpha": 1})
-    if name == "c-mu0":
-        return ms.MeasureReport("C_mu0", ms.renyi_entropy(pi, 0), {"alpha": 0})
-    if name == "c-q2":
-        gram = qm.gram_from_machine(machine, horizon)
-        return ms.MeasureReport(
-            "C_q2", qm.quantum_complexity(gram, qm.RENYI2),
-            {"horizon": horizon}, gram.residual,
-        )
-    if name == "c-q-von-neumann":
-        gram = qm.gram_from_machine(machine, horizon)
-        return ms.MeasureReport(
-            "C_q_vN", qm.quantum_complexity(gram, qm.VON_NEUMANN),
-            {"horizon": horizon}, gram.residual,
-        )
-    if name == "excess-half":
-        return ms.excess_entropy_half(machine, horizon)
-    if name == "excess-shannon":
-        return ms.excess_entropy_shannon(machine, horizon)
-    if name == "negativity":
-        return ms.MeasureReport("negativity", ms.negativity(pi))
-    if name == "mana":
-        return ms.MeasureReport("mana", ms.mana(pi))
-    raise InvalidAlpha(f"unknown measure {name!r}")
+def _check_horizon(horizon: int, name: str = "--horizon") -> None:
+    """Refuses a horizon below 1, on which no horizon estimate is defined."""
+    if horizon < 1:
+        raise ValueError(f"{name} must be at least 1, got {horizon}")
 
 
 def cmd_measures(args) -> int:
+    _check_horizon(args.horizon)
     machine = load_machine(args.machine)
     if args.all:
-        names = list(MEASURE_CHOICES)
-        if not machine.classify().classical:
-            names = [n for n in names if n not in _CLASSICAL_ONLY]
-        if np.min(machine.stationary) < -ms.DIST_TOL:
-            names = [n for n in names if n not in _UNSIGNED_ONLY]
+        reports = ms.defined_reports(machine, args.horizon)
     elif args.measure:
-        names = list(args.measure)
+        reports = [ms.MEASURES[name](machine, args.horizon) for name in args.measure]
     else:
         raise ValueError("pass --all or at least one --measure")
-    reports = [_one_measure(machine, name, args.horizon) for name in names]
     _emit_json(
         {"machine": str(args.machine), "reports": [r.to_json_dict() for r in reports]},
         args.out,
@@ -232,7 +186,7 @@ class _PerturbedCoinRow(_Row):
         **_SHARED_COLUMNS,
         **_SPLIT_COLUMNS,
         "C_g2": lambda row: ms.renyi_entropy(procs.perturbed_coin_rjmc(row.p).stationary, 2),
-        "C_q2": lambda row: qm.quantum_complexity(qm.gram_from_machine(row.source, row.horizon)),
+        "C_q2": lambda row: ms.MEASURES["c-q2"](row.source, row.horizon).value,
     }
     degenerate_p = 0.5
 
@@ -296,7 +250,7 @@ class _SnsRow(_Row):
 class _GoldenMeanRow(_Row):
     columns = {
         **_SHARED_COLUMNS,
-        "C_q2": lambda row: qm.quantum_complexity(qm.gram_from_machine(row.source, row.horizon)),
+        "C_q2": lambda row: ms.MEASURES["c-q2"](row.source, row.horizon).value,
     }
 
     @functools.cached_property
@@ -393,8 +347,8 @@ _CONFIG_FIELDS = {
 
 def _read_sweep_config(path: str) -> dict:
     """The fields a sweep config file sets, each checked for its JSON type; a
-    null field counts as unset, ``p_grid`` must be set, and a bool is not a
-    number."""
+    null field counts as unset, ``p_grid`` must be set, a bool is not a
+    number, and a ``horizon`` is at least 1."""
     doc = json.loads(Path(path).read_text())
     if not isinstance(doc, dict):
         raise ValueError("sweep config must be a JSON object")
@@ -406,10 +360,13 @@ def _read_sweep_config(path: str) -> dict:
             raise ValueError(f"sweep config field {key!r} must be {what}")
     if not all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in doc["p_grid"]):
         raise ValueError("sweep config field 'p_grid' must be a list of numbers")
+    if "horizon" in doc:
+        _check_horizon(doc["horizon"], "sweep config field 'horizon'")
     return doc
 
 
 def cmd_sweep(args) -> int:
+    _check_horizon(args.horizon)
     if args.config:
         doc = _read_sweep_config(args.config)
         process = doc.get("process", "perturbed-coin")
@@ -425,6 +382,8 @@ def cmd_sweep(args) -> int:
         else:
             if not args.p_step > 0:
                 raise ValueError(f"--p-step must be positive, got {args.p_step}")
+            if args.p_min > args.p_max:
+                raise ValueError(f"--p-min {args.p_min} exceeds --p-max {args.p_max}")
             grid = list(np.arange(args.p_min, args.p_max + 1e-12, args.p_step).round(12))
             degenerate = _SWEEP_ROWS[process].degenerate_p
             if degenerate is not None:
@@ -562,7 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_meas = sub.add_parser("measures", parents=[common], help="measure reports for a machine file")
     p_meas.add_argument("machine")
-    p_meas.add_argument("--measure", action="append", choices=MEASURE_CHOICES)
+    p_meas.add_argument("--measure", action="append", choices=tuple(ms.MEASURES))
     p_meas.add_argument("--all", action="store_true")
     p_meas.set_defaults(handler=cmd_measures)
 

@@ -12,6 +12,7 @@ even real in general.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +26,7 @@ from .errors import (
 )
 from .machine import Machine
 from .processes import check_open_unit, sns_past_future_overlap, sns_renewal_data
+from .quantum import RENYI2, VON_NEUMANN, gram_from_machine, quantum_complexity
 
 #: tolerance for normalization / nonnegativity checks on distributions
 DIST_TOL = 1e-9
@@ -243,6 +245,56 @@ def excess_entropy_shannon(m: Machine, horizon: int = DEFAULT_HORIZON) -> Measur
         parameters={"horizon": horizon},
         residual=abs(value - prev),
     )
+
+
+# --- the measure table --------------------------------------------------------
+
+
+def _stationary_entropy(alpha: int) -> Callable[[Machine, int], MeasureReport]:
+    return lambda m, horizon: MeasureReport(
+        f"C_mu{alpha}", renyi_entropy(m.stationary, alpha), {"alpha": alpha}
+    )
+
+
+def _state_complexity(name: str, kind: str) -> Callable[[Machine, int], MeasureReport]:
+    def report(m: Machine, horizon: int) -> MeasureReport:
+        gram = gram_from_machine(m, horizon)
+        return MeasureReport(name, quantum_complexity(gram, kind), {"horizon": horizon},
+                             gram.residual)
+
+    return report
+
+
+#: each measure of a machine by its CLI name, mapped to the function of the
+#: machine and horizon that returns its report, in the order of ``--all``.  A
+#: measure undefined on the machine refuses it with ``QuasiMachineUnsupported``
+#: (a machine that is not classical) or ``NegativeEntriesUnsupportedOrder`` (a
+#: Renyi order other than 2 of a signed stationary vector).  An entry looks its function up
+#: when called, so a wrapper put on the module attribute (perfbench's tracer)
+#: sees the call.
+MEASURES: dict[str, Callable[[Machine, int], MeasureReport]] = {
+    "c-mu2": _stationary_entropy(2),
+    "c-mu1": _stationary_entropy(1),
+    "c-mu0": _stationary_entropy(0),
+    "c-q2": _state_complexity("C_q2", RENYI2),
+    "c-q-von-neumann": _state_complexity("C_q_vN", VON_NEUMANN),
+    "excess-half": lambda m, horizon: excess_entropy_half(m, horizon),
+    "excess-shannon": lambda m, horizon: excess_entropy_shannon(m, horizon),
+    "negativity": lambda m, horizon: MeasureReport("negativity", negativity(m.stationary)),
+    "mana": lambda m, horizon: MeasureReport("mana", mana(m.stationary)),
+}
+
+
+def defined_reports(m: Machine, horizon: int) -> list[MeasureReport]:
+    """The reports of the :data:`MEASURES` that do not refuse ``m`` as
+    undefined on it, in table order; any other error propagates."""
+    reports = []
+    for measure in MEASURES.values():
+        try:
+            reports.append(measure(m, horizon))
+        except (QuasiMachineUnsupported, NegativeEntriesUnsupportedOrder):
+            pass
+    return reports
 
 
 # --- closed forms -------------------------------------------------------------

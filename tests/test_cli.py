@@ -7,7 +7,7 @@ import pytest
 from conftest import assert_stationary, spearman
 from quasihmm import cli, errors
 from quasihmm.machine import load_machine, machine_from_json_dict, same_process
-from quasihmm.measures import perturbed_coin_excess_half
+from quasihmm.measures import MEASURES, perturbed_coin_excess_half
 from quasihmm.nmachine import (
     BRANCH_MINUS,
     BRANCH_PLUS,
@@ -254,6 +254,22 @@ def quasi_file(tmp_path, capsys):
     return str(path)
 
 
+#: the machine files of the ``--all`` selection test, each written by one
+#: command: every zoo process, the signed Wigner machine, a similarity map of
+#: the Perturbed Coin ("{coin}" is its file) with nonnegative stationary
+#: vector but signed transitions, and the Perturbed Coin's ideal split,
+#: whose stationary vector is signed
+_SELECTION_MACHINES = [
+    *(["make-machine", "--process", process, "--p", "0.3"] for process in cli._ZOO),
+    ["wigner", "--p", "0.3"],
+    ["transform", "--machine", "{coin}", "--a", "2", "--b", "0"],
+    ["construct-nmachine", "--process", "perturbed-coin", "--p", "0.3"],
+]
+
+#: the two refusals that leave a measure out of ``--all``
+_REFUSALS = ("QuasiMachineUnsupported", "NegativeEntriesUnsupportedOrder")
+
+
 class TestMeasures:
     def test_non_finite_entry_is_validation_error(self, capsys, tmp_path):
         doc = perturbed_coin_epsilon(0.3).to_json_dict()
@@ -340,6 +356,25 @@ class TestMeasures:
         assert "C_mu2" in names and "negativity" in names
         assert "E_half" not in names and "C_q2" not in names
 
+    @pytest.mark.parametrize("argv", _SELECTION_MACHINES, ids=" ".join)
+    def test_all_runs_exactly_the_measures_that_do_not_refuse(self, capsys, tmp_path,
+                                                              coin_file, argv):
+        path = str(tmp_path / "machine.json")
+        argv = [coin_file if arg == "{coin}" else arg for arg in argv]
+        assert run(capsys, *argv, "--out", path)[0] == 0
+        code, out, err = run(capsys, "measures", path, "--all")
+        assert (code, err) == (0, "")
+        reported = [r["name"] for r in json.loads(out)["reports"]]
+        defined, refused = [], []
+        for name in MEASURES:
+            code, out, err = run(capsys, "measures", path, "--measure", name)
+            if code == 0:
+                defined += [r["name"] for r in json.loads(out)["reports"]]
+            else:
+                refused.append((code, json.loads(err)["error"]))
+        assert reported == defined
+        assert all(code == 3 and error in _REFUSALS for code, error in refused), refused
+
     def test_all_on_signed_stationary_vector(self, capsys, tmp_path):
         # the ideal split's stationary vector is about [0.790, -0.290, 0.5];
         # Renyi orders 0 and 1 are undefined on it, so --all leaves them out
@@ -354,9 +389,37 @@ class TestMeasures:
         names = [r["name"] for r in json.loads(out)["reports"]]
         assert names == ["C_mu2", "negativity", "mana"]
 
+    def test_all_fails_on_a_signed_stationary_vector_with_a_zero_entry(self, capsys,
+                                                                        tmp_path):
+        # stationary vector [1.25, -0.25, 0]: C_mu2's refusal is not one that
+        # leaves a measure out, so --all fails as --measure c-mu2 does
+        path = tmp_path / "zero.json"
+        t = [[0.96, -0.16, 0.2], [-0.2, 0.2, 1.0], [0.3, 0.3, 0.4]]
+        path.write_text(json.dumps({"alphabet": ["0"], "states": ["a", "b", "c"],
+                                    "matrices": {"0": t}}))
+        for asked in (("--all",), ("--measure", "c-mu2")):
+            code, out, err = run(capsys, "measures", str(path), *asked)
+            assert (code, out) == (3, "")
+            assert json.loads(err)["error"] == "ZeroEntryWithQuasiOrder"
+
     def test_no_measure_requested_is_validation_error(self, capsys, coin_file):
         code, _, err = run(capsys, "measures", coin_file)
         assert code == 2
+
+    @pytest.mark.parametrize("horizon", ["0", "-1"])
+    @pytest.mark.parametrize("asked", [("--all",), ("--measure", "c-mu2")])
+    @pytest.mark.parametrize("machine", ["coin", "quasi", "missing"])
+    def test_horizon_below_1_is_refused_before_the_file_is_read(
+        self, capsys, coin_file, quasi_file, horizon, asked, machine
+    ):
+        path = {"coin": coin_file, "quasi": quasi_file, "missing": "no-such-file.json"}[machine]
+        code, out, err = run(capsys, "measures", path, *asked, "--horizon", horizon)
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {"error": "ValueError",
+                                        "message": f"--horizon must be at least 1, got {horizon}"}
 
     def test_horizon_flag_recorded(self, capsys, coin_file):
         code, out, _ = run(
@@ -448,6 +511,9 @@ class TestSweep:
             ({"process": "sns", "p_grid": [0.3], "truncation": False}, "'truncation'"),
             ({"p_grid": [True]}, "'p_grid'"),
             ({"p_grid": [0.3, False]}, "'p_grid'"),
+            # no horizon estimate is defined below 1
+            ({"p_grid": [0.3], "horizon": 0}, "field 'horizon' must be at least 1, got 0"),
+            ({"p_grid": [0.3], "horizon": -1}, "field 'horizon' must be at least 1, got -1"),
         ],
     )
     def test_malformed_config_is_validation_error(self, capsys, tmp_path, doc, field):
@@ -523,6 +589,40 @@ class TestSweep:
         error = json.loads(lines[0])
         assert error["error"] == "ValueError"
         assert "--p-step" in error["message"]
+
+    @staticmethod
+    def _refused_before_any_row(capsys, monkeypatch, *argv):
+        def no_row(*args):
+            raise AssertionError("a row was built")
+
+        monkeypatch.setattr(cli, "_SWEEP_ROWS", dict.fromkeys(cli._SWEEP_ROWS, no_row))
+        code, out, err = run(capsys, "sweep", *argv)
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])
+        assert error["error"] == "ValueError"
+        return error["message"]
+
+    @pytest.mark.parametrize("horizon", ["0", "-1"])
+    @pytest.mark.parametrize("process", ["perturbed-coin", "sns", "golden-mean"])
+    def test_horizon_below_1_is_refused_before_any_row(self, capsys, monkeypatch, horizon,
+                                                       process):
+        message = self._refused_before_any_row(capsys, monkeypatch, "--process", process,
+                                               "--p-grid", "0.3", "--horizon", horizon)
+        assert message == f"--horizon must be at least 1, got {horizon}"
+
+    def test_p_min_above_p_max_is_refused(self, capsys, monkeypatch):
+        message = self._refused_before_any_row(capsys, monkeypatch,
+                                               "--p-min", "0.9", "--p-max", "0.1")
+        assert message == "--p-min 0.9 exceeds --p-max 0.1"
+
+    def test_equal_p_bounds_give_one_row(self, capsys):
+        code, out, err = run(capsys, "sweep", "--process", "golden-mean",
+                             "--p-min", "0.4", "--p-max", "0.4")
+        assert (code, err) == (0, "")
+        assert [line.split(",")[0] for line in out.splitlines()] == ["p", "0.4"]
 
     def test_horizon_default_is_the_measures_default(self, monkeypatch):
         monkeypatch.setattr(cli.ms, "DEFAULT_HORIZON", 7)

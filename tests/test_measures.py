@@ -6,7 +6,9 @@ import pytest
 from conftest import oracle_half_excess, oracle_mutual_information
 from quasihmm import errors
 from quasihmm.measures import (
+    MEASURES,
     alpha_mutual_information,
+    defined_reports,
     excess_entropy_half,
     excess_entropy_shannon,
     half_excess_from_futures,
@@ -216,6 +218,44 @@ class TestExcessEntropyShannon:
         quasi = make_machine(("0", "1"), ("a", "b"), {"0": t0, "1": t1})
         with pytest.raises(errors.QuasiMachineUnsupported):
             excess_entropy_shannon(quasi, 4)
+
+
+class TestMeasureTable:
+    def test_every_measure_is_defined_on_a_classical_machine(self):
+        machine = golden_mean_epsilon(0.4)
+        reports = defined_reports(machine, 6)
+        assert reports == [measure(machine, 6) for measure in MEASURES.values()]
+        assert [r.name for r in reports] == ["C_mu2", "C_mu1", "C_mu0", "C_q2", "C_q_vN",
+                                             "E_half", "E", "negativity", "mana"]
+
+    def test_c_q2_entry_reports_the_gram_complexity(self):
+        machine = perturbed_coin_epsilon(0.3)
+        gram = gram_from_machine(machine, 7)
+        report = MEASURES["c-q2"](machine, 7)
+        assert report.value == quantum_complexity(gram)
+        assert (report.parameters, report.residual) == ({"horizon": 7}, gram.residual)
+
+    @staticmethod
+    def _failing(monkeypatch, error):
+        def fail(m, horizon):
+            raise error("synthetic failure")
+
+        monkeypatch.setitem(MEASURES, "c-q2", fail)
+
+    @pytest.mark.parametrize("refusal", [errors.QuasiMachineUnsupported,
+                                         errors.NegativeEntriesUnsupportedOrder])
+    def test_a_refusing_measure_is_left_out(self, monkeypatch, refusal):
+        self._failing(monkeypatch, refusal)
+        names = [r.name for r in defined_reports(unbiased_coin(), 3)]
+        assert names == ["C_mu2", "C_mu1", "C_mu0", "C_q_vN", "E_half", "E", "negativity",
+                         "mana"]
+
+    @pytest.mark.parametrize("error", [errors.NonPSD, errors.ZeroEntryWithQuasiOrder,
+                                       errors.UnsupportedError, ValueError])
+    def test_any_other_error_propagates(self, monkeypatch, error):
+        self._failing(monkeypatch, error)
+        with pytest.raises(error, match="synthetic failure"):
+            defined_reports(unbiased_coin(), 3)
 
 
 class TestClosedForms:

@@ -216,9 +216,13 @@ def _counting(monkeypatch, module, name, calls):
 class TestOnlyPrintedColumnsAreComputed:
     @pytest.mark.parametrize("figure", ["fig7", "fig10"])
     def test_split_figures_skip_the_quantum_layer(self, capsys, monkeypatch, figure):
+        # the measure table binds quantum_complexity and gram_from_machine
+        # by name in measures too
         calls = {}
-        for name in ("quantum_complexity", "gram_from_machine", "sns_gram_ensemble"):
-            _counting(monkeypatch, qm, name, calls)
+        for module, name in ((qm, "quantum_complexity"), (ms, "quantum_complexity"),
+                             (qm, "gram_from_machine"), (ms, "gram_from_machine"),
+                             (qm, "sns_gram_ensemble")):
+            _counting(monkeypatch, module, name, calls)
         _counting(monkeypatch, nm, "build_split_machine", calls)
         code, _, _ = run(capsys, "reproduce", figure)
         assert code == 0
@@ -229,7 +233,8 @@ class TestOnlyPrintedColumnsAreComputed:
     def test_memory_figures_build_no_split_machine(self, capsys, monkeypatch, figure):
         calls = {}
         _counting(monkeypatch, nm, "build_split_machine", calls)
-        _counting(monkeypatch, qm, "quantum_complexity", calls)
+        for module in (qm, ms):
+            _counting(monkeypatch, module, "quantum_complexity", calls)
         code, _, _ = run(capsys, "reproduce", figure)
         assert code == 0
         process = cli._FIGURES[figure][0]
