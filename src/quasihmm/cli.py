@@ -412,6 +412,7 @@ def default_grid(process: str) -> list[float]:
 
 
 def cmd_reproduce(args) -> int:
+    _check_horizon(args.horizon)
     process, columns = _FIGURES[args.figure]
     row_type = _SWEEP_ROWS[process]
     lines = [",".join(columns)]
@@ -576,7 +577,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.handler(args)
+        # the checks refuse non-finite arithmetic themselves, so numpy's
+        # warnings would only put extra lines on stderr
+        with np.errstate(all="ignore"):
+            return args.handler(args)
     except QuasiHmmError as exc:
         _print_error(exc)
         return exc.exit_code

@@ -116,14 +116,16 @@ class CompiledSplit:
     """A split spec as index and coefficient arrays for one source layout.
 
     The extended matrices, stacked per symbol, are one gather from the
-    values ``[source entries, heads, remainders, 0]``.  Head h is
-    ``consts[h] + sum_m coef * theta[param]`` over its terms, added in the
-    order of its ``Affine.coeffs``; remainder r is its source entry less the
-    sum of its heads, added in share order.  Each of ``term_layers`` and
-    ``remainder_layers`` holds the m-th term of every head (m-th head of
-    every remainder) that has one, so the arithmetic is that of
-    ``Affine.evaluate`` and the remainder rule, operation for operation, and
-    the matrices match the per-share construction bit for bit.
+    values ``[source entries, 0, remainders, heads]``.  Each term of a head
+    is one (head, parameter, coefficient) record, listed head by head in the
+    order of its ``Affine.coeffs``; each head records the rule whose
+    remainder it is taken from.  :meth:`matrices` sums both with
+    ``np.bincount``, which adds its weights one at a time in input order:
+    head h is ``consts[h]`` plus its terms added in ``Affine.evaluate``'s
+    order, and remainder r is its source entry less its heads added in share
+    order.  The matrices therefore match the per-share construction bit for
+    bit; ``TestCompiledSplitMatchesReference`` pins that, and its
+    ``test_summation_order`` with sums that change when reordered.
 
     :meth:`build` lays out the rule-free default in one broadcast and visits
     only the entries the rules name, so its cost scales with the rules.
@@ -131,11 +133,11 @@ class CompiledSplit:
 
     gather: np.ndarray
     consts: np.ndarray
-    #: per term position: (head index, parameter index, coefficient)
-    term_layers: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+    term_heads: np.ndarray
+    term_params: np.ndarray
+    term_coefs: np.ndarray
     remainder_sources: np.ndarray
-    #: per share position: (remainder index, head index)
-    remainder_layers: tuple[tuple[np.ndarray, np.ndarray], ...]
+    head_remainders: np.ndarray
     labels: tuple[str, ...]
     groups: tuple[int, ...]
 
@@ -149,15 +151,8 @@ class CompiledSplit:
         symbol_index = {x: s for s, x in enumerate(source.alphabet)}
         param_index = {name: i for i, name in enumerate(spec.param_names)}
         groups = tuple(k for k, _ in extended)
-        heads_at = len(source.alphabet) * n_src * n_src
-        for key, rule in spec.rules.items():
-            if not (isinstance(key, tuple) and len(key) == 4 and isinstance(rule, tuple)):
-                raise SpecMismatch(
-                    f"rule for {key} must map a (row, copy, symbol, target) key to a tuple "
-                    "of shares"
-                )
-        remainders_at = heads_at + sum(len(rule) for rule in spec.rules.values())
-        zero_at = remainders_at + len(spec.rules)
+        zero_at = len(source.alphabet) * n_src * n_src
+        heads_at = zero_at + 1 + len(spec.rules)
 
         # without a rule, copy 0 of target k takes source entry
         # (s * n_src + j) * n_src + k and every other copy the zero
@@ -167,15 +162,20 @@ class CompiledSplit:
         gather[:, :, np.array([l > 0 for _, l in extended])] = zero_at
 
         consts: list[float] = []
+        term_heads: list[int] = []
+        term_params: list[int] = []
+        term_coefs: list[float] = []
         remainder_sources: list[int] = []
-        # layer m first appears after layer m - 1, so the dicts keep
-        # the layers in order
-        terms: dict[int, list[tuple[int, int, float]]] = {}
-        remainder_terms: dict[int, list[tuple[int, int]]] = {}
+        head_remainders: list[int] = []
         # flat positions in ``gather`` that the rules fill, and their values
         ruled: list[int] = []
         taken: list[int] = []
-        for key, rule in spec.rules.items():
+        for r, (key, rule) in enumerate(spec.rules.items()):
+            if not (isinstance(key, tuple) and len(key) == 4 and isinstance(rule, tuple)):
+                raise SpecMismatch(
+                    f"rule for {key} must map a (row, copy, symbol, target) key to a tuple "
+                    "of shares"
+                )
             j, l_j, x, k = key
             if (j, l_j) not in index or x not in symbol_index or k not in range(n_src):
                 raise SpecMismatch(
@@ -187,36 +187,31 @@ class CompiledSplit:
                     f"rule for {key} has {len(rule)} shares, expected {counts[k] - 1}"
                 )
             s = symbol_index[x]
-            r = len(remainder_sources)
             remainder_sources.append((s * n_src + j) * n_src + k)
-            for l_k, expr in enumerate(rule):
+            for expr in rule:
                 h = len(consts)
                 consts.append(expr.const)
-                for m, (name, coef) in enumerate(expr.coeffs.items()):
+                head_remainders.append(r)
+                for name, coef in expr.coeffs.items():
                     if name not in param_index:
                         raise SpecMismatch(f"rule for {key} uses unknown parameter {name!r}")
-                    terms.setdefault(m, []).append((h, param_index[name], coef))
-                remainder_terms.setdefault(l_k, []).append((r, h))
+                    term_heads.append(h)
+                    term_params.append(param_index[name])
+                    term_coefs.append(coef)
                 taken.append(heads_at + h)
-            taken.append(remainders_at + r)
+            taken.append(zero_at + 1 + r)
             at = (s * size + index[(j, l_j)]) * size + index[(k, 0)]
             ruled.extend(range(at, at + counts[k]))
         np.put(gather, ruled, taken)
 
-        term_layers = tuple(
-            (np.array(h, dtype=np.intp), np.array(i, dtype=np.intp), np.array(c, dtype=float))
-            for h, i, c in (zip(*layer) for layer in terms.values())
-        )
-        remainder_layers = tuple(
-            (np.array(r, dtype=np.intp), np.array(h, dtype=np.intp))
-            for r, h in (zip(*layer) for layer in remainder_terms.values())
-        )
         return cls(
             gather=gather,
             consts=np.array(consts, dtype=float),
-            term_layers=term_layers,
+            term_heads=np.array(term_heads, dtype=np.intp),
+            term_params=np.array(term_params, dtype=np.intp),
+            term_coefs=np.array(term_coefs, dtype=float),
             remainder_sources=np.array(remainder_sources, dtype=np.intp),
-            remainder_layers=remainder_layers,
+            head_remainders=np.array(head_remainders, dtype=np.intp),
             labels=tuple(
                 f"{source.states[k]}.{l}" if counts[k] > 1 else source.states[k]
                 for k, l in extended
@@ -228,17 +223,14 @@ class CompiledSplit:
         """Extended matrices, shape (symbols, n, n), at parameter vector
         ``theta`` (ordered as the spec's ``param_names``)."""
         entries = source.stacked.reshape(-1)
-        heads = np.zeros(len(self.consts))
-        for at, param, coef in self.term_layers:
-            heads[at] += coef * theta[param]
-        heads += self.consts
-        taken = np.zeros(len(self.remainder_sources))
-        for at, head in self.remainder_layers:
-            taken[at] += heads[head]
-        values = np.concatenate(
-            [entries, heads, entries[self.remainder_sources] - taken, [0.0]]
+        heads = self.consts + np.bincount(
+            self.term_heads, weights=self.term_coefs * theta[self.term_params],
+            minlength=len(self.consts),
         )
-        return values[self.gather]
+        remainders = entries[self.remainder_sources] - np.bincount(
+            self.head_remainders, weights=heads, minlength=len(self.remainder_sources)
+        )
+        return np.concatenate([entries, [0.0], remainders, heads])[self.gather]
 
 
 def generic_split_spec(source: Machine, copy_counts: Sequence[int]) -> SplitSpec:

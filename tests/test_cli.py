@@ -1,6 +1,7 @@
 import json
 import math
 import time
+import warnings
 
 import pytest
 
@@ -159,6 +160,35 @@ def test_usage_error_exits_2_with_one_json_line(argv, capsys):
     assert len(lines) == 1
     error = json.loads(lines[0])
     assert error["error"] == "ValueError" and error["message"].startswith("quasihmm")
+
+
+@pytest.mark.parametrize("field, value, error", [
+    # an infinite split parameter
+    (None, None, "NonFiniteEntries"),
+    # a row that sums past the largest float across symbols
+    ("matrices", {"0": [[1e308, 0.0], [0.3, 0.0]], "1": [[1e308, -1e308], [0.0, 0.7]]},
+     "NonFiniteEntries"),
+    # a stationary vector that sums past it
+    ("stationary", [1e308, 1e308], "StationaryMismatch"),
+])
+def test_overflow_is_refused_without_numpy_warnings(field, value, error, capsys, tmp_path):
+    argv = ["construct-nmachine", "--process", "perturbed-coin", "--p", "0.3",
+            "--params", "q1=inf,q2=0.1"]
+    if field is not None:
+        doc = perturbed_coin_epsilon(0.3).to_json_dict()
+        doc[field] = value
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        argv = ["measures", str(path), "--all"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, *argv)
+    assert [str(w.message) for w in caught] == []
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == error
 
 
 def test_help_exits_0(capsys):
@@ -669,6 +699,22 @@ class TestReproduce:
         code, out, _ = run(capsys, "reproduce", "fig9")
         for line in out.strip().splitlines()[1:]:
             assert float(line.split(",")[2]) == 1.0
+
+    @pytest.mark.parametrize("horizon", ["0", "-1"])
+    @pytest.mark.parametrize("figure", ["fig5", "fig7", "fig9", "fig10"])
+    def test_horizon_below_1_is_refused_before_any_row(self, capsys, monkeypatch, figure,
+                                                       horizon):
+        def no_row(*args):
+            raise AssertionError("a row was built")
+
+        monkeypatch.setattr(cli, "_SWEEP_ROWS", dict.fromkeys(cli._SWEEP_ROWS, no_row))
+        code, out, err = run(capsys, "reproduce", figure, "--horizon", horizon)
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {"error": "ValueError",
+                                        "message": f"--horizon must be at least 1, got {horizon}"}
 
     def test_byte_identical(self, tmp_path):
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]

@@ -832,6 +832,27 @@ class TestCompiledSplitMatchesReference:
             assert_same_machine(build_split_machine(source, spec, params),
                                 reference_build(source, spec, params))
 
+    def test_summation_order(self):
+        # sums that change in the last bit when reordered: the heads of the
+        # first rule leave 0.7 in share order (0.6999999999999998 reversed),
+        # and the head of the second is 0.0 in coefficient order (1.1e-16
+        # reversed)
+        source = perturbed_coin_epsilon(0.3)
+        spec = SplitSpec(
+            copy_counts=(4, 1),
+            param_names=("a", "b", "c"),
+            rules={
+                (0, 0, "0", 0): (Affine(1.0), Affine(1e-16), Affine(-1.0)),
+                (1, 0, "0", 0): (Affine(0.0, {"a": 1.0, "b": 1.0, "c": 1.0}),
+                                 Affine(0.0), Affine(0.0)),
+            },
+        )
+        params = {"a": 1.0, "b": 1e-16, "c": -1.0}
+        built = build_split_machine(source, spec, params)
+        assert_same_machine(built, reference_build(source, spec, params))
+        assert built.matrices["0"][0, 3] == 0.7
+        assert built.matrices["0"][4, 0] == 0.0
+
     def test_large_sparse_source_without_rules(self):
         # 296 states, one of them doubled: every other entry takes the
         # rule-free default of copy 0 and the trailing zero
