@@ -75,26 +75,37 @@ def _emit_json(doc, out: str | None) -> None:
 # --- machine factories -----------------------------------------------------------
 
 
-def _require_p(args) -> float:
-    if args.p is None:
-        raise ValueError(f"process {args.process!r} requires --p")
-    return args.p
+def _refuse_unread(what: str, option: str, value) -> None:
+    """Refuses a given option that ``what`` does not read."""
+    if value is not None:
+        raise ValueError(f"{what} takes no {option}")
 
 
-#: the machine of each ``make-machine`` process, built from the parsed arguments
-_ZOO: dict[str, Callable[[argparse.Namespace], Machine]] = {
-    "perturbed-coin": lambda args: procs.perturbed_coin_epsilon(_require_p(args)),
-    "perturbed-coin-rjmc": lambda args: procs.perturbed_coin_rjmc(_require_p(args)),
-    "golden-mean": lambda args: procs.golden_mean_epsilon(_require_p(args)),
-    "sns-g": lambda args: procs.sns_g_machine(_require_p(args)),
-    "sns-epsilon": lambda args: procs.sns_epsilon_truncated(_require_p(args), args.truncation),
-    "even": lambda args: procs.even_process_epsilon(),
-    "unbiased-coin": lambda args: procs.unbiased_coin(),
+#: each ``make-machine`` process: the options it reads, of which ``--p`` is
+#: required, and its machine built from the parsed arguments
+_ZOO: dict[str, tuple[tuple[str, ...], Callable[[argparse.Namespace], Machine]]] = {
+    "perturbed-coin": (("--p",), lambda args: procs.perturbed_coin_epsilon(args.p)),
+    "perturbed-coin-rjmc": (("--p",), lambda args: procs.perturbed_coin_rjmc(args.p)),
+    "golden-mean": (("--p",), lambda args: procs.golden_mean_epsilon(args.p)),
+    "sns-g": (("--p",), lambda args: procs.sns_g_machine(args.p)),
+    "sns-epsilon": (
+        ("--p", "--truncation"),
+        lambda args: procs.sns_epsilon_truncated(args.p, args.truncation),
+    ),
+    "even": ((), lambda args: procs.even_process_epsilon()),
+    "unbiased-coin": ((), lambda args: procs.unbiased_coin()),
 }
 
 
 def cmd_make_machine(args) -> int:
-    machine = _ZOO[args.process](args)
+    reads, build = _ZOO[args.process]
+    what = f"process {args.process!r}"
+    for option, value in (("--p", args.p), ("--truncation", args.truncation)):
+        if option not in reads:
+            _refuse_unread(what, option, value)
+    if "--p" in reads and args.p is None:
+        raise ValueError(f"{what} requires --p")
+    machine = build(args)
     _emit(machine.to_json_text(), args.out)
     return EXIT_OK
 
@@ -160,6 +171,8 @@ class _Row:
     #: the p at which the process degenerates: generated grids leave it out,
     #: and a given grid that holds it is refused
     degenerate_p: float | None = None
+    #: whether the process reads a truncation; one that does not refuses it
+    truncated = False
 
     def __init__(self, p: float, horizon: int, truncation: int | None):
         self.p = p
@@ -213,6 +226,7 @@ class _SnsRow(_Row):
         "C_g2": lambda row: ms.renyi_entropy(row.source.stationary, 2),
         "C_q2": lambda row: qm.quantum_complexity(qm.sns_gram_ensemble(row.renewal)),
     }
+    truncated = True
 
     @functools.cached_property
     def source(self) -> Machine:
@@ -394,6 +408,9 @@ def cmd_sweep(args) -> int:
         out = args.out
     if process not in _SWEEP_ROWS:
         raise UnsupportedProcess(f"unknown sweep process {process!r}")
+    if not _SWEEP_ROWS[process].truncated:
+        option = "sweep config field 'truncation'" if args.config else "--truncation"
+        _refuse_unread(f"process {process!r}", option, truncation)
     _check_grid(process, grid)
     return _sweep_to_csv(process, grid, horizon, truncation, columns, out)
 
@@ -415,6 +432,8 @@ def cmd_reproduce(args) -> int:
     _check_horizon(args.horizon)
     process, columns = _FIGURES[args.figure]
     row_type = _SWEEP_ROWS[process]
+    if not row_type.truncated:
+        _refuse_unread(f"{args.figure} (process {process!r})", "--truncation", args.truncation)
     lines = [",".join(columns)]
     for p in default_grid(process):
         values = row_type(p, args.horizon, args.truncation).values(columns)
@@ -439,26 +458,55 @@ def _parse_params(text: str) -> dict[str, float]:
     return out
 
 
+def _parse_split(text: str) -> tuple[int, ...]:
+    counts = []
+    for token in text.split(","):
+        try:
+            counts.append(int(token))
+        except ValueError:
+            raise ValueError(f"--split entry {token!r} is not an integer") from None
+    return tuple(counts)
+
+
+def _check_nmachine_options(args) -> None:
+    """Refuses an option the request's path does not read: the search reads
+    neither ``--params`` nor ``--branch``, given or zero shares read no
+    closed-form branch, and only the search reads ``--seed``."""
+    for option, value, path, taken in (
+        ("--params", args.params, "--optimize", args.optimize),
+        ("--branch", args.branch, "--optimize", args.optimize),
+        ("--branch", args.branch, "--params", args.params is not None),
+        ("--branch", args.branch, "--split", args.split is not None),
+    ):
+        if taken:
+            _refuse_unread(f"a request with {path}", option, value)
+    if not args.optimize:
+        _refuse_unread("a request without --optimize", "--seed", args.seed)
+
+
 def cmd_construct_nmachine(args) -> int:
     if args.horizon < 0:
         raise ValueError(f"--horizon must be nonnegative, got {args.horizon}")
-    row = _NMACHINE_ROWS[args.process](args.p, args.horizon, args.truncation)
+    _check_nmachine_options(args)
+    row_type = _NMACHINE_ROWS[args.process]
+    if not row_type.truncated:
+        _refuse_unread(f"process {args.process!r}", "--truncation", args.truncation)
+    row = row_type(args.p, args.horizon, args.truncation)
     source, e_half, c_mu2 = row.source, row.e_half, row.c_mu2
     spec = row.spec
-    if args.split:
-        counts = tuple(int(tok) for tok in args.split.split(","))
-        spec = nm.generic_split_spec(source, counts)
+    if args.split is not None:
+        spec = nm.generic_split_spec(source, _parse_split(args.split))
 
     if args.optimize:
-        opts = nm.OptimizeOptions(seed=args.seed)
+        opts = nm.OptimizeOptions(seed=args.seed or 0)
         result = nm.optimize_ideal(source, spec, e_half, opts, c_mu2=c_mu2)
     else:
         if args.params is not None:
             params = _parse_params(args.params)
-        elif args.split:
+        elif args.split is not None:
             params = {name: 0.0 for name in spec.param_names}
         else:
-            params = row.default_params(args.branch)
+            params = row.default_params(args.branch or nm.BRANCH_PLUS)
         built = nm.build_split_machine(source, spec, params)
         result = nm.assess_split_machine(built, params, e_half, c_mu2)
 
@@ -550,9 +598,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_nm.add_argument("--params", help="comma-separated name=value pairs")
     p_nm.add_argument("--optimize", action="store_true")
     p_nm.add_argument("--branch", choices=(nm.BRANCH_PLUS, nm.BRANCH_MINUS),
-                      default=nm.BRANCH_PLUS)
+                      help=f"closed-form root (default {nm.BRANCH_PLUS})")
     p_nm.add_argument("--truncation", type=int)
-    p_nm.add_argument("--seed", type=int, default=0, help="seed of the optimizer's extra starts")
+    p_nm.add_argument("--seed", type=int, help="seed of the optimizer's extra starts (default 0)")
     p_nm.set_defaults(handler=cmd_construct_nmachine)
 
     p_tf = sub.add_parser("transform", parents=[common], help="apply a 2x2 similarity map")

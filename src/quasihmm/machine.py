@@ -13,6 +13,7 @@ Machines are immutable after construction; all operations are read-only.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import operator
@@ -77,19 +78,20 @@ class Machine:
     source state; split-machine constructions fill it so that coarse-graining
     checks need no label parsing.
 
-    A machine from :func:`make_machine` holds its transition matrices as one
-    read-only (symbols, n, n) array, ``stacked``, and ``matrices`` maps each
-    symbol to its view of it.  ``stationary_residual`` is computed from the
-    machine's own arrays when first read and then remembered.
+    The transition matrices are one (symbols, n, n) array in alphabet
+    order, ``stacked``; :func:`make_machine` builds it read-only, and
+    ``matrices`` maps each symbol to its view of it.  ``stationary_residual``
+    is computed from the machine's own arrays when first read and then
+    remembered.
     """
 
     alphabet: tuple[str, ...]
     states: tuple[str, ...]
-    matrices: Mapping[str, np.ndarray]
+    stacked: np.ndarray
     stationary: np.ndarray
     groups: tuple[int, ...] | None = None
-    #: derived values remembered across calls (stacked matrices, residual,
-    #: classification, fidelities, slot arrays)
+    #: derived values remembered across calls (residual, classification,
+    #: fidelities, slot arrays)
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     # -- basic structure ------------------------------------------------
@@ -98,32 +100,20 @@ class Machine:
     def n_states(self) -> int:
         return len(self.states)
 
-    @property
-    def stacked(self) -> np.ndarray:
-        """The transition matrices in alphabet order as one read-only
-        (symbols, n, n) array."""
-        if "stacked" not in self._memo:
-            n = self.n_states
-            stack = np.array([self.matrices[x] for x in self.alphabet], dtype=float)
-            stack = stack.reshape(len(self.alphabet), n, n)
-            stack.setflags(write=False)
-            self._memo["stacked"] = stack
-        return self._memo["stacked"]
+    @functools.cached_property
+    def matrices(self) -> dict[str, np.ndarray]:
+        """Each symbol's transition matrix, a view of ``stacked``."""
+        return dict(zip(self.alphabet, self.stacked))
 
     @property
     def stationary_residual(self) -> float:
         """Largest entry of ``|pi T - pi|``, the stationary vector's
         fixed-point residual; computed when first read and remembered."""
         if "stationary_residual" not in self._memo:
-            pi = np.asarray(self.stationary)
-            self._memo["stationary_residual"] = (
-                float(np.max(np.abs(pi @ self.transition_matrix() - pi))) if self.n_states else 0.0
-            )
+            pi = self.stationary
+            residual = np.abs(pi @ self.stacked.sum(axis=0) - pi)
+            self._memo["stationary_residual"] = float(residual.max(initial=0.0))
         return self._memo["stationary_residual"]
-
-    def transition_matrix(self) -> np.ndarray:
-        """State transition matrix ``sum_x T[x]``."""
-        return sum(self.matrices[x] for x in self.alphabet)
 
     # -- word probabilities ----------------------------------------------
 
@@ -172,7 +162,7 @@ class Machine:
         """
         slots = self._word_slots()
         if slots is None:
-            return np.hstack([self.matrices[x] @ futures for x in self.alphabet])
+            return np.hstack([matrix @ futures for matrix in self.stacked])
         targets, amps, signed = slots
         out = np.take(futures, targets, axis=0)
         out *= amps[:, :, None]
@@ -186,7 +176,7 @@ class Machine:
         is the one slot of ``T[x]`` (see :func:`_slots`), and ``signed`` tells
         whether any entry is negative."""
         if "word_slots" not in self._memo:
-            slots = [_slots(self.matrices[x]) for x in self.alphabet]
+            slots = [_slots(matrix) for matrix in self.stacked]
             found = None
             if all(targets.shape[0] == 1 for targets, _ in slots):
                 targets = np.stack([t[0] for t, _ in slots], axis=1)
@@ -197,7 +187,7 @@ class Machine:
 
     def word_distribution(self, length: int) -> dict[str, float]:
         """Map from every length-``length`` word to its probability."""
-        probs = np.asarray(self.stationary) @ self.conditional_future_matrix(length)
+        probs = self.stationary @ self.conditional_future_matrix(length)
         words = map("".join, itertools.product(self.alphabet, repeat=length))
         return dict(zip(words, probs.tolist()))
 
@@ -208,14 +198,11 @@ class Machine:
         ``linalg.STRUCT_TOL``; remembered, since the machine never changes."""
         if "classify" not in self._memo:
             tol = linalg.STRUCT_TOL
-            classical = bool(np.min(self.stationary) >= -tol) and all(
-                np.min(self.matrices[x]) >= -tol for x in self.alphabet
+            classical = np.min(self.stationary) >= -tol and self.stacked.min(initial=0.0) >= -tol
+            nonzeros = np.count_nonzero(np.abs(self.stacked) > tol, axis=2)
+            self._memo["classify"] = MachineClass(
+                classical=bool(classical), unifilar=bool(nonzeros.max(initial=0) <= 1)
             )
-            unifilar = all(
-                np.count_nonzero(np.abs(self.matrices[x]) > tol, axis=1).max(initial=0) <= 1
-                for x in self.alphabet
-            )
-            self._memo["classify"] = MachineClass(classical=classical, unifilar=unifilar)
         return self._memo["classify"]
 
     # -- conditional-future fidelities -------------------------------------
@@ -300,7 +287,7 @@ class Machine:
         arrays of :func:`_slots`."""
         if "root_slots" not in self._memo:
             self._memo["root_slots"] = [
-                _slots(np.sqrt(np.clip(self.matrices[x], 0.0, None))) for x in self.alphabet
+                _slots(np.sqrt(np.clip(matrix, 0.0, None))) for matrix in self.stacked
             ]
         return self._memo["root_slots"]
 
@@ -310,8 +297,8 @@ class Machine:
         doc: dict = {
             "alphabet": list(self.alphabet),
             "states": list(self.states),
-            "matrices": {x: np.asarray(self.matrices[x]).tolist() for x in self.alphabet},
-            "stationary": np.asarray(self.stationary).tolist(),
+            "matrices": dict(zip(self.alphabet, self.stacked.tolist())),
+            "stationary": self.stationary.tolist(),
         }
         if self.groups is not None:
             doc["groups"] = list(self.groups)
@@ -338,7 +325,6 @@ class Machine:
             return ["[" + inner, ("," + inner).join(items), "\n" + pad + "]"]
 
         def numbers(values: np.ndarray, pad: str) -> list[str]:
-            values = np.asarray(values, dtype=float)
             items = ["0.0"] * values.size
             nonzero = np.flatnonzero(values.view(np.uint64)).tolist()
             for i, text in zip(nonzero, map(float.__repr__, values[nonzero].tolist())):
@@ -357,15 +343,14 @@ class Machine:
             return pieces
 
         matrices = [
-            (x, array(["".join(numbers(row, "      ")) for row in np.asarray(self.matrices[x])],
-                      "    "))
-            for x in self.alphabet
+            (x, array(["".join(numbers(row, "      ")) for row in matrix], "    "))
+            for x, matrix in zip(self.alphabet, self.stacked)
         ]
         fields = [
             ("alphabet", array(list(map(json.dumps, self.alphabet)), "  ")),
             ("states", array(list(map(json.dumps, self.states)), "  ")),
             ("matrices", obj(matrices, "  ")),
-            ("stationary", numbers(np.asarray(self.stationary), "  ")),
+            ("stationary", numbers(self.stationary, "  ")),
         ]
         if self.groups is not None:
             fields.append(("groups", array(list(map(str, self.groups)), "  ")))
@@ -395,9 +380,9 @@ def make_machine(
     """Validating constructor.
 
     Each symbol's matrix is converted once and copied into one read-only
-    (symbols, n, n) array, whose views become ``Machine.matrices``; that
-    array is summed once.  Row sums of the summed transition matrix must be
-    1 within ``linalg.STRUCT_TOL`` and its entries finite.  When
+    (symbols, n, n) array, ``Machine.stacked``, which is summed once.  Row
+    sums of the summed transition matrix must be 1 within
+    ``linalg.STRUCT_TOL`` and its entries finite.  When
     ``stationary`` is omitted it is computed as the unique unit-sum left
     fixed vector, and :func:`linalg.left_fixed_vector` is the one place the
     summed matrix is validated; its row-sum failure is raised here as
@@ -460,14 +445,7 @@ def make_machine(
         if residual > 10 * linalg.EIGEN_TOL:
             raise StationaryMismatch(f"stationary fixed-point residual {residual:.3e}")
 
-    machine = Machine(
-        alphabet=alphabet,
-        states=states,
-        matrices=dict(zip(alphabet, stack)),
-        stationary=pi,
-        groups=groups,
-    )
-    machine._memo["stacked"] = stack
+    machine = Machine(alphabet, states, stack, pi, groups)
     if residual is not None:
         machine._memo["stationary_residual"] = residual
     return machine
@@ -488,7 +466,7 @@ def word_distribution_distance(a: Machine, b: Machine, horizon: int) -> float:
     for length in range(horizon + 1):
         fa = a.conditional_future_matrix(length)
         fb = b.conditional_future_matrix(length)
-        gap = np.asarray(a.stationary) @ fa - np.asarray(b.stationary) @ fb
+        gap = a.stationary @ fa - b.stationary @ fb
         worst = max(worst, float(np.max(np.abs(gap))))
     return worst
 

@@ -195,7 +195,7 @@ def excess_entropy_half(m: Machine, horizon: int = DEFAULT_HORIZON) -> MeasureRe
         )
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    pi = np.asarray(m.stationary)
+    pi = m.stationary
     value = -float(np.log2(pi @ m.future_fidelity_matrix(horizon) @ pi))
     prev = -float(np.log2(pi @ m.future_fidelity_matrix(horizon - 1) @ pi))
     return MeasureReport(
@@ -221,7 +221,7 @@ def excess_entropy_shannon(m: Machine, horizon: int = DEFAULT_HORIZON) -> Measur
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     m.check_enumeration(horizon)
-    pi = np.clip(np.asarray(m.stationary), 0.0, None)
+    pi = np.clip(m.stationary, 0.0, None)
 
     def estimate(fut: np.ndarray) -> float:
         # sum of joint * log2(fut / marginal) over the positive joint

@@ -349,19 +349,16 @@ def verify_nmachine_properties(
     groups = np.asarray(built.groups)
     n_src = source.n_states
 
-    pi = np.asarray(built.stationary)
+    pi = built.stationary
     fixed_res = built.stationary_residual
 
     coarse = np.zeros(n_src)
     for k in range(n_src):
         coarse[k] = np.sum(pi[groups == k])
-    coarse_res = float(np.max(np.abs(coarse - np.asarray(source.stationary))))
+    coarse_res = float(np.max(np.abs(coarse - source.stationary)))
 
-    symbol_res = 0.0
-    for x in source.alphabet:
-        built_rows = np.asarray(built.matrices[x]).sum(axis=1)
-        source_rows = np.asarray(source.matrices[x]).sum(axis=1)
-        symbol_res = max(symbol_res, float(np.max(np.abs(built_rows - source_rows[groups]))))
+    symbol_rows = source.stacked.sum(axis=2)[:, groups]
+    symbol_res = float(np.max(np.abs(built.stacked.sum(axis=2) - symbol_rows), initial=0.0))
 
     # one enumeration per machine and length serves the word-conditional,
     # word-distribution and half-order checks; the length-0 futures are ones
@@ -374,7 +371,7 @@ def verify_nmachine_properties(
         fut_src = source.conditional_future_matrix(length)
         if length <= word_horizon:
             word_res = max(word_res, float(np.max(np.abs(fut_built - fut_src[groups]))))
-        dist = pi @ fut_built - np.asarray(source.stationary) @ fut_src
+        dist = pi @ fut_built - source.stationary @ fut_src
         dist_res = max(dist_res, float(np.max(np.abs(dist))))
 
     # Where a source state forbids a word, its copies' futures are rounding
@@ -446,7 +443,7 @@ def assess_split_machine(
     The advantage is the relative memory advantage |c_n2 - c_mu2| / c_mu2,
     NaN at a zero baseline.
     """
-    pi = np.asarray(machine.stationary)
+    pi = machine.stationary
     # not measures.renyi_entropy: it refuses a signed vector with a
     # near-zero entry, and every split point, the search's or one the
     # caller gives, must be scored
@@ -615,7 +612,7 @@ def optimize_ideal(
     def entropy_at(vec: np.ndarray) -> float | None:
         try:
             machine = build_split_machine(source, spec, dict(zip(names, vec)))
-            pi = np.asarray(machine.stationary)
+            pi = machine.stationary
             return -float(np.log2(np.sum(pi * pi)))
         except (DegenerateFixedSpace, NoUnitEigenvalue):
             return None

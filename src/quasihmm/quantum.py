@@ -101,7 +101,7 @@ def gram_from_machine(m: Machine, horizon: int) -> GramEnsemble:
         current = m.future_fidelity_matrix(horizon)
         previous = m.future_fidelity_matrix(horizon - 1)
         gram = GramEnsemble(
-            weights=np.asarray(m.stationary, dtype=float),
+            weights=m.stationary,
             overlaps=current,
             horizon=horizon,
             residual=float(np.max(np.abs(current - previous))),

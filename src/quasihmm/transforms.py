@@ -59,10 +59,9 @@ def apply_map(m: Machine, zmap: SimilarityMap) -> Machine:
     z, zinv = zmap.z, zmap.z_inverse
     if z.shape != (m.n_states, m.n_states):
         raise DimensionMismatch(f"map is {z.shape}, machine has {m.n_states} states")
-    matrices = {x: z @ np.asarray(m.matrices[x]) @ zinv for x in m.alphabet}
-    stationary = np.asarray(m.stationary) @ zinv
+    matrices = dict(zip(m.alphabet, z @ m.stacked @ zinv))
     states = tuple(f"z{i}" for i in range(m.n_states))
-    return make_machine(m.alphabet, states, matrices, stationary=stationary)
+    return make_machine(m.alphabet, states, matrices, stationary=m.stationary @ zinv)
 
 
 # --- Perturbed Coin specifics ---------------------------------------------------

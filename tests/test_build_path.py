@@ -108,7 +108,8 @@ def reference_make_machine(alphabet, states, matrices, stationary=None):
 
 def assert_matches_reference(machine, stationary=None):
     """``machine`` equals the reference build of its own matrices, byte for
-    byte; with ``stationary`` given, the reference verifies that vector."""
+    byte, and each ``matrices[x]`` is a read-only view of ``stacked``; with
+    ``stationary`` given, the reference verifies that vector."""
     inputs = {x: np.array(machine.matrices[x]) for x in machine.alphabet}
     mats, pi, residual = reference_make_machine(
         machine.alphabet, machine.states, inputs, stationary
@@ -118,7 +119,9 @@ def assert_matches_reference(machine, stationary=None):
     for i, x in enumerate(machine.alphabet):
         assert machine.matrices[x].tobytes() == mats[x].tobytes()
         assert machine.stacked[i].tobytes() == mats[x].tobytes()
+        assert np.shares_memory(machine.matrices[x], machine.stacked[i])
         assert not machine.matrices[x].flags.writeable
+        assert not machine.stacked[i].flags.writeable
     assert machine.stationary.tobytes() == pi.tobytes()
     assert not machine.stationary.flags.writeable
     assert np.float64(machine.stationary_residual).tobytes() == np.float64(residual).tobytes()
@@ -200,13 +203,14 @@ class TestBuildMatchesReference:
         assert built >= len(cases) - 3
 
 
-def test_directly_constructed_machine_stacks_and_measures_itself():
+def test_directly_constructed_machine_views_its_stack_and_measures_itself():
     coin = perturbed_coin_epsilon(0.3)
     stale = Machine(alphabet=coin.alphabet, states=coin.states,
-                    matrices={x: np.array(coin.matrices[x]) for x in coin.alphabet},
-                    stationary=np.array([0.8, 0.2]))
-    assert stale.stacked.tobytes() == coin.stacked.tobytes()
-    assert not stale.stacked.flags.writeable
+                    stacked=np.array(coin.stacked), stationary=np.array([0.8, 0.2]))
+    for i, x in enumerate(stale.alphabet):
+        assert np.shares_memory(stale.matrices[x], stale.stacked[i])
+        assert stale.matrices[x].tobytes() == stale.stacked[i].tobytes()
+    assert stale.matrices is stale.matrices
     total = coin.matrices["0"] + coin.matrices["1"]
     expected = float(np.max(np.abs(np.array([0.8, 0.2]) @ total - [0.8, 0.2])))
     assert stale.stationary_residual == expected > 0.1

@@ -289,8 +289,14 @@ def quasi_file(tmp_path, capsys):
 #: the Perturbed Coin ("{coin}" is its file) with nonnegative stationary
 #: vector but signed transitions, and the Perturbed Coin's ideal split,
 #: whose stationary vector is signed
+def _make_machine_argv(process):
+    """``make-machine`` for ``process``, with ``--p 0.3`` where it reads one."""
+    reads, _ = cli._ZOO[process]
+    return ["make-machine", "--process", process, *(["--p", "0.3"] if "--p" in reads else [])]
+
+
 _SELECTION_MACHINES = [
-    *(["make-machine", "--process", process, "--p", "0.3"] for process in cli._ZOO),
+    *map(_make_machine_argv, cli._ZOO),
     ["wigner", "--p", "0.3"],
     ["transform", "--machine", "{coin}", "--a", "2", "--b", "0"],
     ["construct-nmachine", "--process", "perturbed-coin", "--p", "0.3"],
@@ -868,6 +874,84 @@ class TestConstructNMachine:
         error = json.loads(err)
         assert error["error"] == "SpecMismatch"
         assert "zz" in error["message"]
+
+
+def _refused(capsys, *argv):
+    """The message of a request refused with exit 2 and one JSON line."""
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    lines = err.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])
+    assert error["error"] == "ValueError"
+    return error["message"]
+
+
+class TestUnreadOptionsAreRefused:
+    """An option that the request's path or process does not read exits 2
+    with one JSON line naming it, instead of being dropped."""
+
+    COIN = ("construct-nmachine", "--process", "perturbed-coin", "--p", "0.3")
+
+    @pytest.mark.parametrize("extra, option, path", [
+        (("--optimize", "--params", "q1=0.1,q2=0.2"), "--params", "--optimize"),
+        (("--optimize", "--branch", "plus"), "--branch", "--optimize"),
+        (("--params", "q1=0.1,q2=0.2", "--branch", "minus"), "--branch", "--params"),
+        (("--split", "2,1", "--branch", "plus"), "--branch", "--split"),
+        (("--seed", "3"), "--seed", "--optimize"),
+        (("--split", "2,1", "--seed", "0"), "--seed", "--optimize"),
+    ])
+    def test_construct_nmachine_option_its_path_does_not_read(self, capsys, extra, option,
+                                                              path):
+        message = _refused(capsys, *self.COIN, *extra)
+        assert option in message and path in message
+
+    def test_branch_and_seed_defaults_apply_where_read(self, capsys):
+        assert run(capsys, *self.COIN) == run(capsys, *self.COIN, "--branch", BRANCH_PLUS)
+        optimize = (*self.COIN, "--optimize")
+        assert run(capsys, *optimize) == run(capsys, *optimize, "--seed", "0")
+
+    @pytest.mark.parametrize("split, token", [("a,1", "a"), ("2,", ""), ("", ""), ("2,1.5", "1.5")])
+    def test_split_that_does_not_parse_is_named(self, capsys, split, token):
+        message = _refused(capsys, *self.COIN, "--split", split)
+        assert message == f"--split entry {token!r} is not an integer"
+
+    @pytest.mark.parametrize("process", [p for p in cli._ZOO if p != "sns-epsilon"])
+    def test_make_machine_truncation(self, capsys, process):
+        message = _refused(capsys, *_make_machine_argv(process), "--truncation", "50")
+        assert message == f"process {process!r} takes no --truncation"
+
+    @pytest.mark.parametrize("process", ["even", "unbiased-coin"])
+    def test_make_machine_p(self, capsys, process):
+        message = _refused(capsys, "make-machine", "--process", process, "--p", "0.3")
+        assert message == f"process {process!r} takes no --p"
+
+    @pytest.mark.parametrize("figure", ["fig5", "fig7"])
+    def test_reproduce_truncation(self, capsys, figure):
+        message = _refused(capsys, "reproduce", figure, "--truncation", "3")
+        assert message == f"{figure} (process 'perturbed-coin') takes no --truncation"
+
+    @pytest.mark.parametrize("process", ["perturbed-coin", "golden-mean"])
+    def test_sweep_truncation(self, capsys, tmp_path, process):
+        message = _refused(capsys, "sweep", "--process", process, "--p-grid", "0.3",
+                           "--truncation", "5")
+        assert message == f"process {process!r} takes no --truncation"
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps({"process": process, "p_grid": [0.3], "truncation": 5}))
+        message = _refused(capsys, "sweep", "--config", str(config))
+        assert message == f"process {process!r} takes no sweep config field 'truncation'"
+
+    @pytest.mark.parametrize("process", ["perturbed-coin", "golden-mean-bad"])
+    def test_construct_nmachine_truncation(self, capsys, process):
+        message = _refused(capsys, "construct-nmachine", "--process", process, "--p", "0.3",
+                           "--truncation", "5")
+        assert message == f"process {process!r} takes no --truncation"
+
+    def test_sns_sweep_still_reads_truncation(self, capsys):
+        argv = ("sweep", "--process", "sns", "--p-grid", "0.3", "--horizon", "3")
+        code, out, err = run(capsys, *argv, "--truncation", "60")
+        assert (code, err) == (0, "")
+        assert out != run(capsys, *argv, "--truncation", "20")[1]
 
 
 class TestTransform:

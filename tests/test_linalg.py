@@ -69,7 +69,7 @@ class TestLeftFixedVector:
             assert np.max(np.abs(left_fixed_vector(m) - _lstsq_fixed_vector(m))) <= 1e-13
 
     def test_agrees_with_least_squares_on_sns_predictive_model(self):
-        total = sns_epsilon_truncated(0.9).transition_matrix()
+        total = sns_epsilon_truncated(0.9).stacked.sum(axis=0)
         diff = left_fixed_vector(total) - _lstsq_fixed_vector(total)
         assert np.max(np.abs(diff)) <= 1e-13
 

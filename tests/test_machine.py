@@ -290,7 +290,7 @@ class TestMakeMachineChecks:
         stale = Machine(
             alphabet=coin.alphabet,
             states=coin.states,
-            matrices=coin.matrices,
+            stacked=coin.stacked,
             stationary=np.array([0.8, 0.2]),
         )
         assert stale.stationary_residual > 0.1
@@ -482,7 +482,8 @@ class TestMachineIO:
         assert machine.to_json_text() == json.dumps(machine.to_json_dict(), indent=2) + "\n"
 
     def test_json_text_of_empty_fields(self):
-        m = Machine(alphabet=(), states=(), matrices={}, stationary=np.zeros(0), groups=())
+        m = Machine(alphabet=(), states=(), stacked=np.zeros((0, 0, 0)), stationary=np.zeros(0),
+                    groups=())
         assert m.to_json_text() == json.dumps(m.to_json_dict(), indent=2) + "\n"
 
     def test_round_trip_bit_exact(self, tmp_path, coin):
@@ -507,7 +508,7 @@ class TestMachineIO:
     def test_groups_survive_round_trip(self, tmp_path):
         m = unbiased_coin()
         grouped = Machine(
-            alphabet=m.alphabet, states=m.states, matrices=m.matrices,
+            alphabet=m.alphabet, states=m.states, stacked=m.stacked,
             stationary=m.stationary, groups=(0,),
         )
         path = tmp_path / "coin.json"

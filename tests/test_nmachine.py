@@ -193,7 +193,7 @@ class TestVerifyProperties:
         broken = Machine(
             alphabet=built.alphabet,
             states=built.states,
-            matrices={"0": t0, "1": np.array(built.matrices["1"]) - 0.0},
+            stacked=np.stack([t0, np.array(built.matrices["1"]) - 0.0]),
             stationary=np.array(built.stationary),
             groups=built.groups,
         )
@@ -210,7 +210,7 @@ class TestVerifyProperties:
         t0[2, 1] += 0.05
         stale = Machine(
             alphabet=built.alphabet, states=built.states,
-            matrices={"0": t0, "1": np.array(built.matrices["1"])},
+            stacked=np.stack([t0, built.matrices["1"]]),
             stationary=np.array(built.stationary), groups=built.groups,
         )
         with pytest.raises(errors.PropertyViolated) as info:
@@ -238,7 +238,7 @@ class TestVerifyProperties:
         t1[0, 0] += 0.01
         broken = Machine(
             alphabet=built.alphabet, states=built.states,
-            matrices={"0": np.array(built.matrices["0"]), "1": t1},
+            stacked=np.stack([built.matrices["0"], t1]),
             stationary=np.array(built.stationary), groups=built.groups,
         )
         with pytest.raises(errors.PropertyViolated):
@@ -250,7 +250,7 @@ class TestVerifyProperties:
         t1[0, 2] += 0.02
         broken = Machine(
             alphabet=built.alphabet, states=built.states,
-            matrices={"0": np.array(built.matrices["0"]), "1": t1},
+            stacked=np.stack([built.matrices["0"], t1]),
             stationary=np.array(built.stationary), groups=built.groups,
         )
         with pytest.raises(errors.PropertyViolated) as info:

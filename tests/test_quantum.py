@@ -289,10 +289,10 @@ class TestUnitaryRelation:
         broken = Machine(
             alphabet=("0", "1"),
             states=("s0", "s1"),
-            matrices={
-                "0": np.array([[0.6, 0.0], [0.3, 0.0]]),
-                "1": np.array([[0.0, 0.3], [0.0, 0.7]]),
-            },
+            stacked=np.array([
+                [[0.6, 0.0], [0.3, 0.0]],
+                [[0.0, 0.3], [0.0, 0.7]],
+            ]),
             stationary=np.array([0.5, 0.5]),
         )
         with pytest.raises(errors.IsometryViolated):

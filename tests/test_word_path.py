@@ -291,8 +291,7 @@ class TestWriterMatchesReference:
     def test_directly_constructed_machine(self):
         coin = perturbed_coin_epsilon(0.3)
         machine = Machine(alphabet=coin.alphabet, states=coin.states,
-                          matrices={x: np.array(coin.matrices[x]) for x in coin.alphabet},
-                          stationary=[0.7, 0.3])
+                          stacked=np.array(coin.stacked), stationary=np.array([0.7, 0.3]))
         assert machine.to_json_text() == reference_to_json_text(machine)
 
 
