@@ -379,17 +379,28 @@ def _read_sweep_config(path: str) -> dict:
     return doc
 
 
+#: the sweep flags that a ``--config`` file replaces, and their defaults
+_SWEEP_FLAGS = {"process": "perturbed-coin", "p_grid": None, "p_min": 0.1, "p_max": 0.9,
+                "p_step": 0.1, "truncation": None}
+
+
 def cmd_sweep(args) -> int:
     _check_horizon(args.horizon)
     if args.config:
+        for key in _SWEEP_FLAGS:
+            option = "--" + key.replace("_", "-")
+            _refuse_unread("a request with --config", option, getattr(args, key))
         doc = _read_sweep_config(args.config)
-        process = doc.get("process", "perturbed-coin")
+        process = doc.get("process", _SWEEP_FLAGS["process"])
         grid = [float(p) for p in doc["p_grid"]]
         horizon = doc.get("horizon", args.horizon)
         truncation = doc.get("truncation")
         columns = doc.get("outputs")
         out = doc.get("output_path", args.out)
     else:
+        for key, default in _SWEEP_FLAGS.items():
+            if getattr(args, key) is None:
+                setattr(args, key, default)
         process = args.process
         if args.p_grid is not None:
             grid = _parse_grid(args.p_grid)
@@ -576,11 +587,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", parents=[common], help="parameter sweep to CSV")
     p_sweep.add_argument("--config", help="JSON sweep configuration file")
-    p_sweep.add_argument("--process", choices=tuple(_SWEEP_ROWS), default="perturbed-coin")
+    p_sweep.add_argument("--process", choices=tuple(_SWEEP_ROWS))
     p_sweep.add_argument("--p-grid", help="comma-separated grid values")
-    p_sweep.add_argument("--p-min", type=float, default=0.1)
-    p_sweep.add_argument("--p-max", type=float, default=0.9)
-    p_sweep.add_argument("--p-step", type=float, default=0.1)
+    p_sweep.add_argument("--p-min", type=float)
+    p_sweep.add_argument("--p-max", type=float)
+    p_sweep.add_argument("--p-step", type=float)
     p_sweep.add_argument("--truncation", type=int)
     p_sweep.set_defaults(handler=cmd_sweep)
 

@@ -13,7 +13,6 @@ Machines are immutable after construction; all operations are read-only.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import operator
@@ -79,10 +78,10 @@ class Machine:
     checks need no label parsing.
 
     The transition matrices are one (symbols, n, n) array in alphabet
-    order, ``stacked``; :func:`make_machine` builds it read-only, and
-    ``matrices`` maps each symbol to its view of it.  ``stationary_residual``
-    is computed from the machine's own arrays when first read and then
-    remembered.
+    order, ``stacked``, which :func:`make_machine` builds read-only; entry
+    ``stacked[i]`` is the matrix of symbol ``alphabet[i]``.
+    ``stationary_residual`` is computed from the machine's own arrays when
+    first read and then remembered.
     """
 
     alphabet: tuple[str, ...]
@@ -99,11 +98,6 @@ class Machine:
     @property
     def n_states(self) -> int:
         return len(self.states)
-
-    @functools.cached_property
-    def matrices(self) -> dict[str, np.ndarray]:
-        """Each symbol's transition matrix, a view of ``stacked``."""
-        return dict(zip(self.alphabet, self.stacked))
 
     @property
     def stationary_residual(self) -> float:
@@ -373,14 +367,15 @@ def _group_index(g) -> int:
 def make_machine(
     alphabet: Sequence[str],
     states: Sequence[str],
-    matrices: Mapping[str, object],
+    stacked,
     stationary=None,
     groups: Sequence[int] | None = None,
 ) -> Machine:
     """Validating constructor.
 
-    Each symbol's matrix is converted once and copied into one read-only
-    (symbols, n, n) array, ``Machine.stacked``, which is summed once.  Row
+    ``stacked`` holds the transition matrices as one array-like of shape
+    (symbols, n, n) in alphabet order.  It is copied once into the
+    read-only ``Machine.stacked``, which is summed once.  Row
     sums of the summed transition matrix must be 1 within
     ``linalg.STRUCT_TOL`` and its entries finite.  When
     ``stationary`` is omitted it is computed as the unique unit-sum left
@@ -397,19 +392,11 @@ def make_machine(
         raise MachineFormatError("alphabet has repeated symbols")
     states = tuple(str(s) for s in states)
     n = len(states)
-    stack = np.empty((len(alphabet), n, n))
-    for i, x in enumerate(alphabet):
-        if x not in matrices:
-            raise MachineFormatError(f"missing transition matrix for symbol {x!r}")
-        a = np.asarray(matrices[x], dtype=float)
-        if a.shape != (n, n):
-            raise MachineFormatError(
-                f"matrix for symbol {x!r} has shape {a.shape}, expected {(n, n)}"
-            )
-        stack[i] = a
-    extra = set(matrices) - set(alphabet)
-    if extra:
-        raise MachineFormatError(f"matrices for symbols outside the alphabet: {sorted(extra)}")
+    stack = np.array(stacked, dtype=float, order="C")
+    if stack.shape != (len(alphabet), n, n):
+        raise MachineFormatError(
+            f"transition stack has shape {stack.shape}, expected {(len(alphabet), n, n)}"
+        )
     stack.setflags(write=False)
     if groups is not None:
         groups = tuple(_group_index(g) for g in groups)
@@ -485,6 +472,8 @@ def load_machine(path) -> Machine:
 
 
 def machine_from_json_dict(doc: Mapping) -> Machine:
+    """The machine of a file's JSON document.  Its ``matrices`` object maps
+    each symbol to a square array of numbers, passed on in alphabet order."""
     if not isinstance(doc, Mapping):
         raise MachineFormatError("machine document must be a JSON object")
     for key in ("alphabet", "states", "matrices"):
@@ -495,10 +484,28 @@ def machine_from_json_dict(doc: Mapping) -> Machine:
             raise MachineFormatError(f"machine document field {key!r} must be a JSON array")
     if not isinstance(doc["matrices"], Mapping):
         raise MachineFormatError("machine document field 'matrices' must be a JSON object")
+    matrices, alphabet = doc["matrices"], [str(x) for x in doc["alphabet"]]
+    n = len(doc["states"])
+    stacked = []
+    for x in alphabet:
+        if x not in matrices:
+            raise MachineFormatError(f"missing transition matrix for symbol {x!r}")
+        try:
+            a = np.asarray(matrices[x], dtype=float)
+        except (TypeError, ValueError):
+            raise MachineFormatError(f"matrix for symbol {x!r} is not a numeric array") from None
+        if a.shape != (n, n):
+            raise MachineFormatError(
+                f"matrix for symbol {x!r} has shape {a.shape}, expected {(n, n)}"
+            )
+        stacked.append(a)
+    extra = set(matrices) - set(alphabet)
+    if extra:
+        raise MachineFormatError(f"matrices for symbols outside the alphabet: {sorted(extra)}")
     return make_machine(
         doc["alphabet"],
         doc["states"],
-        doc["matrices"],
+        stacked,
         stationary=doc.get("stationary"),
         groups=doc.get("groups"),
     )

@@ -281,12 +281,7 @@ def build_split_machine(
     compiled = spec.compiled(source)
     theta = np.array([params[name] for name in spec.param_names], dtype=float)
     stacked = compiled.matrices(source, theta)
-    return make_machine(
-        source.alphabet,
-        compiled.labels,
-        dict(zip(source.alphabet, stacked)),
-        groups=compiled.groups,
-    )
+    return make_machine(source.alphabet, compiled.labels, stacked, groups=compiled.groups)
 
 
 # --- defining identities as numeric checks ------------------------------------

@@ -53,7 +53,7 @@ def check_not_half(p: float) -> float:
 def unbiased_coin() -> Machine:
     """Single-state IID coin: both symbols emitted with probability 1/2."""
     half = [[0.5]]
-    return make_machine(("0", "1"), ("s0",), {"0": half, "1": half})
+    return make_machine(("0", "1"), ("s0",), [half, half])
 
 
 def perturbed_coin_epsilon(p: float) -> Machine:
@@ -66,7 +66,7 @@ def perturbed_coin_epsilon(p: float) -> Machine:
     p = check_not_half(check_open_unit(p))
     t0 = [[1 - p, 0.0], [p, 0.0]]
     t1 = [[0.0, p], [0.0, 1 - p]]
-    return make_machine(("0", "1"), ("s0", "s1"), {"0": t0, "1": t1}, stationary=[0.5, 0.5])
+    return make_machine(("0", "1"), ("s0", "s1"), [t0, t1], stationary=[0.5, 0.5])
 
 
 def perturbed_coin_rjmc(p: float) -> Machine:
@@ -88,7 +88,7 @@ def perturbed_coin_rjmc(p: float) -> Machine:
         t0 = [[1 - p, 0.0], [1.0, 0.0]]
         t1 = [[1 - p, 2 * p - 1], [0.0, 0.0]]
         pi = [1 / (2 * p), (2 * p - 1) / (2 * p)]
-    return make_machine(("0", "1"), ("A", "B"), {"0": t0, "1": t1}, stationary=pi)
+    return make_machine(("0", "1"), ("A", "B"), [t0, t1], stationary=pi)
 
 
 def golden_mean_epsilon(p: float) -> Machine:
@@ -101,7 +101,7 @@ def golden_mean_epsilon(p: float) -> Machine:
     t0 = [[p, 0.0], [1.0, 0.0]]
     t1 = [[0.0, 1 - p], [0.0, 0.0]]
     pi = [1 / (2 - p), (1 - p) / (2 - p)]
-    return make_machine(("0", "1"), ("s0", "s1"), {"0": t0, "1": t1}, stationary=pi)
+    return make_machine(("0", "1"), ("s0", "s1"), [t0, t1], stationary=pi)
 
 
 def even_process_epsilon() -> Machine:
@@ -109,7 +109,7 @@ def even_process_epsilon() -> Machine:
     length), pinned to the standard symmetric parameterization 1/2."""
     t0 = [[0.5, 0.0], [0.0, 0.0]]
     t1 = [[0.0, 0.5], [1.0, 0.0]]
-    return make_machine(("0", "1"), ("s0", "s1"), {"0": t0, "1": t1}, stationary=[2 / 3, 1 / 3])
+    return make_machine(("0", "1"), ("s0", "s1"), [t0, t1], stationary=[2 / 3, 1 / 3])
 
 
 # --- SNS renewal process -----------------------------------------------------
@@ -266,7 +266,7 @@ def sns_g_machine(p: float) -> Machine:
     p = check_open_unit(p)
     t0 = [[p, 1 - p], [0.0, p]]
     t1 = [[0.0, 0.0], [1 - p, 0.0]]
-    return make_machine(("0", "1"), ("A", "B"), {"0": t0, "1": t1}, stationary=[0.5, 0.5])
+    return make_machine(("0", "1"), ("A", "B"), [t0, t1], stationary=[0.5, 0.5])
 
 
 def sns_epsilon_truncated(p: float, truncation: int | None = None) -> Machine:
@@ -301,7 +301,7 @@ def sns_epsilon_truncated(p: float, truncation: int | None = None) -> Machine:
 
     states = tuple(f"s{n}" for n in range(size))
     try:
-        return make_machine(("0", "1"), states, {"0": t0, "1": t1})
+        return make_machine(("0", "1"), states, [t0, t1])
     except MachineFormatError as exc:
         phi = big_phi[n_max]
         if phi >= sys.float_info.min:

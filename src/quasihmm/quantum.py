@@ -350,7 +350,7 @@ def wigner_as_machine(w: WignerRepresentation) -> Machine:
     return make_machine(
         ("0", "1"),
         states,
-        {x: np.asarray(mat) for x, mat in w.channel_matrices.items()},
+        [w.channel_matrices[x] for x in ("0", "1")],
         stationary=w.state_quasi,
         groups=groups,
     )

@@ -59,9 +59,8 @@ def apply_map(m: Machine, zmap: SimilarityMap) -> Machine:
     z, zinv = zmap.z, zmap.z_inverse
     if z.shape != (m.n_states, m.n_states):
         raise DimensionMismatch(f"map is {z.shape}, machine has {m.n_states} states")
-    matrices = dict(zip(m.alphabet, z @ m.stacked @ zinv))
     states = tuple(f"z{i}" for i in range(m.n_states))
-    return make_machine(m.alphabet, states, matrices, stationary=m.stationary @ zinv)
+    return make_machine(m.alphabet, states, z @ m.stacked @ zinv, stationary=m.stationary @ zinv)
 
 
 # --- Perturbed Coin specifics ---------------------------------------------------

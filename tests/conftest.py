@@ -22,7 +22,8 @@ def oracle_word_probability(machine, word) -> float:
     for path in itertools.product(range(n), repeat=len(word) + 1):
         value = float(machine.stationary[path[0]])
         for t, symbol in enumerate(word):
-            value *= float(machine.matrices[symbol][path[t], path[t + 1]])
+            matrix = machine.stacked[machine.alphabet.index(symbol)]
+            value *= float(matrix[path[t], path[t + 1]])
         total += value
     return total
 
@@ -35,7 +36,7 @@ def oracle_conditional_word_probability(machine, state, word) -> float:
         value = 1.0
         prev = state
         for t, symbol in enumerate(word):
-            value *= float(machine.matrices[symbol][prev, path[t]])
+            value *= float(machine.stacked[machine.alphabet.index(symbol)][prev, path[t]])
             prev = path[t]
         total += value
     return total

@@ -230,8 +230,7 @@ def test_criterion_8_linear_map_family():
             perturbed_coin_epsilon(p), two_state_map(p / (2 * p - 1), 1.0)
         )
         target = perturbed_coin_rjmc(p)
-        for x in ("0", "1"):
-            worst = max(worst, float(np.max(np.abs(mapped.matrices[x] - target.matrices[x]))))
+        worst = max(worst, float(np.max(np.abs(mapped.stacked - target.stacked))))
         worst = max(worst, float(np.max(np.abs(mapped.stationary - target.stationary))))
     recovered = worst <= 1e-12
 

@@ -76,18 +76,18 @@ def reference_left_fixed_vector(m):
     return v / v.sum()
 
 
-def reference_make_machine(alphabet, states, matrices, stationary=None):
-    """Returns (matrices, stationary, stationary residual)."""
+def reference_make_machine(alphabet, states, stacked, stationary=None):
+    """Returns (matrices in alphabet order, stationary, stationary residual)."""
     n = len(states)
-    mats = {}
-    for x in alphabet:
-        a = np.asarray(matrices[x], dtype=float)
+    mats = []
+    for i, x in enumerate(alphabet):
+        a = np.asarray(stacked[i], dtype=float)
         if a.shape != (n, n):
             raise errors.MachineFormatError(
                 f"matrix for symbol {x!r} has shape {a.shape}, expected {(n, n)}"
             )
-        mats[x] = np.array(a, dtype=float)
-    total = sum(mats[x] for x in alphabet)
+        mats.append(np.array(a, dtype=float))
+    total = sum(mats)
     res = _reference_row_sum_residual(total)
     if res > linalg.STRUCT_TOL:
         raise errors.MachineFormatError(f"summed transition matrix row-sum residual {res:.3e}")
@@ -108,19 +108,15 @@ def reference_make_machine(alphabet, states, matrices, stationary=None):
 
 def assert_matches_reference(machine, stationary=None):
     """``machine`` equals the reference build of its own matrices, byte for
-    byte, and each ``matrices[x]`` is a read-only view of ``stacked``; with
-    ``stationary`` given, the reference verifies that vector."""
-    inputs = {x: np.array(machine.matrices[x]) for x in machine.alphabet}
+    byte, and its ``stacked`` is read-only; with ``stationary`` given, the
+    reference verifies that vector."""
     mats, pi, residual = reference_make_machine(
-        machine.alphabet, machine.states, inputs, stationary
+        machine.alphabet, machine.states, np.array(machine.stacked), stationary
     )
     assert machine.stacked.shape == (len(machine.alphabet), machine.n_states, machine.n_states)
     assert not machine.stacked.flags.writeable
-    for i, x in enumerate(machine.alphabet):
-        assert machine.matrices[x].tobytes() == mats[x].tobytes()
-        assert machine.stacked[i].tobytes() == mats[x].tobytes()
-        assert np.shares_memory(machine.matrices[x], machine.stacked[i])
-        assert not machine.matrices[x].flags.writeable
+    for i in range(len(machine.alphabet)):
+        assert machine.stacked[i].tobytes() == mats[i].tobytes()
         assert not machine.stacked[i].flags.writeable
     assert machine.stationary.tobytes() == pi.tobytes()
     assert not machine.stationary.flags.writeable
@@ -130,11 +126,11 @@ def assert_matches_reference(machine, stationary=None):
 def _signed_three_symbol_inputs():
     # three symbols (the summation order of the stack matters), signed
     # entries and signed zeros
-    t = {
-        "a": [[0.2, -0.0, 0.1], [0.0, 0.3, -0.05], [0.4, -0.0, 0.1]],
-        "b": [[0.3, -0.0, 0.05], [0.25, 0.15, 0.1], [-0.1, -0.0, 0.2]],
-        "c": [[0.1, -0.0, 0.25], [0.05, 0.3, -0.1], [0.1, -0.0, 0.3]],
-    }
+    t = [
+        [[0.2, -0.0, 0.1], [0.0, 0.3, -0.05], [0.4, -0.0, 0.1]],
+        [[0.3, -0.0, 0.05], [0.25, 0.15, 0.1], [-0.1, -0.0, 0.2]],
+        [[0.1, -0.0, 0.25], [0.05, 0.3, -0.1], [0.1, -0.0, 0.3]],
+    ]
     return ("a", "b", "c"), ("s0", "s1", "s2"), t
 
 
@@ -151,7 +147,7 @@ class TestBuildMatchesReference:
     @pytest.mark.parametrize("machine", _zoo(), ids=lambda m: "-".join(m.states[:2]))
     def test_zoo(self, machine):
         assert_matches_reference(machine, machine.stationary)
-        inputs = {x: np.array(machine.matrices[x]) for x in machine.alphabet}
+        inputs = [np.array(matrix) for matrix in machine.stacked]
         assert_matches_reference(make_machine(machine.alphabet, machine.states, inputs))
         loaded = machine_from_json_dict(machine.to_json_dict())
         assert_matches_reference(loaded, machine.to_json_dict()["stationary"])
@@ -195,23 +191,18 @@ class TestBuildMatchesReference:
                 compiled = spec.compiled(source)
                 stacked = compiled.matrices(source, np.asarray(values, dtype=float))
                 with pytest.raises(errors.DegenerateFixedSpace):
-                    reference_make_machine(source.alphabet, compiled.labels,
-                                           dict(zip(source.alphabet, stacked)))
+                    reference_make_machine(source.alphabet, compiled.labels, stacked)
                 continue
             assert_matches_reference(machine)
             built += 1
         assert built >= len(cases) - 3
 
 
-def test_directly_constructed_machine_views_its_stack_and_measures_itself():
+def test_directly_constructed_machine_measures_itself():
     coin = perturbed_coin_epsilon(0.3)
     stale = Machine(alphabet=coin.alphabet, states=coin.states,
                     stacked=np.array(coin.stacked), stationary=np.array([0.8, 0.2]))
-    for i, x in enumerate(stale.alphabet):
-        assert np.shares_memory(stale.matrices[x], stale.stacked[i])
-        assert stale.matrices[x].tobytes() == stale.stacked[i].tobytes()
-    assert stale.matrices is stale.matrices
-    total = coin.matrices["0"] + coin.matrices["1"]
+    total = coin.stacked[0] + coin.stacked[1]
     expected = float(np.max(np.abs(np.array([0.8, 0.2]) @ total - [0.8, 0.2])))
     assert stale.stationary_residual == expected > 0.1
 
@@ -224,19 +215,19 @@ class TestChecksAtTheirBoundaries:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("given", [False, True])
     def test_non_finite_entry(self, bad, given):
-        t = {"0": [[0.5, 0.0], [0.25, 0.25]], "1": [[0.0, 0.5], [bad, 0.5]]}
+        t = [[[0.5, 0.0], [0.25, 0.25]], [[0.0, 0.5], [bad, 0.5]]]
         stationary = [0.5, 0.5] if given else None
         with pytest.raises(errors.NonFiniteEntries):
             make_machine(("0", "1"), ("a", "b"), t, stationary)
         with pytest.raises(errors.NonFiniteEntries):
             reference_make_machine(("0", "1"), ("a", "b"), t, stationary)
-        total = np.array(t["0"]) + np.array(t["1"])
+        total = np.array(t[0]) + np.array(t[1])
         with pytest.raises(errors.NonFiniteEntries):
             linalg.left_fixed_vector(total)
 
     @pytest.mark.parametrize("given", [False, True])
     def test_rows_off_by_1e_9(self, given):
-        t = {"0": [[0.5, 0.5 + 1e-9], [0.5, 0.5]]}
+        t = [[[0.5, 0.5 + 1e-9], [0.5, 0.5]]]
         stationary = [0.5, 0.5] if given else None
         with pytest.raises(errors.MachineFormatError) as got:
             make_machine(("0",), ("a", "b"), t, stationary)
@@ -244,13 +235,13 @@ class TestChecksAtTheirBoundaries:
             reference_make_machine(("0",), ("a", "b"), t, stationary)
         assert str(got.value) == str(want.value)
         with pytest.raises(ValueError) as got:
-            linalg.left_fixed_vector(t["0"])
+            linalg.left_fixed_vector(t[0])
         with pytest.raises(ValueError) as want:
-            reference_left_fixed_vector(t["0"])
+            reference_left_fixed_vector(t[0])
         assert str(got.value) == str(want.value)
 
     def test_rows_within_tolerance_accepted(self):
-        t = {"0": [[0.5, 0.5 + 1e-11], [0.5, 0.5]]}
+        t = [[[0.5, 0.5 + 1e-11], [0.5, 0.5]]]
         assert_matches_reference(make_machine(("0",), ("a", "b"), t))
 
     def test_finite_entries_whose_row_sum_overflows(self):
@@ -262,21 +253,21 @@ class TestChecksAtTheirBoundaries:
                 linalg.left_fixed_vector(big)
             assert not isinstance(got.value, errors.QuasiHmmError)
             with pytest.raises(errors.MachineFormatError):
-                make_machine(("0",), ("a", "b"), {"0": big})
+                make_machine(("0",), ("a", "b"), [big])
 
     def test_flip_chain_degeneracy_boundary(self):
         for fn in (linalg.left_fixed_vector, reference_left_fixed_vector):
             with pytest.raises(errors.DegenerateFixedSpace):
                 fn(_flip(3e-9))
         with pytest.raises(errors.DegenerateFixedSpace):
-            make_machine(("0",), ("a", "b"), {"0": _flip(3e-9)})
+            make_machine(("0",), ("a", "b"), [_flip(3e-9)])
         got = linalg.left_fixed_vector(_flip(1e-8))
         assert got.tobytes() == reference_left_fixed_vector(_flip(1e-8)).tobytes()
-        assert_matches_reference(make_machine(("0",), ("a", "b"), {"0": _flip(1e-8)}))
+        assert_matches_reference(make_machine(("0",), ("a", "b"), [_flip(1e-8)]))
 
     def test_stale_given_stationary(self):
         coin = perturbed_coin_epsilon(0.3)
-        inputs = {x: np.array(coin.matrices[x]) for x in coin.alphabet}
+        inputs = np.array(coin.stacked)
         with pytest.raises(errors.StationaryMismatch) as got:
             make_machine(coin.alphabet, coin.states, inputs, [0.8, 0.2])
         with pytest.raises(errors.StationaryMismatch) as want:

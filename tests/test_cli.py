@@ -438,6 +438,28 @@ class TestMeasures:
             assert (code, out) == (3, "")
             assert json.loads(err)["error"] == "ZeroEntryWithQuasiOrder"
 
+    @pytest.mark.parametrize("matrices, message", [
+        ({"0": [[0.7, 0.0], [0.3, 0.0]]}, "missing transition matrix for symbol '1'"),
+        ({"0": [[0.7, 0.0], [0.3, 0.0]], "1": [[0.0, 0.3], [0.0, 0.7]], "2": [[1.0]]},
+         "matrices for symbols outside the alphabet: ['2']"),
+        ({"0": [[0.7, 0.0]], "1": [[0.0, 0.3], [0.0, 0.7]]},
+         "matrix for symbol '0' has shape (1, 2), expected (2, 2)"),
+        ({"0": [[0.7, 0.0], [0.3, 0.0]], "1": [[0.0, 0.3], [0.7]]},
+         "matrix for symbol '1' is not a numeric array"),
+        ({"0": [[0.7, "a"], [0.3, 0.0]], "1": [[0.0, 0.3], [0.0, 0.7]]},
+         "matrix for symbol '0' is not a numeric array"),
+    ], ids=["missing", "outside", "shape", "ragged", "string"])
+    def test_malformed_matrices_are_refused(self, capsys, tmp_path, matrices, message):
+        doc = perturbed_coin_epsilon(0.3).to_json_dict()
+        doc["matrices"] = matrices
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "measures", str(path), "--all")
+        assert (code, out) == (2, "")
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {"error": "MachineFormatError", "message": message}
+
     def test_no_measure_requested_is_validation_error(self, capsys, coin_file):
         code, _, err = run(capsys, "measures", coin_file)
         assert code == 2
@@ -946,6 +968,23 @@ class TestUnreadOptionsAreRefused:
         message = _refused(capsys, "construct-nmachine", "--process", process, "--p", "0.3",
                            "--truncation", "5")
         assert message == f"process {process!r} takes no --truncation"
+
+    @pytest.mark.parametrize("flag", [
+        ("--process", "sns"), ("--p-grid", "0.1,0.2"), ("--p-min", "0.2"), ("--p-max", "0.5"),
+        ("--p-step", "0.2"), ("--truncation", "5"),
+    ], ids=lambda flag: flag[0])
+    def test_sweep_flag_a_config_replaces(self, capsys, tmp_path, flag):
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps({"p_grid": [0.3]}))
+        message = _refused(capsys, "sweep", "--config", str(config), *flag)
+        assert message == f"a request with --config takes no {flag[0]}"
+
+    def test_sweep_flag_defaults_apply_without_config(self, capsys):
+        argv = ("sweep", "--horizon", "3")
+        assert run(capsys, *argv) == run(
+            capsys, *argv, "--process", "perturbed-coin", "--p-min", "0.1", "--p-max", "0.9",
+            "--p-step", "0.1",
+        )
 
     def test_sns_sweep_still_reads_truncation(self, capsys):
         argv = ("sweep", "--process", "sns", "--p-grid", "0.3", "--horizon", "3")

@@ -48,11 +48,11 @@ def coin():
 
 
 def _three_symbol_machine():
-    t = {
-        "a": [[0.2, 0.1], [0.0, 0.3]],
-        "b": [[0.3, 0.0], [0.25, 0.15]],
-        "c": [[0.1, 0.3], [0.05, 0.25]],
-    }
+    t = [
+        [[0.2, 0.1], [0.0, 0.3]],
+        [[0.3, 0.0], [0.25, 0.15]],
+        [[0.1, 0.3], [0.05, 0.25]],
+    ]
     return make_machine(("a", "b", "c"), ("s0", "s1"), t)
 
 
@@ -176,7 +176,7 @@ def _product_along(machine, word):
     products from the identity, applied to the all-ones vector."""
     value = np.eye(machine.n_states)
     for symbol in word:
-        value = value @ np.asarray(machine.matrices[symbol])
+        value = value @ machine.stacked[machine.alphabet.index(symbol)]
     return value.sum(axis=1)
 
 
@@ -256,7 +256,7 @@ class TestClassify:
     def test_signed_machine_is_quasi(self):
         t0 = [[0.8, 0.2, -0.1], [0.2, 0.8, -0.1], [0.3, 0.3, 0.0]]
         t1 = [[0.0, 0.0, 0.1], [0.0, 0.0, 0.1], [0.1, 0.1, 0.2]]
-        m = make_machine(("0", "1"), ("a", "b", "c"), {"0": t0, "1": t1})
+        m = make_machine(("0", "1"), ("a", "b", "c"), [t0, t1])
         cls = m.classify()
         assert not cls.classical and not cls.unifilar
 
@@ -265,16 +265,12 @@ class TestClassify:
         # the 0.05 entry is a second branch at the structural tolerance only
         t0 = [[0.6, 0.05], [0.0, 0.0]]
         t1 = [[0.0, 0.35], [1.0, 0.0]]
-        m = make_machine(("0", "1"), ("a", "b"), {"0": t0, "1": t1})
+        m = make_machine(("0", "1"), ("a", "b"), [t0, t1])
         assert m.classify() is m.classify()
         assert not m.classify().unifilar
         monkeypatch.setattr(quasihmm.linalg, "STRUCT_TOL", 0.1)
         assert not m.classify().unifilar
-        assert make_machine(("0", "1"), ("a", "b"), {"0": t0, "1": t1}).classify().unifilar
-
-
-def _coin_matrices(coin):
-    return {x: np.asarray(coin.matrices[x]) for x in coin.alphabet}
+        assert make_machine(("0", "1"), ("a", "b"), [t0, t1]).classify().unifilar
 
 
 class TestMakeMachineChecks:
@@ -284,7 +280,7 @@ class TestMakeMachineChecks:
     def test_make_machine_rejects_bad_row_sum(self):
         with pytest.raises(errors.MachineFormatError, match="row-sum"):
             make_machine(("0", "1"), ("a", "b"),
-                         {"0": [[0.6, 0.0], [0.3, 0.0]], "1": [[0.0, 0.3], [0.0, 0.7]]})
+                         [[[0.6, 0.0], [0.3, 0.0]], [[0.0, 0.3], [0.0, 0.7]]])
 
     def test_stale_stationary_has_large_residual(self, coin):
         stale = Machine(
@@ -297,19 +293,28 @@ class TestMakeMachineChecks:
 
     def test_make_machine_rejects_bad_rows(self):
         with pytest.raises(errors.MachineFormatError):
-            make_machine(("0",), ("a",), {"0": [[0.9]]})
+            make_machine(("0",), ("a",), [[[0.9]]])
+
+    @pytest.mark.parametrize("index, shape", [
+        ((slice(1),), (1, 2, 2)), ((0,), (2, 2)), ((slice(None), slice(1)), (2, 1, 2)),
+    ])
+    def test_make_machine_rejects_a_stack_of_the_wrong_shape(self, coin, index, shape):
+        message = f"transition stack has shape {shape}, expected (2, 2, 2)"
+        with pytest.raises(errors.MachineFormatError) as got:
+            make_machine(coin.alphabet, coin.states, coin.stacked[index])
+        assert str(got.value) == message
 
     def test_make_machine_rejects_non_finite_stationary(self, coin):
         with pytest.raises(errors.StationaryMismatch):
             make_machine(
-                coin.alphabet, coin.states, _coin_matrices(coin),
+                coin.alphabet, coin.states, coin.stacked,
                 stationary=[float("nan"), 0.5],
             )
 
     def test_make_machine_rejects_bad_stationary(self, coin):
         with pytest.raises(errors.StationaryMismatch):
             make_machine(
-                coin.alphabet, coin.states, _coin_matrices(coin),
+                coin.alphabet, coin.states, coin.stacked,
                 stationary=[0.9, 0.1],
             )
 
@@ -323,10 +328,10 @@ class TestMakeMachineChecks:
     ])
     def test_make_machine_rejects_bad_groups(self, coin, groups, message):
         with pytest.raises(errors.MachineFormatError, match=message):
-            make_machine(coin.alphabet, coin.states, _coin_matrices(coin), groups=groups)
+            make_machine(coin.alphabet, coin.states, coin.stacked, groups=groups)
 
     def test_make_machine_takes_numpy_integer_groups(self, coin):
-        m = make_machine(coin.alphabet, coin.states, _coin_matrices(coin),
+        m = make_machine(coin.alphabet, coin.states, coin.stacked,
                          groups=np.array([1, 0], dtype=np.int32))
         assert m.groups == (1, 0) and all(type(g) is int for g in m.groups)
 
@@ -364,7 +369,7 @@ class TestFutureFidelity:
         # unifilar at the default tolerance, yet with a second exact nonzero
         t0 = [[0.6 - 1e-12, 1e-12], [0.0, 0.0]]
         t1 = [[0.0, 0.4], [1.0, 0.0]]
-        m = make_machine(("0", "1"), ("a", "b"), {"0": t0, "1": t1})
+        m = make_machine(("0", "1"), ("a", "b"), [t0, t1])
         assert m.classify().unifilar
         got = m.future_fidelity_matrix(9)
         assert np.max(np.abs(got - _dense_fidelity(m, 9))) <= 1e-15
@@ -386,7 +391,7 @@ class TestFutureFidelity:
     def test_quasi_machine_rejected(self):
         t0 = [[1.2, -0.2], [0.0, 0.0]]
         t1 = [[0.0, 0.0], [0.5, 0.5]]
-        m = make_machine(("0", "1"), ("a", "b"), {"0": t0, "1": t1})
+        m = make_machine(("0", "1"), ("a", "b"), [t0, t1])
         with pytest.raises(errors.QuasiMachineUnsupported):
             m.future_fidelity_matrix(3)
 
@@ -416,7 +421,7 @@ def _two_slot_machine():
     # every row of "0" has two exact nonzeros and one row of "1" none
     t0 = [[0.3, 0.2, 0.0], [0.0, 0.5, 0.5], [0.1, 0.0, 0.4]]
     t1 = [[0.0, 0.0, 0.5], [0.0, 0.0, 0.0], [0.0, 0.5, 0.0]]
-    return make_machine(("0", "1"), ("a", "b", "c"), {"0": t0, "1": t1})
+    return make_machine(("0", "1"), ("a", "b", "c"), [t0, t1])
 
 
 class TestFidelityStepMatchesReference:
@@ -450,7 +455,7 @@ class TestProcessEquality:
 
 def _dense_fidelity(machine, horizon):
     """Reference overlap recursion with dense square-root matrices."""
-    roots = [np.sqrt(np.clip(machine.matrices[x], 0.0, None)) for x in machine.alphabet]
+    roots = [np.sqrt(np.clip(matrix, 0.0, None)) for matrix in machine.stacked]
     fid = np.ones((machine.n_states, machine.n_states))
     for _ in range(horizon):
         fid = sum(s @ fid @ s.T for s in roots)
@@ -470,8 +475,8 @@ def _json_text_machines():
     )
     signed = make_machine(
         ("0", "1"), ("a", "b", "c"),
-        {"0": [[0.8, 0.2, -0.1], [0.2, 0.8, -0.1], [0.3, 0.3, 0.0]],
-         "1": [[0.0, 0.0, 0.1], [0.0, 0.0, 0.1], [0.1, 0.1, 0.2]]},
+        [[[0.8, 0.2, -0.1], [0.2, 0.8, -0.1], [0.3, 0.3, 0.0]],
+         [[0.0, 0.0, 0.1], [0.0, 0.0, 0.1], [0.1, 0.1, 0.2]]],
     )
     return zoo + [split, signed]
 
@@ -492,8 +497,7 @@ class TestMachineIO:
         loaded = load_machine(path)
         assert loaded.states == coin.states
         assert loaded.alphabet == coin.alphabet
-        for x in coin.alphabet:
-            assert np.array_equal(loaded.matrices[x], coin.matrices[x])
+        assert np.array_equal(loaded.stacked, coin.stacked)
         assert np.array_equal(loaded.stationary, coin.stationary)
 
     def test_round_trip_irrational_entries(self, tmp_path):
@@ -501,8 +505,7 @@ class TestMachineIO:
         path = tmp_path / "gm.json"
         machine.save(path)
         loaded = load_machine(path)
-        for x in machine.alphabet:
-            assert np.array_equal(loaded.matrices[x], machine.matrices[x])
+        assert np.array_equal(loaded.stacked, machine.stacked)
         assert np.array_equal(loaded.stationary, machine.stationary)
 
     def test_groups_survive_round_trip(self, tmp_path):

@@ -215,7 +215,7 @@ class TestExcessEntropyShannon:
 
         t0 = [[1.2, -0.2], [0.0, 0.0]]
         t1 = [[0.0, 0.0], [0.5, 0.5]]
-        quasi = make_machine(("0", "1"), ("a", "b"), {"0": t0, "1": t1})
+        quasi = make_machine(("0", "1"), ("a", "b"), [t0, t1])
         with pytest.raises(errors.QuasiMachineUnsupported):
             excess_entropy_shannon(quasi, 4)
 

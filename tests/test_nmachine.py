@@ -88,8 +88,7 @@ class TestBuildSplitMachine:
     def test_trivial_split_reproduces_source(self):
         source = perturbed_coin_epsilon(0.3)
         built = build_split_machine(source, generic_split_spec(source, (1, 1)), {})
-        for x in source.alphabet:
-            assert np.allclose(built.matrices[x], source.matrices[x], atol=0)
+        assert np.allclose(built.stacked, source.stacked, atol=0)
         assert built.stationary == pytest.approx(source.stationary, abs=1e-12)
         assert built.groups == (0, 1)
 
@@ -115,8 +114,8 @@ class TestBuildSplitMachine:
             [[1 - p + q1, -q1, 0.0], [-q1, 1 - p + q1, 0.0], [q2, p - q2, 0.0]]
         )
         t1 = np.array([[0.0, 0.0, p], [0.0, 0.0, p], [0.0, 0.0, 1 - p]])
-        assert np.allclose(built.matrices["0"], t0, atol=1e-15)
-        assert np.allclose(built.matrices["1"], t1, atol=1e-15)
+        assert np.allclose(built.stacked[0], t0, atol=1e-15)
+        assert np.allclose(built.stacked[1], t1, atol=1e-15)
 
     def test_sns_stationary_closed_form(self):
         # hand-solved: 0.5 * [ (g-e)/(2g+p-1), (p+g+e-1)/(2g+p-1), 1 ]
@@ -188,12 +187,12 @@ class TestVerifyProperties:
     def test_corrupted_shares_violate(self):
         # move mass between split copies without keeping the share sum fixed
         source, built, _ = pc_ideal_machine(0.3)
-        t0 = np.array(built.matrices["0"])
+        t0 = np.array(built.stacked[0])
         t0[2, 0] += 0.05
         broken = Machine(
             alphabet=built.alphabet,
             states=built.states,
-            stacked=np.stack([t0, np.array(built.matrices["1"]) - 0.0]),
+            stacked=np.stack([t0, np.array(built.stacked[1]) - 0.0]),
             stationary=np.array(built.stationary),
             groups=built.groups,
         )
@@ -205,12 +204,12 @@ class TestVerifyProperties:
         # symbol and coarse-grained sum holds, but the old stationary vector
         # is no longer a fixed point (residual 0.05 * pi[s1] = 0.025)
         source, built, _ = pc_ideal_machine(0.3)
-        t0 = np.array(built.matrices["0"])
+        t0 = np.array(built.stacked[0])
         t0[2, 0] -= 0.05
         t0[2, 1] += 0.05
         stale = Machine(
             alphabet=built.alphabet, states=built.states,
-            stacked=np.stack([t0, built.matrices["1"]]),
+            stacked=np.stack([t0, built.stacked[1]]),
             stationary=np.array(built.stationary), groups=built.groups,
         )
         with pytest.raises(errors.PropertyViolated) as info:
@@ -233,12 +232,12 @@ class TestVerifyProperties:
         # symbol sums hold, but the copy can now emit "11"
         source, result = golden_mean_split
         built = result.machine
-        t1 = np.array(built.matrices["1"])
+        t1 = np.array(built.stacked[1])
         t1[0, 2] -= 0.01
         t1[0, 0] += 0.01
         broken = Machine(
             alphabet=built.alphabet, states=built.states,
-            stacked=np.stack([built.matrices["0"], t1]),
+            stacked=np.stack([built.stacked[0], t1]),
             stationary=np.array(built.stationary), groups=built.groups,
         )
         with pytest.raises(errors.PropertyViolated):
@@ -246,11 +245,11 @@ class TestVerifyProperties:
 
     def test_report_is_attached_to_error(self):
         source, built, _ = pc_ideal_machine(0.3)
-        t1 = np.array(built.matrices["1"])
+        t1 = np.array(built.stacked[1])
         t1[0, 2] += 0.02
         broken = Machine(
             alphabet=built.alphabet, states=built.states,
-            stacked=np.stack([built.matrices["0"], t1]),
+            stacked=np.stack([built.stacked[0], t1]),
             stationary=np.array(built.stationary), groups=built.groups,
         )
         with pytest.raises(errors.PropertyViolated) as info:
@@ -666,16 +665,15 @@ def reference_build(source, spec, params):
     """The split machine assembled share by share."""
     extended = spec.extended_states()
     index = {pair: i for i, pair in enumerate(extended)}
-    matrices = {}
-    for x in source.alphabet:
-        src = np.asarray(source.matrices[x])
+    matrices = []
+    for x, src in zip(source.alphabet, source.stacked):
         mat = np.zeros((len(extended), len(extended)))
         for row, (j, l_j) in enumerate(extended):
             for k in range(source.n_states):
                 shares = reference_shares(spec, j, l_j, x, k, float(src[j, k]), params)
                 for l_k, value in enumerate(shares):
                     mat[row, index[(k, l_k)]] = value
-        matrices[x] = mat
+        matrices.append(mat)
     labels = tuple(
         f"{source.states[k]}.{l}" if spec.copy_counts[k] > 1 else source.states[k]
         for k, l in extended
@@ -746,9 +744,8 @@ def reference_optimize(source, spec, e_half, opts):
 def assert_same_machine(built, reference):
     """Equal bit for bit, signed zeros included."""
     assert built.states == reference.states and built.groups == reference.groups
-    for x in reference.alphabet:
-        assert np.array_equal(built.matrices[x], reference.matrices[x])
-        assert built.matrices[x].tobytes() == reference.matrices[x].tobytes()
+    assert np.array_equal(built.stacked, reference.stacked)
+    assert built.stacked.tobytes() == reference.stacked.tobytes()
     assert built.stationary.tobytes() == reference.stationary.tobytes()
     assert built.stationary_residual == reference.stationary_residual
 
@@ -850,8 +847,8 @@ class TestCompiledSplitMatchesReference:
         params = {"a": 1.0, "b": 1e-16, "c": -1.0}
         built = build_split_machine(source, spec, params)
         assert_same_machine(built, reference_build(source, spec, params))
-        assert built.matrices["0"][0, 3] == 0.7
-        assert built.matrices["0"][4, 0] == 0.0
+        assert built.stacked[0][0, 3] == 0.7
+        assert built.stacked[0][4, 0] == 0.0
 
     def test_large_sparse_source_without_rules(self):
         # 296 states, one of them doubled: every other entry takes the

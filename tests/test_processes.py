@@ -84,8 +84,8 @@ class TestPerturbedCoin:
 
     def test_matrices_match_diagram(self):
         m = perturbed_coin_epsilon(0.3)
-        assert np.allclose(m.matrices["0"], [[0.7, 0.0], [0.3, 0.0]])
-        assert np.allclose(m.matrices["1"], [[0.0, 0.3], [0.0, 0.7]])
+        assert np.allclose(m.stacked[0], [[0.7, 0.0], [0.3, 0.0]])
+        assert np.allclose(m.stacked[1], [[0.0, 0.3], [0.0, 0.7]])
 
 
 class TestRjmc:
@@ -323,8 +323,8 @@ class TestSeriesMatchReference:
     def test_epsilon_matrices(self, p):
         machine = sns_epsilon_truncated(p)
         t0, t1 = _reference_epsilon_matrices(p, machine.n_states - 1)
-        np.testing.assert_array_max_ulp(machine.matrices["0"], t0, 2)
-        np.testing.assert_array_max_ulp(machine.matrices["1"], t1, 2)
+        np.testing.assert_array_max_ulp(machine.stacked[0], t0, 2)
+        np.testing.assert_array_max_ulp(machine.stacked[1], t1, 2)
 
     def test_firing_rate_closed_form_across_grid(self):
         for p in SERIES_GRID:

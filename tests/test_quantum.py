@@ -53,14 +53,14 @@ class TestGramFromMachine:
     def test_identical_rows_give_all_ones(self):
         t0 = [[0.6, 0.0], [0.6, 0.0]]
         t1 = [[0.0, 0.4], [0.0, 0.4]]
-        m = make_machine(("0", "1"), ("a", "b"), {"0": t0, "1": t1})
+        m = make_machine(("0", "1"), ("a", "b"), [t0, t1])
         gram = gram_from_machine(m, 8)
         assert np.allclose(gram.overlaps, 1.0, atol=1e-12)
 
     def test_distinct_deterministic_outputs_give_identity(self):
         t0 = [[1.0, 0.0], [0.0, 0.0]]
         t1 = [[0.0, 0.0], [0.0, 1.0]]
-        m = make_machine(("0", "1"), ("a", "b"), {"0": t0, "1": t1}, stationary=[0.5, 0.5])
+        m = make_machine(("0", "1"), ("a", "b"), [t0, t1], stationary=[0.5, 0.5])
         gram = gram_from_machine(m, 6)
         assert np.allclose(gram.overlaps, np.eye(2), atol=1e-12)
 
@@ -76,7 +76,7 @@ class TestGramFromMachine:
     def test_quasi_machine_rejected(self):
         t0 = [[1.2, -0.2], [0.0, 0.0]]
         t1 = [[0.0, 0.0], [0.5, 0.5]]
-        quasi = make_machine(("0", "1"), ("a", "b"), {"0": t0, "1": t1})
+        quasi = make_machine(("0", "1"), ("a", "b"), [t0, t1])
         with pytest.raises(errors.QuasiMachineUnsupported):
             gram_from_machine(quasi, 4)
 

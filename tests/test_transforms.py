@@ -29,10 +29,7 @@ def machines_match_up_to_state_order(a, b) -> float:
     best = float("inf")
     for perm in itertools.permutations(range(n)):
         perm = list(perm)
-        worst = max(
-            float(np.max(np.abs(np.asarray(a.matrices[x])[np.ix_(perm, perm)] - b.matrices[x])))
-            for x in a.alphabet
-        )
+        worst = float(np.max(np.abs(a.stacked[:, perm][:, :, perm] - b.stacked)))
         worst = max(worst, float(np.max(np.abs(np.asarray(a.stationary)[perm] - b.stationary))))
         best = min(best, worst)
     return best
@@ -60,8 +57,7 @@ class TestApplyMap:
     def test_identity_map_preserves_machine(self):
         m = perturbed_coin_epsilon(0.3)
         mapped = apply_map(m, similarity_map(np.eye(2)))
-        for x in m.alphabet:
-            assert np.allclose(mapped.matrices[x], m.matrices[x], atol=1e-14)
+        assert np.allclose(mapped.stacked, m.stacked, atol=1e-14)
         assert mapped.stationary == pytest.approx(m.stationary, abs=1e-14)
 
     def test_recovers_generative_model_below_half(self):
@@ -70,8 +66,7 @@ class TestApplyMap:
         assert (a, b) == (-0.5, 1.0)
         mapped = apply_map(perturbed_coin_epsilon(p), two_state_map(a, b))
         target = perturbed_coin_rjmc(p)
-        for x in ("0", "1"):
-            assert np.max(np.abs(mapped.matrices[x] - target.matrices[x])) <= 1e-12
+        assert np.max(np.abs(mapped.stacked - target.stacked)) <= 1e-12
         assert np.max(np.abs(mapped.stationary - target.stationary)) <= 1e-12
 
     @pytest.mark.parametrize("p", [0.1, 0.2, 0.3, 0.4])
@@ -79,10 +74,7 @@ class TestApplyMap:
         a, b = rjmc_parameters(p)
         mapped = apply_map(perturbed_coin_epsilon(p), two_state_map(a, b))
         target = perturbed_coin_rjmc(p)
-        worst = max(
-            float(np.max(np.abs(mapped.matrices[x] - target.matrices[x])))
-            for x in ("0", "1")
-        )
+        worst = float(np.max(np.abs(mapped.stacked - target.stacked)))
         assert worst <= 1e-12
 
     @pytest.mark.parametrize("p", [0.6, 0.75, 0.9])
@@ -96,8 +88,8 @@ class TestApplyMap:
     def test_signed_family_closed_forms(self):
         # a = 2, b = 0 at p = 0.3: conjugation worked out by hand
         mapped = apply_map(perturbed_coin_epsilon(0.3), two_state_map(2.0, 0.0))
-        assert np.allclose(mapped.matrices["0"], [[0.55, 0.55], [0.15, 0.15]], atol=1e-12)
-        assert np.allclose(mapped.matrices["1"], [[0.0, -0.1], [0.0, 0.7]], atol=1e-12)
+        assert np.allclose(mapped.stacked[0], [[0.55, 0.55], [0.15, 0.15]], atol=1e-12)
+        assert np.allclose(mapped.stacked[1], [[0.0, -0.1], [0.0, 0.7]], atol=1e-12)
         assert mapped.stationary == pytest.approx([0.25, 0.75], abs=1e-12)
 
     def test_word_distributions_preserved_under_random_maps(self, rng):
@@ -156,9 +148,7 @@ class TestDomainCheck:
                     continue
                 checked += 1
                 mapped = apply_map(m, two_state_map(a, b))
-                entries = np.concatenate(
-                    [np.asarray(mapped.matrices[x]).ravel() for x in mapped.alphabet]
-                )
+                entries = mapped.stacked.ravel()
                 if rjmc_domain_check(p, a, b):
                     assert entries.min() >= -1e-10
                 else:
@@ -179,9 +169,7 @@ class TestPositiveStationaryFamily:
         machine = positive_stationary_family(0.3, a)
         assert machine.stationary.min() > 0
         if a != 1.0:
-            entries = np.concatenate(
-                [np.asarray(machine.matrices[x]).ravel() for x in machine.alphabet]
-            )
+            entries = machine.stacked.ravel()
             assert entries.min() < 0
 
     def test_collision_entropy_drains_beyond_uniform_point(self):

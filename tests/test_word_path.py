@@ -49,7 +49,7 @@ def reference_futures(m, max_length=MAX_LENGTH):
     futures = np.ones((m.n_states, 1))
     out = [futures]
     for _ in range(max_length):
-        futures = np.hstack([m.matrices[x] @ futures for x in m.alphabet])
+        futures = np.hstack([matrix @ futures for matrix in m.stacked])
         out.append(futures)
     return out
 
@@ -57,7 +57,7 @@ def reference_futures(m, max_length=MAX_LENGTH):
 def one_nonzero_per_row(m):
     """Whether every symbol's matrix has at most one exact nonzero per row,
     the condition under which ``future_step`` gathers."""
-    return all(np.count_nonzero(m.matrices[x], axis=1).max(initial=0) <= 1 for x in m.alphabet)
+    return all(np.count_nonzero(matrix, axis=1).max(initial=0) <= 1 for matrix in m.stacked)
 
 
 def reference_excess_entropy_shannon(m, horizon):
@@ -101,9 +101,8 @@ def reference_to_json_text(m):
         return pieces
 
     matrices = [
-        (x, array(["".join(numbers(row, "      ")) for row in np.asarray(m.matrices[x])],
-                  "    "))
-        for x in m.alphabet
+        (x, array(["".join(numbers(row, "      ")) for row in matrix], "    "))
+        for x, matrix in zip(m.alphabet, m.stacked)
     ]
     fields = [
         ("alphabet", array(list(map(json.dumps, m.alphabet)), "  ")),
@@ -122,22 +121,22 @@ def _signed_unifilar():
     # zero future are -0.0, which the matrix product sums to +0.0
     t0 = [[0.0, 1.5, 0.0], [0.0, 0.0, 1.0], [-0.0, 1.0, 0.0]]
     t1 = [[-0.5, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
-    return make_machine(("0", "1"), ("a", "b", "c"), {"0": t0, "1": t1})
+    return make_machine(("0", "1"), ("a", "b", "c"), [t0, t1])
 
 
 def _zero_row():
     # the golden mean's "1" row of state B is all zero; signed zeros too
     t0 = [[0.6, -0.0], [-0.0, 1.0]]
     t1 = [[0.0, 0.4], [-0.0, 0.0]]
-    return make_machine(("0", "1"), ("A", "B"), {"0": t0, "1": t1})
+    return make_machine(("0", "1"), ("A", "B"), [t0, t1])
 
 
 def _signed_three_symbol():
-    t = {
-        "a": [[0.2, -0.0, 0.1], [0.0, 0.3, -0.05], [0.4, -0.0, 0.1]],
-        "b": [[0.3, -0.0, 0.05], [0.25, 0.15, 0.1], [-0.1, -0.0, 0.2]],
-        "c": [[0.1, -0.0, 0.25], [0.05, 0.3, -0.1], [0.1, -0.0, 0.3]],
-    }
+    t = [
+        [[0.2, -0.0, 0.1], [0.0, 0.3, -0.05], [0.4, -0.0, 0.1]],
+        [[0.3, -0.0, 0.05], [0.25, 0.15, 0.1], [-0.1, -0.0, 0.2]],
+        [[0.1, -0.0, 0.25], [0.05, 0.3, -0.1], [0.1, -0.0, 0.3]],
+    ]
     return make_machine(("a", "b", "c"), ("s0", "s1", "s2"), t)
 
 
@@ -264,13 +263,13 @@ def _writer_machines():
     tiny = 5e-324
     odd = make_machine(
         ("0", "1"), ("a", "b"),
-        {"0": [[0.5, tiny], [-0.0, 0.25]], "1": [[0.5, 0.0], [0.75, -0.0]]},
+        [[[0.5, tiny], [-0.0, 0.25]], [[0.5, 0.0], [0.75, -0.0]]],
     )
-    one_state = make_machine(("0", "1"), ("s",), {"0": [[0.3]], "1": [[0.7]]})
+    one_state = make_machine(("0", "1"), ("s",), [[[0.3]], [[0.7]]])
     dense = make_machine(
         ("a", "b"), ("x", "y", "z"),
-        {"a": [[0.1, 0.2, 0.3], [0.3, 0.1, 0.2], [0.2, 0.2, 0.2]],
-         "b": [[0.1, 0.2, 0.1], [0.1, 0.2, 0.1], [0.1, 0.1, 0.2]]},
+        [[[0.1, 0.2, 0.3], [0.3, 0.1, 0.2], [0.2, 0.2, 0.2]],
+         [[0.1, 0.2, 0.1], [0.1, 0.2, 0.1], [0.1, 0.1, 0.2]]],
         groups=(0, 0, 1),
     )
     return [odd, one_state, dense, _signed_three_symbol(), _zero_row(), _signed_unifilar(),
