@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import inspect
 import json
 import math
 import sys
@@ -81,32 +82,39 @@ def _refuse_unread(what: str, option: str, value) -> None:
         raise ValueError(f"{what} takes no {option}")
 
 
-#: each ``make-machine`` process: the options it reads, of which ``--p`` is
-#: required, and its machine built from the parsed arguments
-_ZOO: dict[str, tuple[tuple[str, ...], Callable[[argparse.Namespace], Machine]]] = {
-    "perturbed-coin": (("--p",), lambda args: procs.perturbed_coin_epsilon(args.p)),
-    "perturbed-coin-rjmc": (("--p",), lambda args: procs.perturbed_coin_rjmc(args.p)),
-    "golden-mean": (("--p",), lambda args: procs.golden_mean_epsilon(args.p)),
-    "sns-g": (("--p",), lambda args: procs.sns_g_machine(args.p)),
-    "sns-epsilon": (
-        ("--p", "--truncation"),
-        lambda args: procs.sns_epsilon_truncated(args.p, args.truncation),
-    ),
-    "even": ((), lambda args: procs.even_process_epsilon()),
-    "unbiased-coin": ((), lambda args: procs.unbiased_coin()),
+#: each ``make-machine`` process, mapped to the name of its ``processes``
+#: builder; the options a process reads are its builder's parameters, of
+#: ``p`` (required) and ``truncation``
+_ZOO = {
+    "perturbed-coin": "perturbed_coin_epsilon",
+    "perturbed-coin-rjmc": "perturbed_coin_rjmc",
+    "golden-mean": "golden_mean_epsilon",
+    "sns-g": "sns_g_machine",
+    "sns-epsilon": "sns_epsilon_truncated",
+    "even": "even_process_epsilon",
+    "unbiased-coin": "unbiased_coin",
 }
 
 
+def _reads(process: str) -> list[str]:
+    """The options ``process`` reads: the parameters of its builder, which is
+    looked up on each call so that a rebinding in ``processes`` is seen."""
+    return list(inspect.signature(getattr(procs, _ZOO[process])).parameters)
+
+
+def _build(process: str, **options) -> Machine:
+    """``process``'s machine from the ``options`` its builder reads."""
+    return getattr(procs, _ZOO[process])(**{k: options[k] for k in _reads(process)})
+
+
 def cmd_make_machine(args) -> int:
-    reads, build = _ZOO[args.process]
-    what = f"process {args.process!r}"
-    for option, value in (("--p", args.p), ("--truncation", args.truncation)):
+    reads, what = _reads(args.process), f"process {args.process!r}"
+    for option in ("p", "truncation"):
         if option not in reads:
-            _refuse_unread(what, option, value)
-    if "--p" in reads and args.p is None:
+            _refuse_unread(what, "--" + option, getattr(args, option))
+    if "p" in reads and args.p is None:
         raise ValueError(f"{what} requires --p")
-    machine = build(args)
-    _emit(machine.to_json_text(), args.out)
+    _emit(_build(args.process, p=args.p, truncation=args.truncation).to_json_text(), args.out)
     return EXIT_OK
 
 
@@ -143,9 +151,13 @@ def cmd_measures(args) -> int:
 _SHARED_COLUMNS = {
     "p": lambda row: row.p,
     "C_mu2": lambda row: row.c_mu2,
+    "C_q2": lambda row: ms.MEASURES["c-q2"](row.source, row.horizon).value,
     "E_half": lambda row: row.e_half,
 }
-_SPLIT_COLUMNS = {
+#: the columns of a process with a generative model and an ideal split
+_IDEAL_COLUMNS = {
+    **_SHARED_COLUMNS,
+    "C_g2": lambda row: ms.renyi_entropy(row.generative.stationary, 2),
     "C_n2": lambda row: row.split.c_n2,
     "negativity": lambda row: row.split.negativity,
     "negativity_minus_1": lambda row: row.split.negativity - 1.0,
@@ -162,17 +174,19 @@ class _Row:
     once.
 
     ``columns`` is the process's column table: each column it offers,
-    mapped to the function that computes the column from a row.  A row type
-    also gives its process's ``source`` machine, ``e_half``, split ``spec``
-    and the split's closed-form ``default_params(branch)``.
+    mapped to the function that computes the column from a row.  ``models``
+    names the process's predictive and generative models by ``_ZOO`` key.
+    The predictive model is the ``source`` that the split doubles, and gives
+    C_mu2, C_q2 and a measured E_half unless the row type has closed forms.
+    A row type also gives its split ``spec`` and the split's closed-form
+    ``ideal_params(branch)``, in the order of ``spec.param_names``.
     """
 
-    columns: dict[str, Callable[[_Row], float]]
+    columns: dict[str, Callable[[_Row], float]] = _IDEAL_COLUMNS
+    models: tuple[str, str | None]
     #: the p at which the process degenerates: generated grids leave it out,
     #: and a given grid that holds it is refused
     degenerate_p: float | None = None
-    #: whether the process reads a truncation; one that does not refuses it
-    truncated = False
 
     def __init__(self, p: float, horizon: int, truncation: int | None):
         self.p = p
@@ -183,55 +197,61 @@ class _Row:
         return [self.columns[c](self) for c in columns]
 
     @functools.cached_property
+    def source(self) -> Machine:
+        return _build(self.models[0], p=self.p, truncation=self.truncation)
+
+    @functools.cached_property
+    def generative(self) -> Machine:
+        return _build(self.models[1], p=self.p, truncation=self.truncation)
+
+    @functools.cached_property
     def c_mu2(self) -> float:
         return ms.renyi_entropy(self.source.stationary, 2)
 
     @functools.cached_property
+    def e_half(self) -> float:
+        return ms.excess_entropy_half(self.source, self.horizon).value
+
+    def default_params(self, branch: str) -> dict[str, float]:
+        return dict(zip(self.spec.param_names, self.ideal_params(branch)))
+
+    def assess(self, spec: nm.SplitSpec, params: dict[str, float]) -> nm.NMachineResult:
+        """The split of ``source`` by ``spec`` at ``params``, against the row's
+        E_half and C_mu2."""
+        built = nm.build_split_machine(self.source, spec, params)
+        return nm.assess_split_machine(built, params, self.e_half, self.c_mu2)
+
+    @functools.cached_property
     def split(self) -> nm.NMachineResult:
         """The split at the plus branch's ``default_params``."""
-        params = self.default_params(nm.BRANCH_PLUS)
-        built = nm.build_split_machine(self.source, self.spec, params)
-        return nm.assess_split_machine(built, params, self.e_half, self.c_mu2)
+        return self.assess(self.spec, self.default_params(nm.BRANCH_PLUS))
 
 
 class _PerturbedCoinRow(_Row):
-    columns = {
-        **_SHARED_COLUMNS,
-        **_SPLIT_COLUMNS,
-        "C_g2": lambda row: ms.renyi_entropy(procs.perturbed_coin_rjmc(row.p).stationary, 2),
-        "C_q2": lambda row: ms.MEASURES["c-q2"](row.source, row.horizon).value,
-    }
+    models = ("perturbed-coin", "perturbed-coin-rjmc")
     degenerate_p = 0.5
-
-    @functools.cached_property
-    def source(self) -> Machine:
-        return procs.perturbed_coin_epsilon(self.p)
 
     @functools.cached_property
     def e_half(self) -> float:
         return ms.perturbed_coin_excess_half(self.p)
 
-    @property
-    def spec(self) -> nm.SplitSpec:
-        return nm.perturbed_coin_split_spec(self.p)
+    spec = property(lambda row: nm.perturbed_coin_split_spec(row.p))
 
-    def default_params(self, branch: str) -> dict[str, float]:
-        return dict(zip(("q1", "q2"), nm.perturbed_coin_ideal_params(self.p, branch)))
+    def ideal_params(self, branch: str) -> tuple[float, ...]:
+        return nm.perturbed_coin_ideal_params(self.p, branch)
 
 
 class _SnsRow(_Row):
     columns = {
-        **_SHARED_COLUMNS,
-        **_SPLIT_COLUMNS,
-        "C_g2": lambda row: ms.renyi_entropy(row.source.stationary, 2),
+        **_IDEAL_COLUMNS,
         "C_q2": lambda row: qm.quantum_complexity(qm.sns_gram_ensemble(row.renewal)),
     }
-    truncated = True
+    models = ("sns-epsilon", "sns-g")
 
-    @functools.cached_property
+    @property
     def source(self) -> Machine:
         """The generative model, which the split doubles."""
-        return procs.sns_g_machine(self.p)
+        return self.generative
 
     @functools.cached_property
     def renewal(self) -> procs.SnsRenewalData:
@@ -252,36 +272,21 @@ class _SnsRow(_Row):
     def e_half(self) -> float:
         return ms.sns_excess_entropy_half(self.p, self.truncation, self.overlap)[0]
 
-    @property
-    def spec(self) -> nm.SplitSpec:
-        return nm.sns_split_spec(self.p)
+    spec = property(lambda row: nm.sns_split_spec(row.p))
 
-    def default_params(self, branch: str) -> dict[str, float]:
-        params = nm.sns_ideal_params(self.p, self.truncation, branch, self.overlap)
-        return dict(zip(("gamma", "eta"), params))
+    def ideal_params(self, branch: str) -> tuple[float, ...]:
+        return nm.sns_ideal_params(self.p, self.truncation, branch, self.overlap)
 
 
 class _GoldenMeanRow(_Row):
-    columns = {
-        **_SHARED_COLUMNS,
-        "C_q2": lambda row: ms.MEASURES["c-q2"](row.source, row.horizon).value,
-    }
+    columns = _SHARED_COLUMNS
+    models = ("golden-mean", None)
 
-    @functools.cached_property
-    def source(self) -> Machine:
-        return procs.golden_mean_epsilon(self.p)
+    #: the split that injects negativity but never lowers memory
+    spec = property(lambda row: nm.golden_mean_bad_split_spec(row.p))
 
-    @functools.cached_property
-    def e_half(self) -> float:
-        return ms.excess_entropy_half(self.source, self.horizon).value
-
-    @property
-    def spec(self) -> nm.SplitSpec:
-        """The split that injects negativity but never lowers memory."""
-        return nm.golden_mean_bad_split_spec(self.p)
-
-    def default_params(self, branch: str) -> dict[str, float]:
-        return {"q": -0.2}
+    def ideal_params(self, branch: str) -> tuple[float, ...]:
+        return (-0.2,)
 
 
 #: the row of each sweep process, which carries its column table
@@ -310,14 +315,8 @@ def _check_grid(process: str, grid: list[float]) -> list[float]:
     return grid
 
 
-def _sweep_to_csv(
-    process: str,
-    grid: list[float],
-    horizon: int,
-    truncation,
-    columns,
-    out: str | None,
-) -> int:
+def _sweep_to_csv(process: str, grid: list[float], horizon: int, truncation, columns,
+                  out: str | None) -> int:
     row_type = _SWEEP_ROWS[process]
     columns = list(columns) if columns else [c for c in SWEEP_COLUMNS if c in row_type.columns]
     unknown = [c for c in columns if c not in row_type.columns]
@@ -346,6 +345,18 @@ def _sweep_to_csv(
 
 def _parse_grid(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok.strip()]
+
+
+def _range_grid(process: str, p_min: float, p_max: float, p_step: float) -> list[float]:
+    """The p from ``p_min`` to ``p_max`` in steps of ``p_step``, rounded to 12
+    decimals, without the process's degenerate p."""
+    if not p_step > 0:
+        raise ValueError(f"--p-step must be positive, got {p_step}")
+    if p_min > p_max:
+        raise ValueError(f"--p-min {p_min} exceeds --p-max {p_max}")
+    grid = list(np.arange(p_min, p_max + 1e-12, p_step).round(12))
+    degenerate = _SWEEP_ROWS[process].degenerate_p
+    return [p for p in grid if degenerate is None or abs(p - degenerate) > 1e-12]
 
 
 #: the JSON type of each field a sweep config may set, as its error names it
@@ -405,21 +416,14 @@ def cmd_sweep(args) -> int:
         if args.p_grid is not None:
             grid = _parse_grid(args.p_grid)
         else:
-            if not args.p_step > 0:
-                raise ValueError(f"--p-step must be positive, got {args.p_step}")
-            if args.p_min > args.p_max:
-                raise ValueError(f"--p-min {args.p_min} exceeds --p-max {args.p_max}")
-            grid = list(np.arange(args.p_min, args.p_max + 1e-12, args.p_step).round(12))
-            degenerate = _SWEEP_ROWS[process].degenerate_p
-            if degenerate is not None:
-                grid = [p for p in grid if abs(p - degenerate) > 1e-12]
+            grid = _range_grid(process, args.p_min, args.p_max, args.p_step)
         horizon = args.horizon
         truncation = args.truncation
         columns = None
         out = args.out
     if process not in _SWEEP_ROWS:
         raise UnsupportedProcess(f"unknown sweep process {process!r}")
-    if not _SWEEP_ROWS[process].truncated:
+    if "truncation" not in _reads(_SWEEP_ROWS[process].models[0]):
         option = "sweep config field 'truncation'" if args.config else "--truncation"
         _refuse_unread(f"process {process!r}", option, truncation)
     _check_grid(process, grid)
@@ -435,15 +439,14 @@ _FIGURES = {
 
 
 def default_grid(process: str) -> list[float]:
-    grid = [round(0.05 * k, 2) for k in range(1, 20)]
-    return [p for p in grid if p != _SWEEP_ROWS[process].degenerate_p]
+    return _range_grid(process, 0.05, 0.95, 0.05)
 
 
 def cmd_reproduce(args) -> int:
     _check_horizon(args.horizon)
     process, columns = _FIGURES[args.figure]
     row_type = _SWEEP_ROWS[process]
-    if not row_type.truncated:
+    if "truncation" not in _reads(row_type.models[0]):
         _refuse_unread(f"{args.figure} (process {process!r})", "--truncation", args.truncation)
     lines = [",".join(columns)]
     for p in default_grid(process):
@@ -500,11 +503,10 @@ def cmd_construct_nmachine(args) -> int:
         raise ValueError(f"--horizon must be nonnegative, got {args.horizon}")
     _check_nmachine_options(args)
     row_type = _NMACHINE_ROWS[args.process]
-    if not row_type.truncated:
+    if "truncation" not in _reads(row_type.models[0]):
         _refuse_unread(f"process {args.process!r}", "--truncation", args.truncation)
     row = row_type(args.p, args.horizon, args.truncation)
-    source, e_half, c_mu2 = row.source, row.e_half, row.c_mu2
-    spec = row.spec
+    source, e_half, c_mu2, spec = row.source, row.e_half, row.c_mu2, row.spec
     if args.split is not None:
         spec = nm.generic_split_spec(source, _parse_split(args.split))
 
@@ -515,11 +517,10 @@ def cmd_construct_nmachine(args) -> int:
         if args.params is not None:
             params = _parse_params(args.params)
         elif args.split is not None:
-            params = {name: 0.0 for name in spec.param_names}
+            params = dict.fromkeys(spec.param_names, 0.0)
         else:
             params = row.default_params(args.branch or nm.BRANCH_PLUS)
-        built = nm.build_split_machine(source, spec, params)
-        result = nm.assess_split_machine(built, params, e_half, c_mu2)
+        result = row.assess(spec, params)
 
     checks = nm.verify_nmachine_properties(source, result.machine, horizon=min(args.horizon, 8))
     doc = result.to_json_dict()
@@ -570,11 +571,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_make = sub.add_parser("make-machine", parents=[common], help="emit a zoo machine as JSON")
-    p_make.add_argument(
-        "--process",
-        required=True,
-        choices=tuple(_ZOO),
-    )
+    p_make.add_argument("--process", required=True, choices=tuple(_ZOO))
     p_make.add_argument("--p", type=float)
     p_make.add_argument("--truncation", type=int)
     p_make.set_defaults(handler=cmd_make_machine)

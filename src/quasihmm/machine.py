@@ -471,9 +471,25 @@ def load_machine(path) -> Machine:
     return machine_from_json_dict(doc)
 
 
+def _numeric(value, what: str) -> np.ndarray:
+    """``value`` parsed as an array of JSON numbers.  An array that numpy
+    parses to a dtype other than integer or float (one with a string or null
+    entry, or of bools only) or not at all (a ragged one) is refused, naming
+    ``what``; one dtype check, so a large matrix costs no Python loop over
+    its entries."""
+    try:
+        a = np.asarray(value)
+        if a.dtype.kind in "iuf":
+            return a
+    except (TypeError, ValueError):
+        pass
+    raise MachineFormatError(f"{what} is not a numeric array")
+
+
 def machine_from_json_dict(doc: Mapping) -> Machine:
     """The machine of a file's JSON document.  Its ``matrices`` object maps
-    each symbol to a square array of numbers, passed on in alphabet order."""
+    each symbol to a square array of numbers, passed on in alphabet order,
+    and its optional ``stationary`` is an array of numbers."""
     if not isinstance(doc, Mapping):
         raise MachineFormatError("machine document must be a JSON object")
     for key in ("alphabet", "states", "matrices"):
@@ -490,10 +506,7 @@ def machine_from_json_dict(doc: Mapping) -> Machine:
     for x in alphabet:
         if x not in matrices:
             raise MachineFormatError(f"missing transition matrix for symbol {x!r}")
-        try:
-            a = np.asarray(matrices[x], dtype=float)
-        except (TypeError, ValueError):
-            raise MachineFormatError(f"matrix for symbol {x!r} is not a numeric array") from None
+        a = _numeric(matrices[x], f"matrix for symbol {x!r}")
         if a.shape != (n, n):
             raise MachineFormatError(
                 f"matrix for symbol {x!r} has shape {a.shape}, expected {(n, n)}"
@@ -502,10 +515,7 @@ def machine_from_json_dict(doc: Mapping) -> Machine:
     extra = set(matrices) - set(alphabet)
     if extra:
         raise MachineFormatError(f"matrices for symbols outside the alphabet: {sorted(extra)}")
-    return make_machine(
-        doc["alphabet"],
-        doc["states"],
-        stacked,
-        stationary=doc.get("stationary"),
-        groups=doc.get("groups"),
-    )
+    stationary = doc.get("stationary")
+    if stationary is not None:
+        stationary = _numeric(stationary, "machine document field 'stationary'")
+    return make_machine(doc["alphabet"], doc["states"], stacked, stationary, doc.get("groups"))

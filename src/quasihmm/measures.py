@@ -72,7 +72,9 @@ def renyi_entropy(q, alpha: float) -> float:
     Proper distributions support any order >= 0 (order 0 counts the support,
     order 1 is the Shannon limit).  Signed vectors are admitted only at order
     2, where the collision entropy -log2(sum q_k^2) stays real; it requires
-    every component nonzero and may itself be zero or negative.
+    every component nonzero and may itself be zero or negative.  A zero
+    entropy is +0.0 (adding 0.0 turns -0.0 into +0.0 and changes nothing
+    else).
     """
     v = _as_quasi_distribution(q)
     if alpha < 0:
@@ -87,15 +89,15 @@ def renyi_entropy(q, alpha: float) -> float:
             raise ZeroEntryWithQuasiOrder(
                 "collision entropy of a signed distribution needs nonzero components"
             )
-        return -float(np.log2(np.sum(v * v)))
+        return -float(np.log2(np.sum(v * v))) + 0.0
 
     v = np.clip(v, 0.0, None)
     if alpha == 0:
         return float(np.log2(np.count_nonzero(v > DIST_TOL)))
     if alpha == 1:
         support = v[v > 0]
-        return -float(np.sum(support * np.log2(support)))
-    return float(np.log2(np.sum(v**alpha)) / (1.0 - alpha))
+        return -float(np.sum(support * np.log2(support))) + 0.0
+    return float(np.log2(np.sum(v**alpha)) / (1.0 - alpha)) + 0.0
 
 
 def negativity(q) -> float:

@@ -162,6 +162,24 @@ def test_usage_error_exits_2_with_one_json_line(argv, capsys):
     assert error["error"] == "ValueError" and error["message"].startswith("quasihmm")
 
 
+@pytest.mark.parametrize("argv, error, message", [
+    (("construct-nmachine", "--process", "perturbed-coin", "--p", "0.3", "--params", "q1=0,q2"),
+     "ValueError", "parameter 'q2' is not of the form name=value"),
+    (("sweep", "--process", "sns", "--p-grid", "0.3,1.2"),
+     "ValueError", "p grid values must lie strictly between 0 and 1"),
+    (("sweep", "--process", "golden-mean", "--p-grid", "0,0.5"),
+     "ValueError", "p grid values must lie strictly between 0 and 1"),
+    (("construct-nmachine", "--process", "perturbed-coin", "--p", "0.3", "--split", "2"),
+     "SpecMismatch", "copy counts (2,) do not fit 2 states"),
+])
+def test_value_the_request_cannot_use_exits_2(argv, error, message, capsys):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"error": error, "message": message}
+
+
 @pytest.mark.parametrize("field, value, error", [
     # an infinite split parameter
     (None, None, "NonFiniteEntries"),
@@ -291,8 +309,8 @@ def quasi_file(tmp_path, capsys):
 #: whose stationary vector is signed
 def _make_machine_argv(process):
     """``make-machine`` for ``process``, with ``--p 0.3`` where it reads one."""
-    reads, _ = cli._ZOO[process]
-    return ["make-machine", "--process", process, *(["--p", "0.3"] if "--p" in reads else [])]
+    reads = cli._reads(process)
+    return ["make-machine", "--process", process, *(["--p", "0.3"] if "p" in reads else [])]
 
 
 _SELECTION_MACHINES = [
@@ -448,7 +466,15 @@ class TestMeasures:
          "matrix for symbol '1' is not a numeric array"),
         ({"0": [[0.7, "a"], [0.3, 0.0]], "1": [[0.0, 0.3], [0.0, 0.7]]},
          "matrix for symbol '0' is not a numeric array"),
-    ], ids=["missing", "outside", "shape", "ragged", "string"])
+        # numpy would parse a numeric string or a bool as a number
+        ({"0": [[0.7, 0.0], [0.3, 0.0]], "1": [["0.0", 0.3], [0.0, 0.7]]},
+         "matrix for symbol '1' is not a numeric array"),
+        ({"0": [[True, False], [False, False]], "1": [[0.0, 0.3], [0.0, 0.7]]},
+         "matrix for symbol '0' is not a numeric array"),
+        ({"0": [[0.7, None], [0.3, 0.0]], "1": [[0.0, 0.3], [0.0, 0.7]]},
+         "matrix for symbol '0' is not a numeric array"),
+    ], ids=["missing", "outside", "shape", "ragged", "string", "numeric-string", "bool",
+            "null"])
     def test_malformed_matrices_are_refused(self, capsys, tmp_path, matrices, message):
         doc = perturbed_coin_epsilon(0.3).to_json_dict()
         doc["matrices"] = matrices
@@ -459,6 +485,38 @@ class TestMeasures:
         lines = err.splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0]) == {"error": "MachineFormatError", "message": message}
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda doc: [doc], "machine document must be a JSON object"),
+        (lambda doc: {k: v for k, v in doc.items() if k != "alphabet"},
+         "machine document missing 'alphabet'"),
+        (lambda doc: {**doc, "alphabet": ["0", "0"], "matrices": {"0": doc["matrices"]["0"]}},
+         "alphabet has repeated symbols"),
+        (lambda doc: {**doc, "stationary": [0.5, 0.25, 0.25]},
+         "stationary vector has shape (3,), expected (2,)"),
+        (lambda doc: {**doc, "stationary": ["a", 0.5]},
+         "machine document field 'stationary' is not a numeric array"),
+        (lambda doc: {**doc, "stationary": ["0.5", "0.5"]},
+         "machine document field 'stationary' is not a numeric array"),
+    ], ids=["not-object", "no-alphabet", "repeated-symbol", "stationary-length",
+            "stationary-string", "stationary-numeric-string"])
+    def test_malformed_document_is_refused(self, capsys, tmp_path, change, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(change(perturbed_coin_epsilon(0.3).to_json_dict())))
+        code, out, err = run(capsys, "measures", str(path), "--measure", "c-mu2")
+        assert (code, out) == (2, "")
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {"error": "MachineFormatError", "message": message}
+
+    def test_integer_entries_are_numbers(self, capsys, tmp_path):
+        path = tmp_path / "ints.json"
+        path.write_text(json.dumps({"alphabet": ["0"], "states": ["A"],
+                                    "matrices": {"0": [[1]]}, "stationary": [1]}))
+        code, out, err = run(capsys, "measures", str(path), "--measure", "c-mu2")
+        assert (code, err) == (0, "")
+        value = json.loads(out)["reports"][0]["value"]
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
     def test_no_measure_requested_is_validation_error(self, capsys, coin_file):
         code, _, err = run(capsys, "measures", coin_file)
@@ -585,6 +643,14 @@ class TestSweep:
         error = json.loads(lines[0])
         assert error["error"] == "ValueError"
         assert field in error["message"]
+
+    def test_unknown_config_process_is_unsupported(self, capsys, tmp_path):
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps({"process": "nope", "p_grid": [0.3]}))
+        code, out, err = run(capsys, "sweep", "--config", str(config))
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "UnsupportedProcess",
+                                   "message": "unknown sweep process 'nope'"}
 
     def test_null_config_fields_are_unset(self, capsys, tmp_path):
         config = tmp_path / "sweep.json"
@@ -885,6 +951,20 @@ class TestConstructNMachine:
         )
         assert code == 4
         assert json.loads(err)["error"] == "DegenerateFixedSpace"
+
+    def test_split_without_params_starts_from_zero_shares(self, capsys):
+        code, out, err = run(capsys, "construct-nmachine", "--process", "perturbed-coin",
+                             "--p", "0.3", "--split", "3,1")
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert len(doc["parameters"]) == 16
+        assert set(doc["parameters"].values()) == {0.0}
+        assert doc["machine"]["states"] == ["s0.0", "s0.1", "s0.2", "s1"]
+        # each zero share leaves its mass on the last copy, so the split
+        # keeps the source's memory and has no negativity
+        assert doc["c_n2"] == pytest.approx(doc["c_mu2"], abs=1e-12)
+        assert doc["negativity"] == pytest.approx(1.0, abs=1e-12)
+        assert doc["checks"]["passed"] is True
 
     def test_parameter_the_spec_does_not_have_is_refused(self, capsys):
         code, out, err = run(

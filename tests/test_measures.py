@@ -73,6 +73,12 @@ class TestRenyiEntropy:
         with pytest.raises(ValueError):
             renyi_entropy([0.5, 0.4], 2)
 
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("q", [[1.0], [0.0, 1.0, 0.0]])
+    def test_zero_entropy_is_positive_zero(self, q, alpha):
+        value = renyi_entropy(q, alpha)
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
     def test_monotone_nonincreasing_in_order(self, rng):
         for _ in range(30):
             n = int(rng.integers(2, 8))
