@@ -11,11 +11,11 @@ from .machine import (
     ENUMERATION_CAP,
     Machine,
     MachineClass,
+    equivalence_residual,
     load_machine,
     machine_from_json_dict,
     make_machine,
     same_process,
-    word_distribution_distance,
 )
 from .measures import (
     MeasureReport,

@@ -210,6 +210,7 @@ class _Row:
 
     @functools.cached_property
     def e_half(self) -> float:
+        _check_horizon(self.horizon)
         return ms.excess_entropy_half(self.source, self.horizon).value
 
     def default_params(self, branch: str) -> dict[str, float]:

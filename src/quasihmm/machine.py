@@ -34,8 +34,8 @@ from .errors import (
 #: cap on the number of words enumerated by length-L operations
 ENUMERATION_CAP = 2**20
 
-#: horizon used when two machines are compared as process generators
-PROCESS_EQUALITY_HORIZON = 8
+#: relative rank tolerance of :func:`equivalence_residual`, and the largest
+#: residual at which :func:`same_process` calls two processes equal
 PROCESS_EQUALITY_TOL = 1e-9
 
 
@@ -439,23 +439,43 @@ def make_machine(
 
 
 def same_process(a: Machine, b: Machine) -> bool:
-    """Whether two machines generate the same process, decided (by definition)
-    as agreement of all word probabilities up to ``PROCESS_EQUALITY_HORIZON``
-    within ``PROCESS_EQUALITY_TOL``."""
-    return word_distribution_distance(a, b, PROCESS_EQUALITY_HORIZON) <= PROCESS_EQUALITY_TOL
+    """Whether two machines generate the same process: every word has the
+    same probability under both, decided by :func:`equivalence_residual`
+    from ``[pi_a, -pi_b]`` within ``PROCESS_EQUALITY_TOL``."""
+    start = np.concatenate([a.stationary, -b.stationary])
+    return equivalence_residual(a, b, start) <= PROCESS_EQUALITY_TOL
 
 
-def word_distribution_distance(a: Machine, b: Machine, horizon: int) -> float:
-    """Largest absolute word-probability difference over lengths <= horizon."""
+def equivalence_residual(a: Machine, b: Machine, starts) -> float:
+    """Largest ``|v . 1|`` over an orthonormal basis v of the span of the
+    rows ``starts[i] @ T_w`` over all words w, where ``T_w`` multiplies the
+    pairs ``diag(a.T[x], b.T[x])``: zero exactly when every
+    ``starts[i] @ T_w @ 1`` is (Tzeng, SIAM J. Comput. 21:216 (1992)).
+
+    The span is grown breadth-first, one word length per level, within
+    ``a.n_states + b.n_states`` levels.  Each row of a level, an image of a
+    direction the last level added, is orthogonalised against the basis by
+    Gram-Schmidt (no LAPACK call) and kept when what remains exceeds
+    ``PROCESS_EQUALITY_TOL`` times the level's largest row norm.  Raises
+    ``UnknownSymbol`` when the alphabets differ.
+    """
     if a.alphabet != b.alphabet:
         raise UnknownSymbol(f"alphabets differ: {a.alphabet} vs {b.alphabet}")
-    worst = 0.0
-    for length in range(horizon + 1):
-        fa = a.conditional_future_matrix(length)
-        fb = b.conditional_future_matrix(length)
-        gap = a.stationary @ fa - b.stationary @ fb
-        worst = max(worst, float(np.max(np.abs(gap))))
-    return worst
+    n, size = a.n_states, a.n_states + b.n_states
+    basis, rank = np.zeros((size, size)), 0
+    level = np.asarray(starts, dtype=float).reshape(-1, size)
+    while level.size and rank < size:
+        first, scale = rank, np.linalg.norm(level, axis=1).max()
+        for row in level:
+            for _ in range(2):  # a second pass restores orthogonality lost to rounding
+                row = row - (basis[:rank] @ row) @ basis[:rank]
+            norm = np.linalg.norm(row)
+            if norm > PROCESS_EQUALITY_TOL * scale:
+                basis[rank] = row / norm
+                rank += 1
+        images = [basis[first:rank, :n] @ a.stacked, basis[first:rank, n:] @ b.stacked]
+        level = np.concatenate(images, axis=2).reshape(-1, size)
+    return float(np.abs(basis[:rank].sum(axis=1)).max(initial=0.0))
 
 
 def load_machine(path) -> Machine:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -36,7 +36,7 @@ from .errors import (
     SpecMismatch,
     TruncationTooCoarse,
 )
-from .machine import Machine, make_machine
+from .machine import Machine, equivalence_residual, make_machine
 from .measures import half_excess_from_futures, mana, negativity, renyi_entropy
 from .processes import (
     check_not_half,
@@ -293,22 +293,12 @@ class NMachineCheckReport:
 
     stationary_fixed: float
     coarse_graining: float
-    symbol_conditionals: float
     word_conditionals: float
     word_distribution: float
     half_excess_gap: float
-    word_horizon: int
-    distribution_horizon: int
 
     def worst(self) -> float:
-        return max(
-            self.stationary_fixed,
-            self.coarse_graining,
-            self.symbol_conditionals,
-            self.word_conditionals,
-            self.word_distribution,
-            self.half_excess_gap,
-        )
+        return max(astuple(self))
 
     def passed(self) -> bool:
         return self.worst() <= VERIFY_TOL
@@ -316,7 +306,7 @@ class NMachineCheckReport:
     def __str__(self) -> str:
         return (
             f"fixed={self.stationary_fixed:.3e} "
-            f"coarse={self.coarse_graining:.3e} symbol={self.symbol_conditionals:.3e} "
+            f"coarse={self.coarse_graining:.3e} "
             f"word={self.word_conditionals:.3e} dist={self.word_distribution:.3e} "
             f"half-excess={self.half_excess_gap:.3e} (tol {VERIFY_TOL:g})"
         )
@@ -331,16 +321,18 @@ def verify_nmachine_properties(
 
     Verified, each within ``VERIFY_TOL``: the built stationary vector as a
     fixed point of the built transitions, coarse-grained stationary weights,
-    symbol conditionals, word conditionals up to min(horizon, 6),
-    word-distribution equality up to ``horizon``, and agreement of the
-    half-order state-future mutual information at horizon, summed over the
-    words each source state can emit (the signed stationary weights enter
-    that sum linearly, so it stays real).  A horizon with more words than
-    the enumeration cap is refused before any enumeration.  Raises
+    word conditionals (every copy's futures are its source state's) and
+    word-distribution equality, both decided over all words by
+    :func:`machine.equivalence_residual`, and agreement of the half-order
+    state-future mutual information at horizon, summed over the words each
+    source state can emit (the signed stationary weights enter that sum
+    linearly, so it stays real).  A horizon with more words than the
+    enumeration cap is refused before any check.  Raises
     ``PropertyViolated`` carrying the report if any residual is too large.
     """
     if built.groups is None:
         raise SpecMismatch("built machine carries no source-state groups")
+    built.check_enumeration(horizon)
     groups = np.asarray(built.groups)
     n_src = source.n_states
 
@@ -352,23 +344,13 @@ def verify_nmachine_properties(
         coarse[k] = np.sum(pi[groups == k])
     coarse_res = float(np.max(np.abs(coarse - source.stationary)))
 
-    symbol_rows = source.stacked.sum(axis=2)[:, groups]
-    symbol_res = float(np.max(np.abs(built.stacked.sum(axis=2) - symbol_rows), initial=0.0))
+    # one row e_copy - e_source per copy, over built's states then source's
+    copies = np.hstack([np.eye(built.n_states), -np.eye(n_src)[groups]])
+    word_res = equivalence_residual(built, source, copies)
+    dist_res = equivalence_residual(built, source, np.concatenate([pi, -source.stationary]))
 
-    # one enumeration per machine and length serves the word-conditional,
-    # word-distribution and half-order checks; the length-0 futures are ones
-    built.check_enumeration(horizon)
-    word_horizon = min(horizon, 6)
-    word_res = dist_res = 0.0
-    fut_built, fut_src = np.ones((built.n_states, 1)), np.ones((n_src, 1))
-    for length in range(1, horizon + 1):
-        fut_built = built.conditional_future_matrix(length)
-        fut_src = source.conditional_future_matrix(length)
-        if length <= word_horizon:
-            word_res = max(word_res, float(np.max(np.abs(fut_built - fut_src[groups]))))
-        dist = pi @ fut_built - source.stationary @ fut_src
-        dist_res = max(dist_res, float(np.max(np.abs(dist))))
-
+    fut_built = built.conditional_future_matrix(horizon)
+    fut_src = source.conditional_future_matrix(horizon)
     # Where a source state forbids a word, its copies' futures are rounding
     # noise of either sign, which the square root would lift from ~1e-16 to
     # ~1e-8.  The half-order sum therefore runs over the source's word
@@ -382,12 +364,9 @@ def verify_nmachine_properties(
     report = NMachineCheckReport(
         stationary_fixed=fixed_res,
         coarse_graining=coarse_res,
-        symbol_conditionals=symbol_res,
         word_conditionals=word_res,
         word_distribution=dist_res,
         half_excess_gap=half_gap,
-        word_horizon=word_horizon,
-        distribution_horizon=horizon,
     )
     if not report.passed():
         raise PropertyViolated(report)

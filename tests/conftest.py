@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from quasihmm.linalg import EIGEN_TOL, STRUCT_TOL
+from quasihmm.machine import make_machine
 
 
 def oracle_word_probability(machine, word) -> float:
@@ -51,6 +52,38 @@ def word_probability(machine, word) -> float:
     """P(word), read off its column of ``pi @ conditional_future_matrix``."""
     probs = np.asarray(machine.stationary) @ machine.conditional_future_matrix(len(word))
     return float(probs[all_words(machine.alphabet, len(word)).index(word)])
+
+
+def enumerated_word_gap(a, b, starts, max_length) -> float:
+    """Largest ``|starts[i] @ [P_a(w|.); P_b(w|.)]|`` over the words w of
+    lengths 0 to ``max_length``, from ``conditional_future_matrix``; each
+    row of ``starts`` runs over the states of ``a`` followed by those of
+    ``b``."""
+    starts = np.atleast_2d(starts)
+    worst = 0.0
+    for length in range(max_length + 1):
+        futures = np.vstack([a.conditional_future_matrix(length),
+                             b.conditional_future_matrix(length)])
+        worst = max(worst, float(np.max(np.abs(starts @ futures))))
+    return worst
+
+
+def word_distribution_gap(a, b, horizon) -> float:
+    """Largest |P_a(w) - P_b(w)| over the words of lengths 0 to ``horizon``."""
+    return enumerated_word_gap(a, b, np.concatenate([a.stationary, -b.stationary]), horizon)
+
+
+def renewal_machine(pmf):
+    """The renewal process whose waiting times (the 0s between two 1s) have
+    probabilities proportional to ``pmf`` on 0 .. len(pmf) - 1, as a
+    unifilar machine whose state counts the 0s since the last 1."""
+    pmf = np.asarray(pmf, dtype=float)
+    n = pmf.size
+    fire = pmf / np.cumsum(pmf[::-1])[::-1]
+    stacked = np.zeros((2, n, n))
+    stacked[0, np.arange(n - 1), np.arange(1, n)] = 1.0 - fire[:-1]
+    stacked[1, :, 0] = fire
+    return make_machine("01", [f"n{k}" for k in range(n)], stacked)
 
 
 def assert_stationary(machine):

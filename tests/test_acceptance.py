@@ -8,9 +8,8 @@ import math
 import time
 
 import numpy as np
-from conftest import spearman
+from conftest import spearman, word_distribution_gap
 from quasihmm import cli
-from quasihmm.machine import word_distribution_distance
 from quasihmm.measures import (
     excess_entropy_half,
     perturbed_coin_excess_half,
@@ -215,7 +214,7 @@ def test_criterion_7_wigner_representation():
         machine = wigner_as_machine(rep)
         reference = unbiased_coin() if p == 0.5 else perturbed_coin_epsilon(p)
         worst_words = max(
-            worst_words, word_distribution_distance(machine, reference, 8)
+            worst_words, word_distribution_gap(machine, reference, 8)
         )
     ok = worst_entry <= 1e-12 and worst_words <= 1e-9
     report(7, ok, f"entry residual {worst_entry:.1e}, word residual {worst_words:.1e}")

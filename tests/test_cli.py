@@ -944,6 +944,17 @@ class TestConstructNMachine:
         assert (code, err) == (0, "")
         assert json.loads(out)["checks"]["passed"]
 
+    def test_zero_horizon_is_refused_where_e_half_is_measured(self, capsys):
+        # the golden-mean row has no closed-form E_half, and no horizon
+        # estimate is defined below 1
+        code, out, err = run(capsys, "construct-nmachine", "--process", "golden-mean-bad",
+                             "--p", "0.3", "--horizon", "0")
+        assert (code, out) == (2, "")
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {"error": "ValueError",
+                                        "message": "--horizon must be at least 1, got 0"}
+
     def test_degenerate_split_point_exits_4(self, capsys):
         code, _, err = run(
             capsys, "construct-nmachine", "--process", "perturbed-coin",

@@ -8,21 +8,26 @@ import quasihmm.machine
 from conftest import (
     all_words,
     assert_stationary,
+    enumerated_word_gap,
     oracle_conditional_word_probability,
     oracle_state_overlap,
     oracle_word_probability,
+    renewal_machine,
+    word_distribution_gap,
     word_probability,
 )
 from quasihmm import errors
 from quasihmm.machine import (
+    PROCESS_EQUALITY_TOL,
     Machine,
+    equivalence_residual,
     load_machine,
     make_machine,
     same_process,
-    word_distribution_distance,
 )
 from quasihmm.nmachine import (
     build_split_machine,
+    generic_split_spec,
     perturbed_coin_ideal_params,
     perturbed_coin_split_spec,
 )
@@ -35,6 +40,7 @@ from quasihmm.processes import (
     sns_g_machine,
     unbiased_coin,
 )
+from quasihmm.transforms import apply_map, two_state_map
 
 _UNIFILAR = [
     perturbed_coin_epsilon(0.3), golden_mean_epsilon(0.4), even_process_epsilon(),
@@ -79,9 +85,9 @@ class TestWordProbability:
             for word, value in zip(words, probs):
                 assert value == pytest.approx(oracle_word_probability(machine, word), abs=1e-12)
 
-    def test_distance_refuses_differing_alphabets(self, coin):
+    def test_equality_refuses_differing_alphabets(self, coin):
         with pytest.raises(errors.UnknownSymbol):
-            word_distribution_distance(coin, _three_symbol_machine(), 2)
+            same_process(coin, _three_symbol_machine())
 
 
 class TestWordDistribution:
@@ -448,9 +454,96 @@ class TestProcessEquality:
     def test_different_parameters_differ(self):
         assert not same_process(perturbed_coin_epsilon(0.3), perturbed_coin_epsilon(0.31))
 
-    def test_distance_is_positive_for_different_processes(self):
-        d = word_distribution_distance(golden_mean_epsilon(0.5), perturbed_coin_epsilon(0.3), 4)
-        assert d > 1e-3
+    def test_residual_is_positive_for_different_processes(self):
+        a, b = golden_mean_epsilon(0.5), perturbed_coin_epsilon(0.3)
+        assert equivalence_residual(a, b, np.concatenate([a.stationary, -b.stationary])) > 1e-3
+
+    def test_decided_past_any_fixed_length(self):
+        # two renewal processes whose waiting-time pmfs differ by eps, -2 eps
+        # and eps at 10, 11 and 12 (same sum, same mean) first differ at
+        # length 12
+        pmf = 0.8 ** np.arange(15)
+        eps = 2e-3 * pmf.sum()
+        moved = pmf + np.isin(np.arange(15), [10, 12]) * eps - (np.arange(15) == 11) * 2 * eps
+        a, b = renewal_machine(pmf), renewal_machine(moved)
+        assert word_distribution_gap(a, b, 11) < 1e-12 < word_distribution_gap(a, b, 12)
+        assert not same_process(a, b)
+        coin = perturbed_coin_epsilon(0.3)
+        assert same_process(coin, apply_map(coin, two_state_map(2.0, -0.5)))
+        source = golden_mean_epsilon(0.4)
+        spec = generic_split_spec(source, (2, 1))
+        split = build_split_machine(source, spec, dict.fromkeys(spec.param_names, 0.0))
+        assert same_process(source, split)
+
+    def test_agrees_with_enumeration_to_the_length_bound(self):
+        """Equality of ``starts[i] @ T_w @ 1`` over all words is decided by the
+        words up to length n_a + n_b - 1 (Paz 1971, Tzeng 1992), so the
+        residual and that enumeration give the same verdict.  Draws (seed
+        11): 30 random classical pairs with 2-4 states each and three
+        renewal pairs that differ, each first machine also against itself
+        with one state doubled; and two pairs of cycles whose per-state
+        futures first differ at the bound."""
+        rng = np.random.default_rng(11)
+        cases = []
+        for _ in range(30):
+            a, b = (_random_classical(rng, int(rng.integers(2, 5))) for _ in range(2))
+            cases.append((a, b, False))
+            cases.append((a, _double_first_state(a, float(rng.uniform())), True))
+        for size in (5, 6, 8):
+            pmf = rng.uniform(0.2, 1.0, size)
+            moved = pmf.copy()
+            moved[size - 3:] += np.array([1.0, -2.0, 1.0]) * 0.01 * pmf.sum()
+            a = renewal_machine(pmf)
+            cases.append((a, renewal_machine(moved), False))
+            cases.append((a, _double_first_state(a, float(rng.uniform())), True))
+        for a, b in ((_cycle("01"), _cycle("010")), (_cycle("001"), _cycle("0010"))):
+            bound = a.n_states + b.n_states - 1
+            start = np.zeros(bound + 1)
+            start[0], start[a.n_states] = 1.0, -1.0
+            assert enumerated_word_gap(a, b, start, bound - 1) == 0.0
+            assert enumerated_word_gap(a, b, start, bound) == 1.0
+            assert equivalence_residual(a, b, start) > PROCESS_EQUALITY_TOL
+        verdicts = set()
+        for a, b, equal in cases:
+            starts = [np.concatenate([a.stationary, -b.stationary])]
+            if equal:
+                # each state of the doubled machine against the state it copies
+                copied = [0, 0, *range(1, a.n_states)]
+                starts += np.hstack([np.eye(a.n_states)[copied], -np.eye(b.n_states)]).tolist()
+            for start in starts:
+                bound = a.n_states + b.n_states - 1
+                differ = enumerated_word_gap(a, b, start, bound) > PROCESS_EQUALITY_TOL
+                assert (equivalence_residual(a, b, start) > PROCESS_EQUALITY_TOL) == differ
+                assert differ != equal
+                verdicts.add(differ)
+        assert verdicts == {False, True}
+
+
+def _random_classical(rng, n):
+    """A random two-symbol classical machine with n states, about a third of
+    its entries zero."""
+    stacked = rng.uniform(size=(2, n, n)) * (rng.uniform(size=(2, n, n)) > 0.3)
+    stacked[0, :, 0] += 0.1  # no zero row
+    stacked /= stacked.sum(axis=(0, 2))[:, None]
+    return make_machine("01", [f"s{k}" for k in range(n)], stacked)
+
+
+def _double_first_state(m, share):
+    """``m`` with state 0 doubled: both copies keep its outgoing row, and its
+    inflow goes to the first copy with weight ``share``."""
+    rows = np.concatenate([m.stacked[:, :1], m.stacked], axis=1)
+    inflow = rows[:, :, :1]
+    stacked = np.concatenate([inflow * share, inflow * (1.0 - share), rows[:, :, 1:]], axis=2)
+    return make_machine(m.alphabet, ["s0a", "s0b", *m.states[1:]], stacked)
+
+
+def _cycle(pattern):
+    """The deterministic cycle that emits ``pattern`` over and over."""
+    n = len(pattern)
+    stacked = np.zeros((2, n, n))
+    for k, x in enumerate(pattern):
+        stacked[int(x), k, (k + 1) % n] = 1.0
+    return make_machine("01", [f"c{k}" for k in range(n)], stacked)
 
 
 def _dense_fidelity(machine, horizon):

@@ -4,9 +4,14 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import assert_stationary, oracle_word_probability, word_probability
+from conftest import (
+    assert_stationary,
+    oracle_word_probability,
+    word_distribution_gap,
+    word_probability,
+)
 from quasihmm import errors
-from quasihmm.machine import same_process, word_distribution_distance
+from quasihmm.machine import same_process
 from quasihmm.measures import perturbed_coin_excess_half
 from quasihmm.nmachine import perturbed_coin_ideal_params
 from quasihmm.processes import (
@@ -224,7 +229,7 @@ class TestSnsMachines:
         for p in (0.3, 0.5, 0.7):
             eps_machine = sns_epsilon_truncated(p)
             tail = sns_surviving(eps_machine.n_states, p)
-            distance = word_distribution_distance(eps_machine, sns_g_machine(p), 6)
+            distance = word_distribution_gap(eps_machine, sns_g_machine(p), 6)
             assert distance <= max(10 * tail, 1e-13)
 
     def test_truncated_stationary_close_to_renewal_weights(self):
