@@ -348,14 +348,31 @@ def _parse_grid(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
+#: most points a ``--p-min``/``--p-max``/``--p-step`` range may hold
+MAX_GRID_POINTS = 10**6
+
+
 def _range_grid(process: str, p_min: float, p_max: float, p_step: float) -> list[float]:
     """The p from ``p_min`` to ``p_max`` in steps of ``p_step``, rounded to 12
-    decimals, without the process's degenerate p."""
+    decimals, without the process's degenerate p.  Non-finite bounds, and a
+    range of more than ``MAX_GRID_POINTS`` points, are refused before any
+    allocation."""
+    for option, value in (("--p-min", p_min), ("--p-max", p_max)):
+        if not math.isfinite(value):
+            raise ValueError(f"{option} must be finite, got {value}")
     if not p_step > 0:
         raise ValueError(f"--p-step must be positive, got {p_step}")
     if p_min > p_max:
         raise ValueError(f"--p-min {p_min} exceeds --p-max {p_max}")
-    grid = list(np.arange(p_min, p_max + 1e-12, p_step).round(12))
+    stop = p_max + 1e-12
+    # np.arange makes ceil((stop - p_min) / p_step) points, more than the
+    # cap exactly when the quotient is
+    if (stop - p_min) / p_step > MAX_GRID_POINTS:
+        raise ValueError(
+            f"--p-step {p_step} gives more than {MAX_GRID_POINTS} points "
+            f"from --p-min {p_min} to --p-max {p_max}"
+        )
+    grid = list(np.arange(p_min, stop, p_step).round(12))
     degenerate = _SWEEP_ROWS[process].degenerate_p
     return [p for p in grid if degenerate is None or abs(p - degenerate) > 1e-12]
 
@@ -486,7 +503,8 @@ def _parse_split(text: str) -> tuple[int, ...]:
 def _check_nmachine_options(args) -> None:
     """Refuses an option the request's path does not read: the search reads
     neither ``--params`` nor ``--branch``, given or zero shares read no
-    closed-form branch, and only the search reads ``--seed``."""
+    closed-form branch, and only the search reads ``--seed``, which must be
+    nonnegative."""
     for option, value, path, taken in (
         ("--params", args.params, "--optimize", args.optimize),
         ("--branch", args.branch, "--optimize", args.optimize),
@@ -497,6 +515,8 @@ def _check_nmachine_options(args) -> None:
             _refuse_unread(f"a request with {path}", option, value)
     if not args.optimize:
         _refuse_unread("a request without --optimize", "--seed", args.seed)
+    if args.seed is not None and args.seed < 0:
+        raise ValueError(f"--seed must be nonnegative, got {args.seed}")
 
 
 def cmd_construct_nmachine(args) -> int:
@@ -523,7 +543,7 @@ def cmd_construct_nmachine(args) -> int:
             params = row.default_params(args.branch or nm.BRANCH_PLUS)
         result = row.assess(spec, params)
 
-    checks = nm.verify_nmachine_properties(source, result.machine, horizon=min(args.horizon, 8))
+    checks = nm.verify_nmachine_properties(source, result.machine)
     doc = result.to_json_dict()
     doc["checks"] = {"worst_residual": checks.worst(), "passed": checks.passed()}
     if args.out:

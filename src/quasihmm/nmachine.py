@@ -15,7 +15,9 @@ reach.
 Built machines ("n-machines") satisfy, exactly: coarse-grained stationary
 weights equal to the source's, per-symbol and per-word conditionals equal to
 the source state's, and word-for-word equality of the generated process.
-``verify_nmachine_properties`` re-derives all of these numerically.
+``verify_nmachine_properties`` re-derives all of these numerically, both
+word identities in one exact decision over all words, and enumerates only
+the half-order gap, at ``VERIFY_HORIZON``.
 """
 
 from __future__ import annotations
@@ -52,6 +54,9 @@ BRANCH_MINUS = "minus"
 SAT_TOL = 1e-6
 #: largest residual ``verify_nmachine_properties`` accepts
 VERIFY_TOL = 1e-9
+#: word length at which ``verify_nmachine_properties`` enumerates the
+#: half-order gap
+VERIFY_HORIZON = 8
 #: first coordinate step of the pattern search
 INITIAL_STEP = 0.25
 #: trial points of one whole search, counting the repeats its memo answers
@@ -293,8 +298,7 @@ class NMachineCheckReport:
 
     stationary_fixed: float
     coarse_graining: float
-    word_conditionals: float
-    word_distribution: float
+    words: float
     half_excess_gap: float
 
     def worst(self) -> float:
@@ -307,66 +311,60 @@ class NMachineCheckReport:
         return (
             f"fixed={self.stationary_fixed:.3e} "
             f"coarse={self.coarse_graining:.3e} "
-            f"word={self.word_conditionals:.3e} dist={self.word_distribution:.3e} "
+            f"words={self.words:.3e} "
             f"half-excess={self.half_excess_gap:.3e} (tol {VERIFY_TOL:g})"
         )
 
 
-def verify_nmachine_properties(
-    source: Machine,
-    built: Machine,
-    horizon: int = 8,
-) -> NMachineCheckReport:
+def verify_nmachine_properties(source: Machine, built: Machine) -> NMachineCheckReport:
     """Check every construction identity of ``built`` against ``source``.
 
     Verified, each within ``VERIFY_TOL``: the built stationary vector as a
     fixed point of the built transitions, coarse-grained stationary weights,
-    word conditionals (every copy's futures are its source state's) and
-    word-distribution equality, both decided over all words by
-    :func:`machine.equivalence_residual`, and agreement of the half-order
-    state-future mutual information at horizon, summed over the words each
-    source state can emit (the signed stationary weights enter that sum
-    linearly, so it stays real).  A horizon with more words than the
-    enumeration cap is refused before any check.  Raises
-    ``PropertyViolated`` carrying the report if any residual is too large.
+    the word identities, decided over all words by one
+    :func:`machine.equivalence_residual` call from one start row per copy
+    (its futures are its source state's) and the row ``[pi_built,
+    -pi_source]`` (the two processes agree), and agreement of the
+    half-order state-future mutual information at ``VERIFY_HORIZON``,
+    summed over the words each source state can emit (the signed
+    stationary weights enter that sum linearly, so it stays real).  An
+    alphabet with more words of that length than the enumeration cap is
+    refused before any check.  Raises ``PropertyViolated`` carrying the
+    report if any residual is too large.
     """
     if built.groups is None:
         raise SpecMismatch("built machine carries no source-state groups")
-    built.check_enumeration(horizon)
+    built.check_enumeration(VERIFY_HORIZON)
     groups = np.asarray(built.groups)
     n_src = source.n_states
 
     pi = built.stationary
-    fixed_res = built.stationary_residual
-
-    coarse = np.zeros(n_src)
-    for k in range(n_src):
-        coarse[k] = np.sum(pi[groups == k])
+    coarse = np.bincount(groups, weights=pi, minlength=n_src)
     coarse_res = float(np.max(np.abs(coarse - source.stationary)))
 
-    # one row e_copy - e_source per copy, over built's states then source's
-    copies = np.hstack([np.eye(built.n_states), -np.eye(n_src)[groups]])
-    word_res = equivalence_residual(built, source, copies)
-    dist_res = equivalence_residual(built, source, np.concatenate([pi, -source.stationary]))
+    # rows over built's states then source's: e_copy - e_source per copy,
+    # then the distribution row, which adds at most one direction
+    starts = np.vstack([
+        np.hstack([np.eye(built.n_states), -np.eye(n_src)[groups]]),
+        np.concatenate([pi, -source.stationary]),
+    ])
+    words_res = equivalence_residual(built, source, starts)
 
-    fut_built = built.conditional_future_matrix(horizon)
-    fut_src = source.conditional_future_matrix(horizon)
+    fut_built = built.conditional_future_matrix(VERIFY_HORIZON)
+    fut_src = source.conditional_future_matrix(VERIFY_HORIZON)
     # Where a source state forbids a word, its copies' futures are rounding
     # noise of either sign, which the square root would lift from ~1e-16 to
     # ~1e-8.  The half-order sum therefore runs over the source's word
-    # support only; the off-support mass is bounded by the two residuals
-    # above.
+    # support only; the off-support mass is bounded by the word residual.
     on_support = np.where(fut_src[groups] > 0, fut_built, 0.0)
-    half_built = half_excess_from_futures(built.stationary, on_support)
+    half_built = half_excess_from_futures(pi, on_support)
     half_src = half_excess_from_futures(source.stationary, fut_src)
-    half_gap = abs(half_built - half_src)
 
     report = NMachineCheckReport(
-        stationary_fixed=fixed_res,
+        stationary_fixed=built.stationary_residual,
         coarse_graining=coarse_res,
-        word_conditionals=word_res,
-        word_distribution=dist_res,
-        half_excess_gap=half_gap,
+        words=words_res,
+        half_excess_gap=abs(half_built - half_src),
     )
     if not report.passed():
         raise PropertyViolated(report)

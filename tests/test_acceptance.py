@@ -126,7 +126,7 @@ def test_criterion_3_construction_identities():
         )
     worst = 0.0
     for source, built in built_machines:
-        reportcard = verify_nmachine_properties(source, built, horizon=8)
+        reportcard = verify_nmachine_properties(source, built)
         worst = max(worst, reportcard.worst())
     ok = worst <= 1e-9
     report(3, ok, f"worst identity residual {worst:.1e} over {len(built_machines)} machines")

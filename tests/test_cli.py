@@ -7,7 +7,7 @@ import pytest
 
 from conftest import assert_stationary, spearman
 from quasihmm import cli, errors
-from quasihmm.machine import load_machine, machine_from_json_dict, same_process
+from quasihmm.machine import Machine, load_machine, machine_from_json_dict, same_process
 from quasihmm.measures import MEASURES, perturbed_coin_excess_half
 from quasihmm.nmachine import (
     BRANCH_MINUS,
@@ -742,6 +742,37 @@ class TestSweep:
                                                "--p-min", "0.9", "--p-max", "0.1")
         assert message == "--p-min 0.9 exceeds --p-max 0.1"
 
+    @pytest.mark.parametrize("bounds, message", [
+        (("--p-min", "nan"), "--p-min must be finite, got nan"),
+        (("--p-min=-inf",), "--p-min must be finite, got -inf"),
+        (("--p-max", "inf"), "--p-max must be finite, got inf"),
+        (("--p-max", "nan"), "--p-max must be finite, got nan"),
+    ])
+    def test_bound_that_is_not_finite_is_refused(self, capsys, monkeypatch, bounds, message):
+        assert self._refused_before_any_row(capsys, monkeypatch, *bounds) == message
+
+    @pytest.mark.parametrize("step", ["1e-18", "1e-9", "5e-324"])
+    def test_grid_beyond_the_cap_is_refused_before_allocation(self, capsys, monkeypatch, step):
+        def no_arange(*args, **kwargs):
+            raise AssertionError("a grid was allocated")
+
+        monkeypatch.setattr(cli.np, "arange", no_arange)
+        message = self._refused_before_any_row(capsys, monkeypatch, "--p-step", step)
+        assert message == (f"--p-step {float(step)} gives more than {cli.MAX_GRID_POINTS} "
+                           "points from --p-min 0.1 to --p-max 0.9")
+
+    def test_grid_cap_counts_the_points_arange_makes(self, capsys, monkeypatch):
+        # 0.1 to 0.9 in steps of 0.1 is nine points, 0.5 left out for the coin
+        argv = ("sweep", "--p-min", "0.1", "--p-max", "0.9", "--p-step", "0.1",
+                "--horizon", "2")
+        monkeypatch.setattr(cli, "MAX_GRID_POINTS", 9)
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) == 1 + 8
+        monkeypatch.setattr(cli, "MAX_GRID_POINTS", 8)
+        assert _refused(capsys, *argv) == (
+            "--p-step 0.1 gives more than 8 points from --p-min 0.1 to --p-max 0.9")
+
     def test_equal_p_bounds_give_one_row(self, capsys):
         code, out, err = run(capsys, "sweep", "--process", "golden-mean",
                              "--p-min", "0.4", "--p-max", "0.4")
@@ -954,6 +985,37 @@ class TestConstructNMachine:
         assert len(lines) == 1
         assert json.loads(lines[0]) == {"error": "ValueError",
                                         "message": "--horizon must be at least 1, got 0"}
+
+    def test_verify_enumerates_at_its_own_horizon_and_decides_once(self, capsys,
+                                                                  monkeypatch):
+        lengths, decisions = [], []
+        enumerate_words, decide = Machine.conditional_future_matrix, cli.nm.equivalence_residual
+
+        def recording_enumeration(machine, length):
+            lengths.append(length)
+            return enumerate_words(machine, length)
+
+        def recording_decision(*args):
+            decisions.append(args)
+            return decide(*args)
+
+        monkeypatch.setattr(Machine, "conditional_future_matrix", recording_enumeration)
+        monkeypatch.setattr(cli.nm, "equivalence_residual", recording_decision)
+        code, out, err = run(capsys, "construct-nmachine", "--process", "sns", "--p", "0.3",
+                             "--horizon", "3")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["checks"]["passed"] is True
+        assert lengths and set(lengths) == {cli.nm.VERIFY_HORIZON}
+        assert len(decisions) == 1
+
+    def test_negative_seed_is_refused_before_the_search(self, capsys, monkeypatch):
+        def no_search(*args, **kwargs):
+            raise AssertionError("the search ran")
+
+        monkeypatch.setattr(cli.nm, "optimize_ideal", no_search)
+        message = _refused(capsys, "construct-nmachine", "--process", "perturbed-coin",
+                           "--p", "0.3", "--optimize", "--seed", "-1")
+        assert message == "--seed must be nonnegative, got -1"
 
     def test_degenerate_split_point_exits_4(self, capsys):
         code, _, err = run(

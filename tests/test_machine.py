@@ -234,6 +234,8 @@ class TestEnumerationCap:
         assert coin.conditional_future_matrix(4).shape == (2, 16)
         with pytest.raises(errors.EnumerationCapExceeded, match=r"2\^5 words exceed the cap 16"):
             coin.conditional_future_matrix(5)
+        with pytest.raises(ValueError, match="length must be nonnegative"):
+            coin.conditional_future_matrix(-1)
 
     def test_word_distribution(self, coin):
         assert len(coin.word_distribution(4)) == 16

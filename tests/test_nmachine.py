@@ -311,17 +311,15 @@ def _split_cases():
 
 
 class TestVerifyMatchesReference:
-    @pytest.mark.parametrize("horizon", [0, 1, 5, 8])
-    def test_residuals_bit_identical(self, horizon):
+    def test_residuals_bit_identical(self):
         cases = _split_cases()
         assert len(cases) >= 18
         for source, built in cases:
-            report = verify_nmachine_properties(source, built, horizon=horizon)
-            expected = reference_half_gap(source, built, horizon)
+            report = verify_nmachine_properties(source, built)
+            expected = reference_half_gap(source, built, nm.VERIFY_HORIZON)
             assert report.half_excess_gap.hex() == expected.hex()
-            got = (report.word_conditionals, report.word_distribution)
-            for residual, enumerated in zip(got, enumerated_word_residuals(source, built)):
-                assert residual <= 1e-12 and enumerated <= 1e-12
+            assert report.words <= 1e-12
+            assert max(enumerated_word_residuals(source, built)) <= 1e-12
 
     def test_one_enumeration_per_machine_and_length(self, monkeypatch):
         source, built, _ = sns_ideal_machine(0.5)
@@ -333,18 +331,21 @@ class TestVerifyMatchesReference:
             return enumerate_words(machine, length, *args, **kwargs)
 
         monkeypatch.setattr(Machine, "conditional_future_matrix", recording)
-        verify_nmachine_properties(source, built, horizon=8)
-        assert sorted(lengths) == [(False, 8), (True, 8)]
+        verify_nmachine_properties(source, built)
+        assert sorted(lengths) == [(False, nm.VERIFY_HORIZON), (True, nm.VERIFY_HORIZON)]
 
     def test_horizon_beyond_the_cap_is_refused_before_enumeration(self, monkeypatch):
-        source, built, _ = pc_ideal_machine(0.3)
+        # 6^8 words of a fair die exceed the cap of 2^20
+        die = make_machine([str(x) for x in range(6)], ["s"], np.full((6, 1, 1), 1 / 6))
+        spec = generic_split_spec(die, (2,))
+        built = build_split_machine(die, spec, dict.fromkeys(spec.param_names, 0.0))
         calls = []
         monkeypatch.setattr(Machine, "conditional_future_matrix",
                             lambda *args, **kwargs: calls.append(args))
+        monkeypatch.setattr(nm, "equivalence_residual",
+                            lambda *args, **kwargs: calls.append(args))
         with pytest.raises(errors.EnumerationCapExceeded):
-            verify_nmachine_properties(source, built, horizon=21)
-        with pytest.raises(ValueError):
-            verify_nmachine_properties(source, built, horizon=-1)
+            verify_nmachine_properties(die, built)
         assert calls == []
 
 
