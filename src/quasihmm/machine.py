@@ -387,10 +387,10 @@ def make_machine(
     ``stationary_residual``.  ``groups``, when given, must hold one
     nonnegative integer per state; a bool, float or string entry is refused.
     """
-    alphabet = tuple(str(x) for x in alphabet)
+    alphabet = tuple(map(str, alphabet))
     if len(set(alphabet)) != len(alphabet):
         raise MachineFormatError("alphabet has repeated symbols")
-    states = tuple(str(s) for s in states)
+    states = tuple(map(str, states))
     n = len(states)
     stack = np.array(stacked, dtype=float, order="C")
     if stack.shape != (len(alphabet), n, n):
@@ -399,13 +399,13 @@ def make_machine(
         )
     stack.setflags(write=False)
     if groups is not None:
-        groups = tuple(_group_index(g) for g in groups)
+        groups = tuple(map(_group_index, groups))
         if len(groups) != n:
             raise MachineFormatError(f"groups has {len(groups)} entries, expected {n}")
-        if min(groups, default=0) < 0:
+        if groups and min(groups) < 0:
             raise MachineFormatError(f"groups has a negative entry {min(groups)}")
 
-    total = stack.sum(axis=0)
+    total = np.add.reduce(stack)
     residual = None
     if stationary is None:
         try:
@@ -491,16 +491,28 @@ def load_machine(path) -> Machine:
     return machine_from_json_dict(doc)
 
 
+#: entry types that numpy parses as numbers among numbers, but JSON does not
+_BOOL_TYPES = frozenset({bool, np.bool_})
+
+
 def _numeric(value, what: str) -> np.ndarray:
     """``value`` parsed as an array of JSON numbers.  An array that numpy
     parses to a dtype other than integer or float (one with a string or null
     entry, or of bools only) or not at all (a ragged one) is refused, naming
-    ``what``; one dtype check, so a large matrix costs no Python loop over
-    its entries."""
+    ``what``, and so is one with a bool among numbers, which numpy would read
+    as 0 or 1.  The bools are found by one C-level pass over the types of the
+    entries (the rows chained together), so a large matrix costs no Python
+    loop over its entries; an ndarray's dtype speaks for its entries."""
     try:
         a = np.asarray(value)
         if a.dtype.kind in "iuf":
-            return a
+            if a is value:
+                return a
+            entries = [value]
+            for _ in range(a.ndim):
+                entries = itertools.chain.from_iterable(entries)
+            if _BOOL_TYPES.isdisjoint(map(type, entries)):
+                return a
     except (TypeError, ValueError):
         pass
     raise MachineFormatError(f"{what} is not a numeric array")

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import astuple, dataclass, field
 from typing import Mapping, Sequence
 
@@ -114,6 +115,10 @@ class SplitSpec:
         if key not in self._memo:
             self._memo[key] = CompiledSplit.build(self, source)
         return self._memo[key]
+
+
+#: the value that ``CompiledSplit.gather`` points every unfilled entry at
+_ZERO = np.zeros(1)
 
 
 @dataclass(frozen=True)
@@ -235,7 +240,7 @@ class CompiledSplit:
         remainders = entries[self.remainder_sources] - np.bincount(
             self.head_remainders, weights=heads, minlength=len(self.remainder_sources)
         )
-        return np.concatenate([entries, [0.0], remainders, heads])[self.gather]
+        return np.concatenate((entries, _ZERO, remainders, heads))[self.gather]
 
 
 def generic_split_spec(source: Machine, copy_counts: Sequence[int]) -> SplitSpec:
@@ -541,12 +546,27 @@ def golden_mean_bad_split_spec(p: float) -> SplitSpec:
 
 @dataclass(frozen=True)
 class OptimizeOptions:
-    """Knobs for the deterministic multi-start pattern search."""
+    """Knobs for the deterministic multi-start pattern search.  ``seed`` and
+    ``extra_starts`` must be nonnegative integers and ``start_box`` and
+    ``min_step`` finite positive numbers; any other value is refused with a
+    ``ValueError`` that names the field."""
 
     seed: int = 0
     extra_starts: int = 8
     start_box: float = 1.5
     min_step: float = 1e-9
+
+    def __post_init__(self) -> None:
+        for name in ("seed", "extra_starts"):
+            value = getattr(self, name)
+            integral = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            if not (integral and value >= 0):
+                raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
+        for name in ("start_box", "min_step"):
+            value = getattr(self, name)
+            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            if not (real and math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be a finite positive number, got {value!r}")
 
 
 def optimize_ideal(
@@ -583,9 +603,9 @@ def optimize_ideal(
 
     def entropy_at(vec: np.ndarray) -> float | None:
         try:
-            machine = build_split_machine(source, spec, dict(zip(names, vec)))
+            machine = build_split_machine(source, spec, dict(zip(names, vec.tolist())))
             pi = machine.stationary
-            return -float(np.log2(np.sum(pi * pi)))
+            return -float(np.log2(np.add.reduce(pi * pi)))
         except (DegenerateFixedSpace, NoUnitEigenvalue):
             return None
 

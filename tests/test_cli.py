@@ -473,8 +473,13 @@ class TestMeasures:
          "matrix for symbol '0' is not a numeric array"),
         ({"0": [[0.7, None], [0.3, 0.0]], "1": [[0.0, 0.3], [0.0, 0.7]]},
          "matrix for symbol '0' is not a numeric array"),
+        # a bool among numbers, which numpy would read as 0 or 1
+        ({"0": [[0, True], [1, 0]], "1": [[0, 0], [0, 0]]},
+         "matrix for symbol '0' is not a numeric array"),
+        ({"0": [[0.7, 0.0], [0.3, 0.0]], "1": [[0.0, 0.3], [False, 0.7]]},
+         "matrix for symbol '1' is not a numeric array"),
     ], ids=["missing", "outside", "shape", "ragged", "string", "numeric-string", "bool",
-            "null"])
+            "null", "bool-among-ints", "bool-among-floats"])
     def test_malformed_matrices_are_refused(self, capsys, tmp_path, matrices, message):
         doc = perturbed_coin_epsilon(0.3).to_json_dict()
         doc["matrices"] = matrices
@@ -498,8 +503,10 @@ class TestMeasures:
          "machine document field 'stationary' is not a numeric array"),
         (lambda doc: {**doc, "stationary": ["0.5", "0.5"]},
          "machine document field 'stationary' is not a numeric array"),
+        (lambda doc: {**doc, "stationary": [0.5, True]},
+         "machine document field 'stationary' is not a numeric array"),
     ], ids=["not-object", "no-alphabet", "repeated-symbol", "stationary-length",
-            "stationary-string", "stationary-numeric-string"])
+            "stationary-string", "stationary-numeric-string", "stationary-bool"])
     def test_malformed_document_is_refused(self, capsys, tmp_path, change, message):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(change(perturbed_coin_epsilon(0.3).to_json_dict())))

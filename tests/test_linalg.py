@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from quasihmm import errors
+from quasihmm import errors, linalg
 from quasihmm.linalg import (
     left_fixed_vector,
     row_sum_residual,
@@ -125,3 +125,106 @@ def _lstsq_fixed_vector(m) -> np.ndarray:
 def test_row_sum_residual():
     assert row_sum_residual([[0.5, 0.5], [1.0, 0.0]]) == 0.0
     assert row_sum_residual([[0.4, 0.5], [1.0, 0.0]]) == pytest.approx(0.1)
+
+
+def reference_left_fixed_vector(m):
+    """``left_fixed_vector`` as it was before its checks were fused: two
+    separate 1-norms, ``np.eye`` for the identity and numpy reductions for
+    every maximum."""
+    a = np.asarray(m, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    res = float(np.abs(a.sum(axis=1) - 1.0).max())
+    if not res <= linalg.STRUCT_TOL:
+        if not np.isfinite(a).all():
+            raise errors.NonFiniteEntries("matrix has NaN or infinite entries")
+        raise ValueError(f"matrix is not quasi-stochastic: row-sum residual {res:.3e}")
+
+    n = a.shape[0]
+    bordered = np.ones((n + 1, n + 1))
+    bordered[:n, :n] = np.eye(n) - a.T
+    bordered[n, n] = 0.0
+    try:
+        inv = np.linalg.inv(bordered)
+    except np.linalg.LinAlgError as exc:
+        raise errors.DegenerateFixedSpace(f"eigenvalue 1 is not simple: {exc}") from exc
+    cond = float(np.abs(bordered).sum(axis=0).max() * np.abs(inv).sum(axis=0).max())
+    if not cond <= linalg.DEGENERACY_COND / linalg.EIGEN_TOL:
+        raise errors.DegenerateFixedSpace(
+            f"eigenvalue 1 is not numerically simple: bordered condition number {cond:.3e}"
+        )
+    v = inv[:n, n]
+
+    residual = float(np.abs(v @ a - v).max())
+    if residual > 10 * linalg.EIGEN_TOL:
+        raise errors.NoUnitEigenvalue(f"fixed-vector residual {residual:.3e} exceeds tolerance")
+    return v / v.sum()
+
+
+def _two_blocks(p: float) -> np.ndarray:
+    """Two fast two-state blocks joined by the moves 0 -> 2 at rate p and
+    3 -> 1 at rate 4p: the column and the row 1-norms of its bordered
+    inverse differ by about a third."""
+    return np.array([[0.5, 0.5 - p, p, 0.0], [0.9, 0.1, 0.0, 0.0],
+                     [0.0, 0.0, 0.2, 0.8], [0.0, 4 * p, 0.7, 0.3 - 4 * p]])
+
+
+def _outcome(fn, m):
+    """The vector's bytes, or the class and message of the refusal."""
+    try:
+        return fn(m).tobytes()
+    except (ValueError, errors.QuasiHmmError) as exc:
+        return type(exc), str(exc)
+
+
+def _seeded_quasi_stochastic(seed: int) -> list[np.ndarray]:
+    """Row-stochastic and signed quasi-stochastic draws of every order 1..9,
+    with exact and signed zeros among the entries."""
+    rng = np.random.default_rng(seed)
+    draws = []
+    for n in range(1, 10):
+        for _ in range(40):
+            stochastic = rng.uniform(0.0, 1.0, (n, n)) * (rng.uniform(size=(n, n)) < 0.7)
+            stochastic[:, 0] += 1e-3
+            draws.append(stochastic / stochastic.sum(axis=1, keepdims=True))
+            signed = rng.normal(size=(n, n))
+            signed[rng.uniform(size=(n, n)) < 0.2] = -0.0
+            draws.append(signed - (signed.sum(axis=1, keepdims=True) - 1.0) / n)
+    return draws
+
+
+class TestMatchesReference:
+    """The fused checks give the bits and the refusals of the unfused ones."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_seeded_draws(self, seed):
+        draws = _seeded_quasi_stochastic(seed)
+        outcomes = [_outcome(left_fixed_vector, m) for m in draws]
+        assert outcomes == [_outcome(reference_left_fixed_vector, m) for m in draws]
+        # every draw has a simple unit eigenvalue; the refusals are pinned below
+        assert all(isinstance(o, bytes) for o in outcomes)
+
+    def test_sns_predictive_model(self):
+        total = sns_epsilon_truncated(0.9).stacked.sum(axis=0)
+        got = left_fixed_vector(total)
+        assert got.tobytes() == reference_left_fixed_vector(total).tobytes()
+
+    @pytest.mark.parametrize("m", [
+        _slow_chain("flip", 3e-9), _slow_chain("cycle", 3e-9),
+        _slow_chain("flip", 1e-8), _slow_chain("cycle", 1e-8), np.eye(2), np.eye(3),
+        _two_blocks(3e-9), _two_blocks(6e-9), _two_blocks(1e-8),
+    ], ids=["flip-3e-9", "cycle-3e-9", "flip-1e-8", "cycle-1e-8", "eye-2", "eye-3",
+            "blocks-3e-9", "blocks-6e-9", "blocks-1e-8"])
+    def test_degeneracy_boundary_and_identity(self, m):
+        # a refusal's message carries the condition number; at 6e-9 the
+        # two-block chain is accepted by its column norms (2.4e8) and would
+        # be refused by its row norms (3.1e8)
+        assert _outcome(left_fixed_vector, m) == _outcome(reference_left_fixed_vector, m)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e308])
+    def test_refused_rows(self, bad):
+        m = np.array([[0.5, 0.5, 0.0], [0.25, bad, 0.0], [0.0, 0.5, 0.5]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = _outcome(left_fixed_vector, m)
+            want = _outcome(reference_left_fixed_vector, m)
+        assert got == want and not isinstance(got, bytes)

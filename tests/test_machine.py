@@ -22,6 +22,7 @@ from quasihmm.machine import (
     Machine,
     equivalence_residual,
     load_machine,
+    machine_from_json_dict,
     make_machine,
     same_process,
 )
@@ -634,3 +635,25 @@ class TestMachineIO:
         path.write_text(json.dumps(doc))
         with pytest.raises(errors.StationaryMismatch):
             load_machine(path)
+
+    @pytest.mark.parametrize("field, value", [
+        ("0", [[0.7, np.False_], [0.3, 0.0]]),
+        ("0", [np.array([0.7, 0.0]), np.array([True, False])]),
+        ("stationary", (0.5, np.True_)),
+    ])
+    def test_numpy_bool_among_numbers_is_refused(self, coin, field, value):
+        doc = coin.to_json_dict()
+        if field == "stationary":
+            doc["stationary"] = value
+        else:
+            doc["matrices"][field] = value
+        with pytest.raises(errors.MachineFormatError, match="is not a numeric array"):
+            machine_from_json_dict(doc)
+
+    def test_numeric_ndarrays_are_read_as_they_are(self, coin):
+        doc = coin.to_json_dict()
+        doc["matrices"] = {x: np.array(m) for x, m in zip(coin.alphabet, coin.stacked)}
+        doc["stationary"] = np.array(coin.stationary)
+        loaded = machine_from_json_dict(doc)
+        assert loaded.stacked.tobytes() == coin.stacked.tobytes()
+        assert loaded.stationary.tobytes() == coin.stationary.tobytes()

@@ -627,6 +627,65 @@ class TestOptimizeIdeal:
             optimize_ideal(source, spec, 0.2)
 
 
+#: the search's parameters and C_n2 at seed 0, recorded as ``float.hex``
+#: with the build that took one numpy call per check (``np.eye`` for the
+#: bordered matrix, a separate 1-norm for each matrix, a numpy maximum for
+#: every check), so that a build bit that moves shows here even where
+#: ``reference_optimize`` moves with it
+RECORDED_SEARCHES = {
+    "perturbed-coin": (
+        {"q1": "0x1.e526abcfaa010p-1", "q2": "-0x1.92a412b5fcc45p+0"},
+        "0x1.f7ed7a7280fb2p-5",
+    ),
+    "sns": (
+        {"gamma": "0x1.329355e7d5008p+0", "eta": "-0x1.bc08a875fcc45p+0"},
+        "0x1.d7b42d469bb0dp-4",
+    ),
+    "perturbed-coin-2-1": (
+        {"t0.0.0.0.0": "0x1.f7c5860a156f8p-2", "t0.0.1.0.0": "-0x1.2a9ddf93c6a78p-1",
+         "t0.1.0.0.0": "-0x1.b07de486bfc2cp-1", "t0.1.1.0.0": "0x1.d434c25979320p-1",
+         "t1.0.0.0.0": "-0x1.64391953b55e0p-3", "t1.0.1.0.0": "-0x1.2377ee3fbf5c5p-1"},
+        "0x1.f7ed7a9d8dff7p-5",
+    ),
+}
+
+
+def _recorded_search_case(name):
+    if name == "sns":
+        return sns_g_machine(0.5), sns_split_spec(0.5), sns_excess_entropy_half(0.5)[0]
+    source = perturbed_coin_epsilon(0.3)
+    spec = (perturbed_coin_split_spec(0.3) if name == "perturbed-coin"
+            else generic_split_spec(source, (2, 1)))
+    return source, spec, perturbed_coin_excess_half(0.3)
+
+
+@pytest.mark.parametrize("name", sorted(RECORDED_SEARCHES))
+def test_search_matches_recorded_bits(name):
+    source, spec, e_half = _recorded_search_case(name)
+    result = optimize_ideal(source, spec, e_half, OptimizeOptions(seed=0))
+    params, c_n2 = RECORDED_SEARCHES[name]
+    assert {k: float(v).hex() for k, v in result.parameters.items()} == params
+    assert float(result.c_n2).hex() == c_n2
+    assert result.saturated
+
+
+class TestOptimizeOptions:
+    @pytest.mark.parametrize("field, value", [
+        ("start_box", math.inf), ("start_box", math.nan), ("start_box", 0.0),
+        ("start_box", -1.5), ("start_box", "1.5"), ("start_box", True),
+        ("min_step", math.inf), ("min_step", math.nan), ("min_step", 0.0), ("min_step", -1e-9),
+        ("extra_starts", -3), ("extra_starts", 2.0), ("extra_starts", True),
+        ("seed", -1), ("seed", 0.5), ("seed", None),
+    ])
+    def test_bad_field_is_refused_by_name(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            OptimizeOptions(**{field: value})
+
+    def test_good_fields_are_kept(self):
+        opts = OptimizeOptions(seed=np.int64(1), extra_starts=0, min_step=1e-3, start_box=6)
+        assert (opts.seed, opts.extra_starts, opts.min_step, opts.start_box) == (1, 0, 1e-3, 6)
+
+
 # --- reference paths for the compiled split and the memoised search -------------
 
 
