@@ -13,6 +13,7 @@ Machines are immutable after construction; all operations are read-only.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import operator
@@ -80,8 +81,11 @@ class Machine:
     The transition matrices are one (symbols, n, n) array in alphabet
     order, ``stacked``, which :func:`make_machine` builds read-only; entry
     ``stacked[i]`` is the matrix of symbol ``alphabet[i]``.
-    ``stationary_residual`` is computed from the machine's own arrays when
-    first read and then remembered.
+
+    Values derived from these arrays are computed when first read and kept:
+    ``stationary_residual``, the classification of :meth:`classify` and the
+    slot table of :meth:`future_step` and :meth:`fidelity_step` are cached
+    properties; :meth:`future_fidelity_matrix` keeps its last two horizons.
     """
 
     alphabet: tuple[str, ...]
@@ -89,9 +93,8 @@ class Machine:
     stacked: np.ndarray
     stationary: np.ndarray
     groups: tuple[int, ...] | None = None
-    #: derived values remembered across calls (residual, classification,
-    #: fidelities, slot arrays)
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    #: future-fidelity matrices of the two horizons computed last, oldest first
+    _fidelities: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     # -- basic structure ------------------------------------------------
 
@@ -99,15 +102,22 @@ class Machine:
     def n_states(self) -> int:
         return len(self.states)
 
-    @property
+    @functools.cached_property
     def stationary_residual(self) -> float:
         """Largest entry of ``|pi T - pi|``, the stationary vector's
-        fixed-point residual; computed when first read and remembered."""
-        if "stationary_residual" not in self._memo:
-            pi = self.stationary
-            residual = np.abs(pi @ self.stacked.sum(axis=0) - pi)
-            self._memo["stationary_residual"] = float(residual.max(initial=0.0))
-        return self._memo["stationary_residual"]
+        fixed-point residual."""
+        pi = self.stationary
+        return float(np.abs(pi @ self.stacked.sum(axis=0) - pi).max(initial=0.0))
+
+    @functools.cached_property
+    def _slot_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(targets, amps, roots)`` of shape (slots, symbols, n), from one
+        :func:`_slots` of the rows of every ``T[x]``: entry ``[s, x, j]`` is
+        slot s of row j of ``T[x]``; ``roots = sqrt(max(amps, 0))``."""
+        targets, amps = _slots(self.stacked.reshape(-1, self.n_states))
+        roots = np.sqrt(np.clip(amps, 0.0, None))
+        shape = (-1, *self.stacked.shape[:2])
+        return targets.reshape(shape), amps.reshape(shape), roots.reshape(shape)
 
     # -- word probabilities ----------------------------------------------
 
@@ -154,30 +164,15 @@ class Machine:
         gathered -0.0 are turned into +0.0.  Any other machine takes the
         matrix product.
         """
-        slots = self._word_slots()
-        if slots is None:
+        targets, amps, _ = self._slot_table
+        if len(targets) > 1:
             return np.hstack([matrix @ futures for matrix in self.stacked])
-        targets, amps, signed = slots
-        out = np.take(futures, targets, axis=0)
+        amps = amps[0].T
+        out = np.take(futures, targets[0].T, axis=0)
         out *= amps[:, :, None]
-        if signed:
+        if amps.min() < 0:
             out += 0.0
         return out.reshape(self.n_states, -1)
-
-    def _word_slots(self) -> tuple[np.ndarray, np.ndarray, bool] | None:
-        """``(targets, amps, signed)`` when every symbol's matrix has at most
-        one nonzero per row, else None: column x of the (n, symbols) arrays
-        is the one slot of ``T[x]`` (see :func:`_slots`), and ``signed`` tells
-        whether any entry is negative."""
-        if "word_slots" not in self._memo:
-            slots = [_slots(matrix) for matrix in self.stacked]
-            found = None
-            if all(targets.shape[0] == 1 for targets, _ in slots):
-                targets = np.stack([t[0] for t, _ in slots], axis=1)
-                amps = np.stack([a[0] for _, a in slots], axis=1)
-                found = (targets, amps, bool(np.any(amps < 0)))
-            self._memo["word_slots"] = found
-        return self._memo["word_slots"]
 
     def word_distribution(self, length: int) -> dict[str, float]:
         """Map from every length-``length`` word to its probability."""
@@ -189,15 +184,15 @@ class Machine:
 
     def classify(self) -> MachineClass:
         """Sign and unifilarity of the transitions at tolerance
-        ``linalg.STRUCT_TOL``; remembered, since the machine never changes."""
-        if "classify" not in self._memo:
-            tol = linalg.STRUCT_TOL
-            classical = np.min(self.stationary) >= -tol and self.stacked.min(initial=0.0) >= -tol
-            nonzeros = np.count_nonzero(np.abs(self.stacked) > tol, axis=2)
-            self._memo["classify"] = MachineClass(
-                classical=bool(classical), unifilar=bool(nonzeros.max(initial=0) <= 1)
-            )
-        return self._memo["classify"]
+        ``linalg.STRUCT_TOL``, as read on the first call."""
+        return self._classification
+
+    @functools.cached_property
+    def _classification(self) -> MachineClass:
+        tol = linalg.STRUCT_TOL
+        classical = np.min(self.stationary) >= -tol and self.stacked.min(initial=0.0) >= -tol
+        nonzeros = np.count_nonzero(np.abs(self.stacked) > tol, axis=2)
+        return MachineClass(bool(classical), unifilar=bool(nonzeros.max(initial=0) <= 1))
 
     # -- conditional-future fidelities -------------------------------------
 
@@ -211,11 +206,11 @@ class Machine:
         words are enumerated (subject to ``ENUMERATION_CAP``).  Requires
         nonnegative transitions.
 
-        The machine remembers the last two horizons it computed: the
-        recursion to ``horizon`` yields ``horizon - 1`` on the way, so a
-        measure that compares the two (``excess_entropy_half``,
-        ``gram_from_machine``) runs it once, and further measures at the same
-        horizon reuse it.  The returned array is read-only.
+        The machine keeps the matrices of the two horizons it computed last,
+        by either path (the recursion to ``horizon`` makes ``horizon - 1`` on
+        the way), so measures that compare the two (``excess_entropy_half``,
+        ``gram_from_machine``) share them.  The enumeration takes its square
+        roots in place.  The returned array is read-only.
         """
         if not self.classify().classical:
             raise QuasiMachineUnsupported(
@@ -223,37 +218,39 @@ class Machine:
             )
         if horizon < 0:
             raise ValueError("horizon must be nonnegative")
-        memo = self._memo.setdefault("fidelity", {})
-        if horizon in memo:
-            return memo[horizon]
+        if horizon in self._fidelities:
+            return self._fidelities[horizon]
         if self.classify().unifilar:
-            prev, fid = None, np.ones((self.n_states, self.n_states))
-            for _ in range(horizon):
-                prev, fid = fid, self.fidelity_step(fid)
-            memo.clear()
-            if prev is not None:
-                prev.setflags(write=False)
-                memo[horizon - 1] = prev
+            fid = np.ones((self.n_states, self.n_states))
+            for step in range(horizon):
+                self._keep_fidelity(step, fid)
+                fid = self.fidelity_step(fid)
         else:
-            futures = self.conditional_future_matrix(horizon)
-            roots = np.sqrt(np.clip(futures, 0.0, None))
+            roots = self.conditional_future_matrix(horizon)
+            np.sqrt(np.clip(roots, 0.0, None, out=roots), out=roots)
             fid = roots @ roots.T
-            while len(memo) > 1:
-                del memo[next(iter(memo))]
-        fid.setflags(write=False)
-        memo[horizon] = fid
+        self._keep_fidelity(horizon, fid)
         return fid
+
+    def _keep_fidelity(self, horizon: int, fid: np.ndarray) -> None:
+        """Keep ``fid`` read-only, and forget all but the last one kept before."""
+        fid.setflags(write=False)
+        kept = self._fidelities
+        kept.pop(horizon, None)
+        kept[horizon] = fid
+        while len(kept) > 2:
+            del kept[next(iter(kept))]
 
     def fidelity_step(self, fid: np.ndarray) -> np.ndarray:
         """One step of the unifilar overlap recursion,
         ``sum_x sqrt(T[x]) @ fid @ sqrt(T[x]).T``.
 
-        Each ``sqrt(T[x])`` is held as per-row slots (target, amplitude), one
-        slot per nonzero entry of the widest row, so the step is a gather of
-        ``fid`` and two scalings, O(n^2) instead of O(n^3).  With one nonzero
-        per row (every unifilar machine at zero tolerance) the products are
-        formed in the order of the matrix product and the result is
-        bit-identical to it.
+        Each ``sqrt(T[x])`` is read from the slot table as per-row slots
+        (target, amplitude), so the step is a gather of ``fid`` and two
+        scalings, O(n^2) instead of O(n^3).  With one nonzero per row (every
+        unifilar machine at zero tolerance) the products are formed in the
+        order of the matrix product, and a zero slot adds exact zeros to a
+        finite ``fid``, so the result is bit-identical to it.
         """
 
         def accumulate(total, term):
@@ -262,11 +259,12 @@ class Machine:
             total += term
             return total
 
+        targets, _, roots = self._slot_table
         out = None
-        for targets, amps in self._root_slots():
-            for t_q, a_q in zip(targets, amps):
+        for x in range(len(self.alphabet)):
+            for t_q, a_q in zip(targets[:, x], roots[:, x]):
                 inner = None
-                for t_p, a_p in zip(targets, amps):
+                for t_p, a_p in zip(targets[:, x], roots[:, x]):
                     # two takes gather the same entries as fid[np.ix_(t_p, t_q)],
                     # in about half the time
                     term = fid.take(t_p, axis=0).take(t_q, axis=1)
@@ -275,15 +273,6 @@ class Machine:
                 inner *= a_q[None, :]
                 out = accumulate(out, inner)
         return out
-
-    def _root_slots(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per symbol, ``sqrt(T[x])`` (negative entries clipped) as the slot
-        arrays of :func:`_slots`."""
-        if "root_slots" not in self._memo:
-            self._memo["root_slots"] = [
-                _slots(np.sqrt(np.clip(matrix, 0.0, None))) for matrix in self.stacked
-            ]
-        return self._memo["root_slots"]
 
     # -- persistence -------------------------------------------------------
 
@@ -374,17 +363,17 @@ def make_machine(
     """Validating constructor.
 
     ``stacked`` holds the transition matrices as one array-like of shape
-    (symbols, n, n) in alphabet order.  It is copied once into the
-    read-only ``Machine.stacked``, which is summed once.  Row
-    sums of the summed transition matrix must be 1 within
+    (symbols, n, n) in alphabet order, with at least one state.  It is
+    copied once into the read-only ``Machine.stacked``, which is summed
+    once.  Row sums of the summed transition matrix must be 1 within
     ``linalg.STRUCT_TOL`` and its entries finite.  When
     ``stationary`` is omitted it is computed as the unique unit-sum left
     fixed vector, and :func:`linalg.left_fixed_vector` is the one place the
     summed matrix is validated; its row-sum failure is raised here as
     ``MachineFormatError``.
-    When ``stationary`` is given it is verified rather than trusted, and its
-    fixed-point residual is remembered as the machine's
-    ``stationary_residual``.  ``groups``, when given, must hold one
+    When ``stationary`` is given it is verified rather than trusted: the
+    built machine's ``stationary_residual``, computed once and kept, must be
+    at most ``10 * linalg.EIGEN_TOL``.  ``groups``, when given, must hold one
     nonnegative integer per state; a bool, float or string entry is refused.
     """
     alphabet = tuple(map(str, alphabet))
@@ -397,6 +386,8 @@ def make_machine(
         raise MachineFormatError(
             f"transition stack has shape {stack.shape}, expected {(len(alphabet), n, n)}"
         )
+    if not n:
+        raise MachineFormatError("machine has no states")
     stack.setflags(write=False)
     if groups is not None:
         groups = tuple(map(_group_index, groups))
@@ -406,7 +397,6 @@ def make_machine(
             raise MachineFormatError(f"groups has a negative entry {min(groups)}")
 
     total = np.add.reduce(stack)
-    residual = None
     if stationary is None:
         try:
             pi = linalg.left_fixed_vector(total)
@@ -428,14 +418,11 @@ def make_machine(
             raise StationaryMismatch("stationary vector has NaN or infinite entries")
         if abs(pi.sum() - 1.0) > linalg.STRUCT_TOL:
             raise StationaryMismatch(f"stationary sums to {pi.sum():.12g}, expected 1")
-        residual = float(np.max(np.abs(pi @ total - pi)))
-        if residual > 10 * linalg.EIGEN_TOL:
-            raise StationaryMismatch(f"stationary fixed-point residual {residual:.3e}")
 
-    machine = Machine(alphabet, states, stack, pi, groups)
-    if residual is not None:
-        machine._memo["stationary_residual"] = residual
-    return machine
+    m = Machine(alphabet, states, stack, pi, groups)
+    if stationary is not None and m.stationary_residual > 10 * linalg.EIGEN_TOL:
+        raise StationaryMismatch(f"stationary fixed-point residual {m.stationary_residual:.3e}")
+    return m
 
 
 def same_process(a: Machine, b: Machine) -> bool:

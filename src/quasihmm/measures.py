@@ -66,6 +66,12 @@ def _as_quasi_distribution(q) -> np.ndarray:
     return v
 
 
+def collision_entropy(v: np.ndarray) -> float:
+    """-log2(sum v_k^2) of any vector, +0.0 at zero: :func:`renyi_entropy` of
+    order 2 without its checks, which refuse a signed vector with a near-zero entry."""
+    return -float(np.log2(np.add.reduce(v * v))) + 0.0
+
+
 def renyi_entropy(q, alpha: float) -> float:
     """Renyi entropy of order ``alpha`` of a (quasi)probability vector.
 
@@ -89,7 +95,7 @@ def renyi_entropy(q, alpha: float) -> float:
             raise ZeroEntryWithQuasiOrder(
                 "collision entropy of a signed distribution needs nonzero components"
             )
-        return -float(np.log2(np.sum(v * v))) + 0.0
+        return collision_entropy(v)
 
     v = np.clip(v, 0.0, None)
     if alpha == 0:

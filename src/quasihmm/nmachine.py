@@ -40,7 +40,13 @@ from .errors import (
     TruncationTooCoarse,
 )
 from .machine import Machine, equivalence_residual, make_machine
-from .measures import half_excess_from_futures, mana, negativity, renyi_entropy
+from .measures import (
+    collision_entropy,
+    half_excess_from_futures,
+    mana,
+    negativity,
+    renyi_entropy,
+)
 from .processes import (
     check_not_half,
     check_open_unit,
@@ -421,10 +427,9 @@ def assess_split_machine(
     NaN at a zero baseline.
     """
     pi = machine.stationary
-    # not measures.renyi_entropy: it refuses a signed vector with a
-    # near-zero entry, and every split point, the search's or one the
-    # caller gives, must be scored
-    c_n2 = -float(np.log2(np.sum(pi * pi)))
+    # every split point, the search's or one the caller gives, is scored,
+    # also one whose signed stationary vector renyi_entropy would refuse
+    c_n2 = collision_entropy(pi)
     threshold = SAT_TOL * max(1.0, abs(e_half))
     return NMachineResult(
         machine=machine,
@@ -604,8 +609,7 @@ def optimize_ideal(
     def entropy_at(vec: np.ndarray) -> float | None:
         try:
             machine = build_split_machine(source, spec, dict(zip(names, vec.tolist())))
-            pi = machine.stationary
-            return -float(np.log2(np.add.reduce(pi * pi)))
+            return collision_entropy(machine.stationary)
         except (DegenerateFixedSpace, NoUnitEigenvalue):
             return None
 

@@ -88,27 +88,23 @@ def gram_from_machine(m: Machine, horizon: int) -> GramEnsemble:
     words; for unifilar machines the sums contract geometrically in the
     horizon.
 
-    The machine remembers the ensemble of the last horizon asked, so the
-    measures of one machine and horizon (``C_q2`` and ``C_q_vN``) share it.
-    ``C_q_vN`` reads its :attr:`GramEnsemble.spectrum`; ``C_q2`` takes the
-    purity without one unless its Cholesky certificate fails.
+    Each call builds a new ensemble, and the machine keeps the overlaps of
+    ``horizon`` and ``horizon - 1``, so the measures of one machine and
+    horizon (``C_q2`` and ``C_q_vN``) share them and repeat only the O(n^2)
+    residual.  ``C_q_vN`` reads its ensemble's :attr:`GramEnsemble.spectrum`;
+    ``C_q2`` takes the purity without one unless its Cholesky certificate
+    fails, and then eigensolves its own ensemble.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    memo = m._memo.setdefault("gram", {})
-    gram = memo.get(horizon)
-    if gram is None:
-        current = m.future_fidelity_matrix(horizon)
-        previous = m.future_fidelity_matrix(horizon - 1)
-        gram = GramEnsemble(
-            weights=m.stationary,
-            overlaps=current,
-            horizon=horizon,
-            residual=float(np.max(np.abs(current - previous))),
-        )
-        memo.clear()
-        memo[horizon] = gram
-    return gram
+    current = m.future_fidelity_matrix(horizon)
+    previous = m.future_fidelity_matrix(horizon - 1)
+    return GramEnsemble(
+        weights=m.stationary,
+        overlaps=current,
+        horizon=horizon,
+        residual=float(np.max(np.abs(current - previous))),
+    )
 
 
 def sns_gram_ensemble(data: SnsRenewalData) -> GramEnsemble:

@@ -20,6 +20,7 @@ from quasihmm import errors
 from quasihmm.machine import (
     PROCESS_EQUALITY_TOL,
     Machine,
+    _slots,
     equivalence_residual,
     load_machine,
     machine_from_json_dict,
@@ -313,6 +314,11 @@ class TestMakeMachineChecks:
             make_machine(coin.alphabet, coin.states, coin.stacked[index])
         assert str(got.value) == message
 
+    @pytest.mark.parametrize("stationary", [None, np.zeros(0)], ids=["computed", "given"])
+    def test_make_machine_refuses_a_machine_without_states(self, stationary):
+        with pytest.raises(errors.MachineFormatError, match="machine has no states"):
+            make_machine(("0",), (), np.zeros((1, 0, 0)), stationary)
+
     def test_make_machine_rejects_non_finite_stationary(self, coin):
         with pytest.raises(errors.StationaryMismatch):
             make_machine(
@@ -397,6 +403,32 @@ class TestFutureFidelity:
         with pytest.raises(ValueError):
             fid[0, 0] = 0.0
 
+    @pytest.mark.parametrize("make", [
+        lambda: sns_epsilon_truncated(0.5), lambda: sns_g_machine(0.45),
+    ], ids=["recursion", "enumeration"])
+    def test_the_two_horizons_computed_last_are_kept(self, make):
+        m = make()
+        upper, lower = m.future_fidelity_matrix(6), m.future_fidelity_matrix(5)
+        assert m.future_fidelity_matrix(6) is upper and m.future_fidelity_matrix(5) is lower
+        # the recursion makes 5 on its way to 6; the enumeration makes 6 first
+        assert list(m._fidelities) == ([5, 6] if m.classify().unifilar else [6, 5])
+        m.future_fidelity_matrix(3)
+        assert len(m._fidelities) == 2 and m.future_fidelity_matrix(6) is not upper
+        assert np.array_equal(m.future_fidelity_matrix(6), upper)
+
+    def test_unifilar_machine_builds_each_symbols_slots_once(self, monkeypatch):
+        rows = []
+        slots = quasihmm.machine._slots
+        monkeypatch.setattr(quasihmm.machine, "_slots",
+                            lambda matrix: rows.append(len(matrix)) or slots(matrix))
+        m = sns_epsilon_truncated(0.5)
+        assert m.classify().unifilar
+        for horizon in (3, 4, 9):
+            m.conditional_future_matrix(horizon)
+            m.future_fidelity_matrix(horizon)
+        # every row of every symbol's matrix passes through _slots once
+        assert sum(rows) == len(m.alphabet) * m.n_states
+
     def test_quasi_machine_rejected(self):
         t0 = [[1.2, -0.2], [0.0, 0.0]]
         t1 = [[0.0, 0.0], [0.5, 0.5]]
@@ -406,9 +438,11 @@ class TestFutureFidelity:
 
 
 def reference_fidelity_step(m, fid):
-    """``Machine.fidelity_step`` gathering each term with ``np.ix_``."""
+    """``Machine.fidelity_step`` gathering each term with ``np.ix_``, from
+    slots of each ``sqrt(T[x])`` built here rather than the machine's."""
     out = None
-    for targets, amps in m._root_slots():
+    for matrix in m.stacked:
+        targets, amps = _slots(np.sqrt(np.clip(matrix, 0.0, None)))
         for t_q, a_q in zip(targets, amps):
             inner = None
             for t_p, a_p in zip(targets, amps):
@@ -447,7 +481,8 @@ class TestFidelityStepMatchesReference:
 
     def test_cases_cover_the_sizes_and_two_slots(self):
         assert [sns_epsilon_truncated(p).n_states for p in (0.5, 0.9, 0.95)] == [46, 296, 607]
-        assert _two_slot_machine()._root_slots()[0][0].shape[0] == 2
+        roots = np.sqrt(np.clip(_two_slot_machine().stacked[0], 0.0, None))
+        assert _slots(roots)[0].shape[0] == 2
 
 
 class TestProcessEquality:

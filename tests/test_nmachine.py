@@ -10,6 +10,7 @@ from quasihmm import errors
 from quasihmm import nmachine as nm
 from quasihmm.machine import Machine, make_machine, same_process
 from quasihmm.measures import (
+    collision_entropy,
     excess_entropy_half,
     half_excess_from_futures,
     perturbed_coin_excess_half,
@@ -39,6 +40,7 @@ from quasihmm.processes import (
     sns_epsilon_truncated,
     sns_g_machine,
     sns_renewal_data,
+    unbiased_coin,
 )
 
 GRID = [0.1, 0.2, 0.3, 0.4, 0.6, 0.7, 0.8, 0.9]
@@ -360,6 +362,7 @@ class TestAssessUsesMeasures:
             result = assess_split_machine(built, {}, 0.5, 1.0)
             assert result.negativity.hex() == ell1.hex()
             assert result.mana.hex() == (2.0 * float(np.log2(ell1))).hex()
+            assert result.c_n2.hex() == (-float(np.log2(np.sum(pi * pi))) + 0.0).hex()
         assert signs == {True, False}
 
     def test_perturbed_coin_advantage(self):
@@ -400,6 +403,20 @@ class TestAssessUsesMeasures:
         result = assess_split_machine(built, {}, 0.5, 0.0)
         assert result.c_n2 == -float(np.log2(np.sum(pi * pi)))
         assert math.isnan(result.advantage)
+
+    def test_zero_collision_entropy_is_positive_zero_everywhere(self):
+        # the one-state coin split in two at zero shares has pi = (0, 1)
+        source = unbiased_coin()
+        spec = generic_split_spec(source, (2,))
+        built = build_split_machine(source, spec, dict.fromkeys(spec.param_names, 0.0))
+        assert built.stationary.tolist() == [0.0, 1.0]
+        values = [
+            renyi_entropy(built.stationary, 2),
+            collision_entropy(built.stationary),
+            assess_split_machine(built, {}, 0.0, 1.0).c_n2,
+            optimize_ideal(source, spec, 0.0).c_n2,
+        ]
+        assert [v.hex() for v in values] == [(0.0).hex()] * 4
 
 
 class TestPerturbedCoinIdealParams:

@@ -308,7 +308,12 @@ class TestOneGramSpectrum:
                for kind in (quantum.RENYI2, quantum.VON_NEUMANN)]
         assert len(calls) == 1
         assert [v.hex() for v in got] == [v.hex() for v in expected]
-        assert quantum.gram_from_machine(machine, 12) is quantum.gram_from_machine(machine, 12)
+
+    def test_measures_share_the_remembered_overlaps(self):
+        machine = sns_epsilon_truncated(0.5)
+        first, second = (quantum.gram_from_machine(machine, 12) for _ in range(2))
+        assert first.overlaps is second.overlaps is machine.future_fidelity_matrix(12)
+        assert first.residual == second.residual
 
     def test_renyi2_alone_makes_no_eigensolve(self, eigensolves):
         gram = quantum.gram_from_machine(sns_epsilon_truncated(0.5), 12)
