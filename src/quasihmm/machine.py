@@ -64,6 +64,11 @@ def _slots(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return targets, amps
 
 
+def _fixed_point_residual(pi: np.ndarray, total: np.ndarray) -> float:
+    """Largest entry of ``|pi @ total - pi|``."""
+    return float(np.abs(pi @ total - pi).max(initial=0.0))
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=float)
     a.setflags(write=False)
@@ -106,8 +111,7 @@ class Machine:
     def stationary_residual(self) -> float:
         """Largest entry of ``|pi T - pi|``, the stationary vector's
         fixed-point residual."""
-        pi = self.stationary
-        return float(np.abs(pi @ self.stacked.sum(axis=0) - pi).max(initial=0.0))
+        return _fixed_point_residual(self.stationary, np.add.reduce(self.stacked))
 
     @functools.cached_property
     def _slot_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -372,9 +376,10 @@ def make_machine(
     summed matrix is validated; its row-sum failure is raised here as
     ``MachineFormatError``.
     When ``stationary`` is given it is verified rather than trusted: the
-    built machine's ``stationary_residual``, computed once and kept, must be
-    at most ``10 * linalg.EIGEN_TOL``.  ``groups``, when given, must hold one
-    nonnegative integer per state; a bool, float or string entry is refused.
+    built machine's ``stationary_residual``, computed from that one sum and
+    kept, must be at most ``10 * linalg.EIGEN_TOL``.  ``groups``, when
+    given, must hold one nonnegative integer per state; a bool, float or
+    string entry is refused.
     """
     alphabet = tuple(map(str, alphabet))
     if len(set(alphabet)) != len(alphabet):
@@ -420,8 +425,11 @@ def make_machine(
             raise StationaryMismatch(f"stationary sums to {pi.sum():.12g}, expected 1")
 
     m = Machine(alphabet, states, stack, pi, groups)
-    if stationary is not None and m.stationary_residual > 10 * linalg.EIGEN_TOL:
-        raise StationaryMismatch(f"stationary fixed-point residual {m.stationary_residual:.3e}")
+    if stationary is not None:
+        # fill the cached property from the sum above instead of a second one
+        res = vars(m)["stationary_residual"] = _fixed_point_residual(pi, total)
+        if res > 10 * linalg.EIGEN_TOL:
+            raise StationaryMismatch(f"stationary fixed-point residual {res:.3e}")
     return m
 
 

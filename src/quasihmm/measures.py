@@ -168,19 +168,6 @@ def alpha_mutual_information(px, py_given_x, alpha: float) -> float:
 # --- excess entropies through the state variable ------------------------------
 
 
-def half_excess_from_futures(weights, futures) -> float:
-    """-log2 sum_w ( sum_k w_k sqrt(P(w|k)) )^2 from explicit conditionals.
-
-    ``futures[k, i]`` is the probability of word i given state k; the words
-    must jointly be nonnegative even if the weights are signed, in which case
-    the squared inner sums are still real.
-    """
-    w = np.asarray(weights, dtype=float)
-    fut = np.clip(np.asarray(futures, dtype=float), 0.0, None)
-    inner = w @ np.sqrt(fut)
-    return -float(np.log2(np.sum(inner**2)))
-
-
 def excess_entropy_half(m: Machine, horizon: int = DEFAULT_HORIZON) -> MeasureReport:
     """Half-order mutual information between the state and the next
     ``horizon`` symbols.

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from quasihmm import errors, linalg
+from quasihmm import machine as machine_module
 from quasihmm.machine import Machine, machine_from_json_dict, make_machine
 from quasihmm.nmachine import (
     BRANCH_MINUS,
@@ -205,6 +206,21 @@ def test_directly_constructed_machine_measures_itself():
     total = coin.stacked[0] + coin.stacked[1]
     expected = float(np.max(np.abs(np.array([0.8, 0.2]) @ total - [0.8, 0.2])))
     assert stale.stationary_residual == expected > 0.1
+
+
+def test_given_stationary_is_checked_once_from_the_build_sum(monkeypatch):
+    # make_machine checks the residual from the summed stack it validated
+    # and keeps it, so reading it again computes nothing
+    coin = perturbed_coin_epsilon(0.3)
+    expected = coin.stationary_residual
+    totals = []
+    residual = machine_module._fixed_point_residual
+    monkeypatch.setattr(machine_module, "_fixed_point_residual",
+                        lambda pi, total: totals.append(total) or residual(pi, total))
+    built = make_machine(coin.alphabet, coin.states, coin.stacked, coin.stationary)
+    assert built.stationary_residual == built.stationary_residual == expected
+    assert len(totals) == 1
+    assert totals[0].tobytes() == (coin.stacked[0] + coin.stacked[1]).tobytes()
 
 
 def _flip(p):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import oracle_half_excess, oracle_mutual_information
+from conftest import half_excess_from_futures, oracle_half_excess, oracle_mutual_information
 from quasihmm import errors
 from quasihmm.measures import (
     MEASURES,
@@ -11,7 +11,6 @@ from quasihmm.measures import (
     defined_reports,
     excess_entropy_half,
     excess_entropy_shannon,
-    half_excess_from_futures,
     mana,
     negativity,
     perturbed_coin_excess_half,

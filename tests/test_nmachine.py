@@ -5,14 +5,13 @@ import re
 import numpy as np
 import pytest
 
-from conftest import enumerated_word_gap, spearman
+from conftest import enumerated_word_gap, half_excess_gap, renewal_machine, spearman
 from quasihmm import errors
 from quasihmm import nmachine as nm
 from quasihmm.machine import Machine, make_machine, same_process
 from quasihmm.measures import (
     collision_entropy,
     excess_entropy_half,
-    half_excess_from_futures,
     perturbed_coin_excess_half,
     renyi_entropy,
     sns_excess_entropy_half,
@@ -224,10 +223,10 @@ class TestVerifyProperties:
     def test_generic_golden_mean_split_ignores_off_support_noise(self, golden_mean_split):
         # the optimized shares leave rounding noise of either sign on words a
         # source state forbids; its square root once made the half-order
-        # gap about 3e-9
+        # gap about 3e-9, which the word identities never see
         source, result = golden_mean_split
-        report = verify_nmachine_properties(source, result.machine)
-        assert report.half_excess_gap <= 1e-14
+        assert verify_nmachine_properties(source, result.machine).passed()
+        assert half_excess_gap(source, result.machine, 8) <= 1e-14
 
     def test_corrupted_generic_split_violates(self, golden_mean_split):
         # send part of the "1" edge of a copy of s0 back to s0: row and
@@ -263,16 +262,19 @@ class TestVerifyProperties:
         with pytest.raises(errors.SpecMismatch):
             verify_nmachine_properties(source, source)
 
-
-def reference_half_gap(source, built, horizon):
-    """The half-order residual of ``verify_nmachine_properties`` as it was
-    first computed, from one enumeration per machine at the horizon."""
-    groups = np.asarray(built.groups)
-    fut_built = built.conditional_future_matrix(horizon)
-    fut_src = source.conditional_future_matrix(horizon)
-    on_support = np.where(fut_src[groups] > 0, fut_built, 0.0)
-    return abs(half_excess_from_futures(built.stationary, on_support)
-               - half_excess_from_futures(source.stationary, fut_src))
+    def test_groups_beyond_the_source_rejected_before_any_check(self, monkeypatch):
+        # a (2, 1, 1) split of a three-state source names source state 2,
+        # which the two-state Perturbed Coin lacks
+        three = renewal_machine([0.5, 0.3, 0.2])
+        spec = generic_split_spec(three, (2, 1, 1))
+        built = build_split_machine(three, spec, dict.fromkeys(spec.param_names, 0.0))
+        calls = []
+        monkeypatch.setattr(nm, "equivalence_residual",
+                            lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(errors.SpecMismatch) as info:
+            verify_nmachine_properties(perturbed_coin_epsilon(0.3), built)
+        assert str(info.value) == "built machine groups name source state 2, source has 2"
+        assert calls == []
 
 
 def enumerated_word_residuals(source, built):
@@ -318,37 +320,49 @@ class TestVerifyMatchesReference:
         assert len(cases) >= 18
         for source, built in cases:
             report = verify_nmachine_properties(source, built)
-            expected = reference_half_gap(source, built, nm.VERIFY_HORIZON)
-            assert report.half_excess_gap.hex() == expected.hex()
             assert report.words <= 1e-12
             assert max(enumerated_word_residuals(source, built)) <= 1e-12
 
-    def test_one_enumeration_per_machine_and_length(self, monkeypatch):
+    def test_enumerates_no_words_and_decides_once(self, monkeypatch):
         source, built, _ = sns_ideal_machine(0.5)
-        lengths = []
-        enumerate_words = Machine.conditional_future_matrix
+        lengths, decisions = [], []
+        enumerate_words, decide = Machine.conditional_future_matrix, nm.equivalence_residual
 
-        def recording(machine, length, *args, **kwargs):
-            lengths.append((machine is built, length))
+        def recording_enumeration(machine, length, *args, **kwargs):
+            lengths.append(length)
             return enumerate_words(machine, length, *args, **kwargs)
 
-        monkeypatch.setattr(Machine, "conditional_future_matrix", recording)
-        verify_nmachine_properties(source, built)
-        assert sorted(lengths) == [(False, nm.VERIFY_HORIZON), (True, nm.VERIFY_HORIZON)]
+        def recording_decision(*args):
+            decisions.append(args)
+            return decide(*args)
 
-    def test_horizon_beyond_the_cap_is_refused_before_enumeration(self, monkeypatch):
-        # 6^8 words of a fair die exceed the cap of 2^20
+        monkeypatch.setattr(Machine, "conditional_future_matrix", recording_enumeration)
+        monkeypatch.setattr(nm, "equivalence_residual", recording_decision)
+        assert verify_nmachine_properties(source, built).passed()
+        assert lengths == []
+        assert len(decisions) == 1
+
+    def test_six_symbol_die_split_passes(self):
+        # 6^8 words of a fair die exceed the enumeration cap of 2^20, and
+        # verify reads no word length
         die = make_machine([str(x) for x in range(6)], ["s"], np.full((6, 1, 1), 1 / 6))
         spec = generic_split_spec(die, (2,))
         built = build_split_machine(die, spec, dict.fromkeys(spec.param_names, 0.0))
-        calls = []
-        monkeypatch.setattr(Machine, "conditional_future_matrix",
-                            lambda *args, **kwargs: calls.append(args))
-        monkeypatch.setattr(nm, "equivalence_residual",
-                            lambda *args, **kwargs: calls.append(args))
-        with pytest.raises(errors.EnumerationCapExceeded):
-            verify_nmachine_properties(die, built)
-        assert calls == []
+        assert verify_nmachine_properties(die, built).passed()
+
+    def test_half_order_gap_follows_from_the_identities(self):
+        # the splits verify accepts, with the optimized Perturbed Coin
+        # splits of both shipped specs: E_half through the split states
+        # equals E_half through the source states, on the source's support
+        cases = _split_cases()
+        for p, spec in ((0.306888, perturbed_coin_split_spec(0.306888)),
+                        (0.298411, generic_split_spec(perturbed_coin_epsilon(0.298411), (2, 1)))):
+            source = perturbed_coin_epsilon(p)
+            result = optimize_ideal(source, spec, perturbed_coin_excess_half(p))
+            cases.append((source, result.machine))
+        for source, built in cases:
+            assert verify_nmachine_properties(source, built).passed()
+            assert half_excess_gap(source, built, 8) <= 1e-12
 
 
 class TestAssessUsesMeasures:
