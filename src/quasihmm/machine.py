@@ -14,6 +14,7 @@ Machines are immutable after construction; all operations are read-only.
 from __future__ import annotations
 
 import functools
+import io
 import itertools
 import json
 import operator
@@ -27,6 +28,7 @@ from . import linalg
 from .errors import (
     EnumerationCapExceeded,
     MachineFormatError,
+    QuasiHmmError,
     QuasiMachineUnsupported,
     StationaryMismatch,
     UnknownSymbol,
@@ -38,6 +40,11 @@ ENUMERATION_CAP = 2**20
 #: relative rank tolerance of :func:`equivalence_residual`, and the largest
 #: residual at which :func:`same_process` calls two processes equal
 PROCESS_EQUALITY_TOL = 1e-9
+
+#: the largest share of nonzero matrix entries at which :func:`load_machine`
+#: reads a file in the layout of :meth:`Machine.to_json_text` from its
+#: nonzero lines; at larger shares ``json.loads`` is the faster read
+SPARSE_SHARE = 0.05
 
 
 @dataclass(frozen=True)
@@ -296,13 +303,14 @@ class Machine:
         ``json.dumps(self.to_json_dict(), indent=2) + "\n"``.
 
         The standard encoder falls back to pure Python whenever it indents
-        and holds every number as a separate chunk until the end.  Here each
-        row is a list filled with ``"0.0"``, and ``float.__repr__`` (the
-        function that encoder uses for finite floats, the only ones
-        ``make_machine`` admits) is called only on the entries whose bits are
-        nonzero, so a -0.0 still reads ``-0.0`` and a sparse row costs its
-        nonzeros, not its length.  Each row is encoded in one join, and the
-        pieces are joined once.
+        and holds every number as a separate chunk until the end.  Here one
+        scan of each matrix, and of the stationary vector, finds the entries
+        whose bits are nonzero, and ``float.__repr__`` (the function that
+        encoder uses for finite floats, the only ones ``make_machine``
+        admits) is mapped over them alone, a row's length of them at a time,
+        so a -0.0 still reads ``-0.0``.  Each entry's line fills one list
+        per array, the zeros' lines shared, and the array is encoded in one
+        join.
         """
 
         def array(items: list[str], pad: str) -> list[str]:
@@ -312,11 +320,24 @@ class Machine:
             return ["[" + inner, ("," + inner).join(items), "\n" + pad + "]"]
 
         def numbers(values: np.ndarray, pad: str) -> list[str]:
-            items = ["0.0"] * values.size
-            nonzero = np.flatnonzero(values.view(np.uint64)).tolist()
-            for i, text in zip(nonzero, map(float.__repr__, values[nonzero].tolist())):
-                items[i] = text
-            return array(items, pad)
+            """A vector, or a matrix as an array of its rows, in one join."""
+            flat = values.ravel()
+            if not flat.size:
+                return ["[]"]
+            n, entry = values.shape[-1], "\n" + pad + "  " * values.ndim
+            items = [entry + "0.0"] * flat.size
+            nonzero = np.flatnonzero(flat.view(np.uint64))
+            for start in range(0, nonzero.size, n):
+                chunk = nonzero[start:start + n]
+                for i, text in zip(chunk.tolist(), map(float.__repr__, flat[chunk].tolist())):
+                    items[i] = entry + text
+            if values.ndim == 2:
+                # each row's brackets ride on its first and last entries
+                row = "\n" + pad + "  "
+                for i in range(0, flat.size, n):
+                    items[i] = row + "[" + items[i]
+                    items[i + n - 1] += row + "]"
+            return ["[", ",".join(items), "\n" + pad + "]"]
 
         def obj(fields: list[tuple[str, list[str]]], pad: str) -> list[str]:
             if not fields:
@@ -329,10 +350,7 @@ class Machine:
             pieces.append("\n" + pad + "}")
             return pieces
 
-        matrices = [
-            (x, array(["".join(numbers(row, "      ")) for row in matrix], "    "))
-            for x, matrix in zip(self.alphabet, self.stacked)
-        ]
+        matrices = [(x, numbers(matrix, "    ")) for x, matrix in zip(self.alphabet, self.stacked)]
         fields = [
             ("alphabet", array(list(map(json.dumps, self.alphabet)), "  ")),
             ("states", array(list(map(json.dumps, self.states)), "  ")),
@@ -478,12 +496,110 @@ def load_machine(path) -> Machine:
 
     The file's stationary vector, when present, is kept verbatim (round trips
     are bit-exact) but its fixed-point residual is recomputed and checked.
+    A file in the layout of :meth:`Machine.to_json_text` with at most
+    ``SPARSE_SHARE`` of its matrix entries nonzero is read from its
+    nonzero lines (:func:`_read_written_layout`); every other file is read
+    by ``json.loads``.  Both reads give the same machine, bit for bit, and
+    the same errors.
     """
     try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        data = Path(path).read_bytes()
+        machine = _read_written_layout(data)
+        if machine is not None:
+            return machine
+        # decoded as ``Path.read_text`` decodes, from the one read, so that a
+        # stream such as a pipe is read once; only the text is alive while
+        # it parses
+        text = io.TextIOWrapper(io.BytesIO(data)).read()
+        del data
+        doc = json.loads(text)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise MachineFormatError(f"cannot read machine file {path}: {exc}") from exc
     return machine_from_json_dict(doc)
+
+
+# the writer's lines around the "matrices" object
+_MATRICES_OPEN = b',\n  "matrices": {\n'
+_MATRICES_CLOSE = b'\n  },\n  "stationary": [\n'
+#: the first four bytes of a zero entry's token in the writer's layout, as
+#: little-endian integers: ``0.0`` then a comma, or the newline of a row's end
+_ZERO_TOKENS = (int.from_bytes(b"0.0,", "little"), int.from_bytes(b"0.0\n", "little"))
+
+
+def _read_written_layout(data: bytes) -> Machine | None:
+    """The machine of ``data`` when it is the text that machine's
+    :meth:`Machine.to_json_text` writes and at most ``SPARSE_SHARE`` of its
+    matrix entries are nonzero, read at the cost of its nonzeros; otherwise
+    None.
+
+    Everything but the ``"matrices"`` object is parsed by ``json.loads``,
+    the matrices are read from their nonzero lines by
+    :func:`_sparse_matrices`, and the machine is built by
+    :func:`machine_from_json_dict`.  It is kept only when its
+    ``to_json_text()`` gives back ``data``: the writer's text parses back to
+    the values it was written from, so ``json.loads`` of ``data`` would have
+    given the same arrays, bit for bit, and the same machine.  An error on
+    the way, from a text that does not parse or a machine that is refused,
+    means that ``data`` is not such a text and gives None, so that the
+    caller's ``json.loads`` read raises what it always raised.
+    """
+    try:
+        begin = data.index(_MATRICES_OPEN) + len(_MATRICES_OPEN)
+        end = data.rindex(_MATRICES_CLOSE)
+        # the rest of the document, from the comma after the object's brace
+        doc = json.loads(data[:begin - len(_MATRICES_OPEN)] + data[end + len(b"\n  }"):])
+        alphabet = doc["alphabet"]
+        stacked = _sparse_matrices(data, begin, end, alphabet, len(doc["states"]))
+        if stacked is None:
+            return None
+        doc["matrices"] = dict(zip(map(str, alphabet), stacked))
+        machine = machine_from_json_dict(doc)
+        del doc, stacked  # the machine holds its own copy
+        if machine.to_json_text().encode() == data:
+            return machine
+    except (ValueError, TypeError, KeyError, IndexError, RecursionError, QuasiHmmError):
+        pass  # not the writer's text: the caller reads it by json.loads
+    return None
+
+
+def _sparse_matrices(data: bytes, begin: int, end: int, alphabet: list, n: int):
+    """The (symbols, n, n) stack read from ``data[begin:end]``, the lines of
+    a ``"matrices"`` object in the writer's layout for ``alphabet`` and
+    ``n`` states, or None when its length does not fit that layout or more
+    than ``SPARSE_SHARE`` of its entry lines do not read ``0.0``.
+
+    In that layout each entry is one line, eight spaces and its token, and
+    line ``L`` of the object holds entry ``[s, r, c]`` when ``L = s (n (n +
+    2) + 2) + r (n + 2) + c + 2``.  The length is checked first: a zero
+    entry's line holds 12 or 13 bytes and a nonzero one at most 21 more
+    (``float.__repr__`` writes at most 24 characters), and each row adds 17
+    bytes of brackets.  Then one pass finds the newlines and one reads four
+    bytes at each token, so the Python work is one ``float()`` per nonzero
+    entry.
+    """
+    size = len(alphabet) * n * n
+    most = (13 + 21 * SPARSE_SHARE) * size + 17 * len(alphabet) * n
+    most += sum(15 + len(json.dumps(x)) for x in alphabet)
+    if not 12 * size <= end - begin <= most:
+        return None
+    buf = np.frombuffer(data, np.uint8)
+    # the newline that ends line L of the object, and the token of line L + 1
+    newlines = np.flatnonzero(buf[begin:end] == 10)
+    tokens = np.ndarray(end - begin, "<u4", data, begin + 9, (1,))[newlines]
+    lines = 1 + np.flatnonzero((tokens != _ZERO_TOKENS[0]) & (tokens != _ZERO_TOKENS[1]))
+    symbol, line = np.divmod(lines, n * (n + 2) + 2)
+    row, column = np.divmod(line - 2, n + 2)
+    entry = column < n
+    if np.count_nonzero(entry) > SPARSE_SHARE * size:
+        return None
+    lines = lines[entry]
+    starts, stops = begin + newlines[lines - 1] + 9, begin + newlines[lines]
+    stops -= buf[stops - 1] == ord(",")
+    stacked = np.zeros((len(alphabet), n, n))
+    stacked[symbol[entry], row[entry], column[entry]] = [
+        float(data[a:b]) for a, b in zip(starts.tolist(), stops.tolist())
+    ]
+    return stacked
 
 
 #: entry types that numpy parses as numbers among numbers, but JSON does not

@@ -329,15 +329,20 @@ def verify_nmachine_properties(source: Machine, built: Machine) -> NMachineCheck
     and none enumerates words, so any alphabet size is accepted.  The
     half-order excess entropy through the split states needs no check of
     its own: it is a function of the futures and the coarse-grained weights.
-    A built machine without ``groups``, or whose groups name a state the
-    source lacks, is refused with ``SpecMismatch`` before any check.  Raises
+    A built machine without ``groups``, or whose groups are not one
+    nonnegative index per state or name a state the source lacks, is
+    refused with ``SpecMismatch`` before any check.  Raises
     ``PropertyViolated`` carrying the report if any residual is too large.
     """
     if built.groups is None:
         raise SpecMismatch("built machine carries no source-state groups")
     groups = np.asarray(built.groups)
     n_src = source.n_states
-    top = int(groups.max())
+    if groups.shape != (built.n_states,):
+        raise SpecMismatch(f"built machine has {groups.size} groups for {built.n_states} states")
+    top, bottom = int(groups.max()), int(groups.min())
+    if bottom < 0:
+        raise SpecMismatch(f"built machine groups have a negative entry {bottom}")
     if top >= n_src:
         raise SpecMismatch(f"built machine groups name source state {top}, source has {n_src}")
 

@@ -516,6 +516,21 @@ class TestMeasures:
         assert len(lines) == 1
         assert json.loads(lines[0]) == {"error": "MachineFormatError", "message": message}
 
+    def test_non_utf8_file_is_refused(self, capsys, tmp_path):
+        # a state named by the Latin-1 byte 0xe9
+        doc = perturbed_coin_epsilon(0.3).to_json_dict()
+        doc["states"][0] = "\xe9"
+        path = tmp_path / "latin1.json"
+        path.write_bytes(json.dumps(doc, ensure_ascii=False).encode("latin-1"))
+        code, out, err = run(capsys, "measures", str(path), "--measure", "c-mu2")
+        assert (code, out) == (2, "")
+        lines = err.splitlines()
+        assert len(lines) == 1
+        report = json.loads(lines[0])
+        assert report["error"] == "MachineFormatError"
+        assert report["message"].startswith(f"cannot read machine file {path}: ")
+        assert "can't decode byte 0xe9" in report["message"]
+
     def test_integer_entries_are_numbers(self, capsys, tmp_path):
         path = tmp_path / "ints.json"
         path.write_text(json.dumps({"alphabet": ["0"], "states": ["A"],

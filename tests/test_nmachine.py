@@ -276,6 +276,23 @@ class TestVerifyProperties:
         assert str(info.value) == "built machine groups name source state 2, source has 2"
         assert calls == []
 
+    @pytest.mark.parametrize("groups, message", [
+        ((0, -1), "built machine groups have a negative entry -1"),
+        ((0,), "built machine has 1 groups for 2 states"),
+        ((0, 1, 1), "built machine has 3 groups for 2 states"),
+    ], ids=["negative", "short", "long"])
+    def test_malformed_groups_rejected_before_any_check(self, monkeypatch, groups, message):
+        # a directly built machine's groups are not validated on construction
+        coin = perturbed_coin_epsilon(0.3)
+        built = Machine(coin.alphabet, coin.states, coin.stacked, coin.stationary, groups)
+        calls = []
+        monkeypatch.setattr(nm, "equivalence_residual",
+                            lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(errors.SpecMismatch) as info:
+            verify_nmachine_properties(coin, built)
+        assert str(info.value) == message
+        assert calls == []
+
 
 def enumerated_word_residuals(source, built):
     """The word-conditional and word-distribution residuals over the words

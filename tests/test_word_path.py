@@ -1,23 +1,26 @@
-"""The word enumeration, the Shannon estimate and the machine writer pinned
-against the code they replaced.
+"""The word enumeration, the Shannon estimate and the machine writer and
+reader pinned against the code they replaced.
 
 ``reference_futures`` builds the conditional futures by the dense product
 ``np.hstack([T[x] @ futures ...])`` at every step,
 ``reference_excess_entropy_shannon`` enumerates the length-h and the
-length-(h-1) words separately, and ``reference_to_json_text`` formats every
-entry with ``float.__repr__``.  The library must give the same futures byte
-for byte, the same Shannon value and residual to the last bit, and the same
-machine file.
+length-(h-1) words separately, ``reference_to_json_text`` formats every
+entry with ``float.__repr__``, and ``general_read`` reads a machine file by
+``json.loads`` of its whole text.  The library must give the same futures
+byte for byte, the same Shannon value and residual to the last bit, the
+same machine file, and the same machine or error from every file.
 """
 
 import json
+import os
+import re
 
 import numpy as np
 import pytest
 
 import quasihmm.machine
 from quasihmm import cli, errors, quantum
-from quasihmm.machine import Machine, make_machine
+from quasihmm.machine import Machine, load_machine, machine_from_json_dict, make_machine
 from quasihmm.measures import excess_entropy_shannon
 from quasihmm.nmachine import (
     BRANCH_MINUS,
@@ -138,6 +141,30 @@ def _signed_three_symbol():
         [[0.1, -0.0, 0.25], [0.05, 0.3, -0.1], [0.1, -0.0, 0.3]],
     ]
     return make_machine(("a", "b", "c"), ("s0", "s1", "s2"), t)
+
+
+def _sparse_signed():
+    # few enough nonzeros that the reader takes the file's nonzero lines:
+    # a signed zero, a subnormal and a 1.0 among them
+    n = 24
+    t = np.zeros((2, n, n))
+    t[0, np.arange(n), (np.arange(n) + 1) % n] = 0.75
+    t[1, :, 0] = 0.25
+    t[:, 2] = 0.0
+    t[0, 2, 3] = 1.0
+    t[0, 0, 5] = -0.0
+    t[1, 3, 7] = 5e-324
+    return make_machine(("0", "1"), [f"q{j}" for j in range(n)], t)
+
+
+def _funnel():
+    # every state leads to the last, which is absorbing: one nonzero in the
+    # stationary vector and no nonzero in the matrix of "1"
+    n = 24
+    t = np.zeros((2, n, n))
+    t[0, np.arange(n - 1), np.arange(1, n)] = 1.0
+    t[0, n - 1, n - 1] = 1.0
+    return make_machine(("0", "1"), [f"f{j}" for j in range(n)], t)
 
 
 def _zoo():
@@ -273,7 +300,7 @@ def _writer_machines():
         groups=(0, 0, 1),
     )
     return [odd, one_state, dense, _signed_three_symbol(), _zero_row(), _signed_unifilar(),
-            sns_epsilon_truncated(0.9)] + _split_machines()[:2]
+            _sparse_signed(), _funnel(), sns_epsilon_truncated(0.9)] + _split_machines()[:2]
 
 
 class TestWriterMatchesReference:
@@ -292,6 +319,135 @@ class TestWriterMatchesReference:
         machine = Machine(alphabet=coin.alphabet, states=coin.states,
                           stacked=np.array(coin.stacked), stationary=np.array([0.7, 0.3]))
         assert machine.to_json_text() == reference_to_json_text(machine)
+
+
+def general_read(path):
+    """The machine of a file as ``json.loads`` of its whole text gives it,
+    with the error wrapping of ``load_machine``."""
+    try:
+        doc = json.loads(path.read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        raise errors.MachineFormatError(f"cannot read machine file {path}: {exc}") from exc
+    return machine_from_json_dict(doc)
+
+
+def outcome(read, path):
+    """The fields of the machine ``read(path)`` gives, its arrays as bits,
+    or the class and message of the error it raises."""
+    try:
+        m = read(path)
+    except errors.QuasiHmmError as exc:
+        return type(exc), str(exc)
+    return (m.alphabet, m.states, m.groups, m.stacked.shape,
+            m.stacked.view(np.uint64).tobytes(), m.stationary.view(np.uint64).tobytes())
+
+
+def _minified(text):
+    return json.dumps(json.loads(text))
+
+
+def _extra_key(text):
+    return json.dumps({**json.loads(text), "note": "hand-edited"}, indent=2) + "\n"
+
+
+def _reordered(text):
+    doc = json.loads(text)
+    return json.dumps({key: doc[key] for key in reversed(doc)}, indent=2) + "\n"
+
+
+def _symbols_reordered(text):
+    # the lines keep the writer's layout, with the matrices in reverse
+    # alphabet order: read by position they would be swapped
+    doc = json.loads(text)
+    doc["matrices"] = {x: doc["matrices"][x] for x in reversed(doc["matrices"])}
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def _long_one(text):
+    changed = re.sub(r"^( +)1\.0(,?)$", r"\g<1>1.00\2", text, count=1, flags=re.M)
+    assert changed != text
+    return changed
+
+
+def _bool_entry(text):
+    changed = re.sub(r"^( +)0\.0,$", r"\g<1>true,", text, count=1, flags=re.M)
+    assert changed != text
+    return changed
+
+
+_VARIANTS = {
+    "minified": _minified,
+    "crlf": lambda text: text.replace("\n", "\r\n"),
+    "extra-key": _extra_key,
+    "reordered": _reordered,
+    "symbols-reordered": _symbols_reordered,
+    "long-one": _long_one,
+    "bool-entry": _bool_entry,
+    "truncated": lambda text: text[:len(text) // 2],
+}
+
+
+class TestReadPathsAgree:
+    # the writer's cases include the 296-state sns-epsilon model
+    @pytest.mark.parametrize("machine", _writer_machines(), ids=_ids)
+    def test_written_file(self, tmp_path, machine):
+        path = tmp_path / "m.json"
+        machine.save(path)
+        assert outcome(load_machine, path) == outcome(general_read, path)
+
+    def test_607_state_sns_epsilon_file(self, tmp_path):
+        path = tmp_path / "m.json"
+        sns_epsilon_truncated(0.95).save(path)
+        assert outcome(load_machine, path) == outcome(general_read, path)
+
+    @pytest.mark.parametrize("variant", list(_VARIANTS), ids=str)
+    @pytest.mark.parametrize("base", ["sns-296", "sparse-signed"])
+    def test_other_layouts(self, tmp_path, base, variant):
+        source = sns_epsilon_truncated(0.9) if base == "sns-296" else _sparse_signed()
+        path = tmp_path / "m.json"
+        path.write_bytes(_VARIANTS[variant](source.to_json_text()).encode())
+        assert outcome(load_machine, path) == outcome(general_read, path)
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+    @pytest.mark.parametrize("variant", ["written", "minified"])
+    def test_stream_is_read_once(self, tmp_path, variant):
+        # a pipe gives its bytes to one read only: the written file and the
+        # minified one, which the sparse read turns down, both load from it
+        text = _sparse_signed().to_json_text()
+        if variant == "minified":
+            text = _minified(text)
+        path = tmp_path / "m.json"
+        path.write_text(text)
+        read_end, write_end = os.pipe()
+        try:
+            os.write(write_end, text.encode())  # fits in the pipe's buffer
+            os.close(write_end)
+            streamed = outcome(load_machine, f"/dev/fd/{read_end}")
+        finally:
+            os.close(read_end)
+        assert streamed == outcome(load_machine, path)
+        assert streamed[0] == ("0", "1")
+
+    def test_sparse_path_is_chosen_by_the_share_of_nonzeros(self, tmp_path, monkeypatch):
+        # a sparse written file is read from its nonzero lines; a dense one
+        # is refused before any machine is built, so one build runs for each
+        read, build = quasihmm.machine._read_written_layout, machine_from_json_dict
+        taken, builds = [], []
+
+        def spy(data):
+            machine = read(data)
+            taken.append(machine is not None)
+            return machine
+
+        monkeypatch.setattr(quasihmm.machine, "_read_written_layout", spy)
+        monkeypatch.setattr(quasihmm.machine, "machine_from_json_dict",
+                            lambda doc: builds.append(doc) or build(doc))
+        for machine in (sns_epsilon_truncated(0.9), _sparse_signed(), _funnel(),
+                        _writer_machines()[2]):
+            machine.save(tmp_path / "m.json")
+            load_machine(tmp_path / "m.json")
+        assert taken == [True, True, True, False]
+        assert len(builds) == 4
 
 
 class TestOneGramSpectrum:
