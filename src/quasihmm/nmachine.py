@@ -33,6 +33,7 @@ import numpy as np
 
 from .errors import (
     DegenerateFixedSpace,
+    DegenerateParameter,
     NegativeRadicand,
     NoFeasiblePoint,
     NoUnitEigenvalue,
@@ -108,9 +109,14 @@ class SplitSpec:
 
     def compiled(self, source: Machine) -> "CompiledSplit":
         """This spec laid out for ``source``'s alphabet and states; built once
-        per (alphabet, states) and remembered."""
+        per (alphabet, states) and remembered.  Copy counts that do not cover
+        ``source``'s states are refused with ``SpecMismatch``."""
         key = (source.alphabet, source.states)
         if key not in self._memo:
+            if len(self.copy_counts) != source.n_states:
+                raise SpecMismatch(
+                    f"spec covers {len(self.copy_counts)} states, machine has {source.n_states}"
+                )
             self._memo[key] = CompiledSplit.build(self, source)
         return self._memo[key]
 
@@ -275,10 +281,7 @@ def build_split_machine(
     spec's compiled layout for ``source``, built on first use.  ``params``
     must name exactly the spec's parameters.
     """
-    if len(spec.copy_counts) != source.n_states:
-        raise SpecMismatch(
-            f"spec covers {len(spec.copy_counts)} states, machine has {source.n_states}"
-        )
+    compiled = spec.compiled(source)
     missing = [name for name in spec.param_names if name not in params]
     if missing:
         raise SpecMismatch(f"missing parameter values: {missing}")
@@ -286,7 +289,6 @@ def build_split_machine(
         extra = [name for name in params if name not in spec.param_names]
         raise SpecMismatch(f"parameters not in the spec: {extra}")
 
-    compiled = spec.compiled(source)
     theta = np.array([params[name] for name in spec.param_names], dtype=float)
     stacked = compiled.matrices(source, theta)
     return make_machine(source.alphabet, compiled.labels, stacked, groups=compiled.groups)
@@ -398,6 +400,11 @@ class NMachineResult:
         }
 
 
+def _check_e_half(e_half: float) -> None:
+    if not math.isfinite(e_half):
+        raise DegenerateParameter(f"e_half must be finite, got {e_half}")
+
+
 def assess_split_machine(
     machine: Machine,
     parameters: Mapping[str, float],
@@ -408,8 +415,10 @@ def assess_split_machine(
     machine against a given half-order excess entropy and classical memory.
 
     The advantage is the relative memory advantage |c_n2 - c_mu2| / c_mu2,
-    NaN at a zero baseline.
+    NaN at a zero baseline.  A NaN or infinite ``e_half`` is refused with
+    ``DegenerateParameter``.
     """
+    _check_e_half(e_half)
     pi = machine.stationary
     # every split point, the search's or one the caller gives, is scored,
     # also one whose signed stationary vector renyi_entropy would refuse
@@ -576,17 +585,27 @@ def optimize_ideal(
     where the collision entropy is not finite, count as infeasible points,
     not failures.  If even the best point sits below the bound,
     ``NoFeasiblePoint`` is raised; a best point above the bound but away
-    from it is returned with ``saturated=False``.
+    from it is returned with ``saturated=False``.  A NaN or infinite
+    ``e_half`` is refused with ``DegenerateParameter`` and a spec with more
+    than ``MAX_PARAMS`` parameters with ``SpecMismatch``, both before any
+    build.
 
-    The search remembers the objective of every point any start tried,
-    keyed by the parameter vector's bytes, and answers a repeated point from
-    that memo, also when an earlier start tried it; ``MAX_EVALS`` still
-    counts it as a trial, so the memo changes how many machines are built but
-    not the search or its result.
+    The search remembers the objective of every point any start tried, keyed
+    by the parameter vector's bytes and, for a new vector, by the bytes of
+    its summed transition matrix; only a new sum builds a machine.  The
+    second key is exact: ``build_split_machine`` gathers the same float64
+    vector with the same ``CompiledSplit.matrices`` and ``make_machine``
+    sums it with the same ``np.add.reduce``, so the key is the matrix that
+    ``left_fixed_vector`` solves, and the stationary vector, the infeasible
+    points and the row-sum refusal all follow from it.  A sum that differs
+    only in a zero's sign or a NaN's payload misses, never hits wrongly.
+    ``MAX_EVALS`` still counts every trial, so the memo changes how many
+    machines are built but not the search or its result.
     """
+    _check_e_half(e_half)
     names = spec.param_names
     if len(names) > MAX_PARAMS:
-        raise ValueError(f"{len(names)} parameters exceed the cap {MAX_PARAMS}")
+        raise SpecMismatch(f"{len(names)} parameters exceed the cap {MAX_PARAMS}")
     baseline = c_mu2 if c_mu2 is not None else renyi_entropy(source.stationary, 2)
     threshold = SAT_TOL * max(1.0, abs(e_half))
 
@@ -622,13 +641,19 @@ def optimize_ideal(
 
     evals = 0
     # dyadic starts and steps make the searches revisit points bit for bit,
-    # within one start and across starts
+    # within one start and across starts; distinct points that share a
+    # summed matrix share its objective
+    compiled = spec.compiled(source)
     seen: dict[bytes, float] = {}
+    by_total: dict[bytes, float] = {}
 
     def value(vec: np.ndarray) -> float:
         key = vec.tobytes()
         if key not in seen:
-            seen[key] = objective(vec)
+            total = np.add.reduce(compiled.matrices(source, vec)).tobytes()
+            if total not in by_total:
+                by_total[total] = objective(vec)
+            seen[key] = by_total[total]
         return seen[key]
 
     def search(start: np.ndarray) -> tuple[float, np.ndarray]:

@@ -171,6 +171,9 @@ def test_usage_error_exits_2_with_one_json_line(argv, capsys):
      "ValueError", "p grid values must lie strictly between 0 and 1"),
     (("construct-nmachine", "--process", "perturbed-coin", "--p", "0.3", "--split", "2"),
      "SpecMismatch", "copy counts (2,) do not fit 2 states"),
+    (("construct-nmachine", "--process", "perturbed-coin", "--p", "0.3", "--split", "2,2",
+      "--optimize"),
+     "SpecMismatch", "16 parameters exceed the cap 8"),
 ])
 def test_value_the_request_cannot_use_exits_2(argv, error, message, capsys):
     code, out, err = run(capsys, *argv)

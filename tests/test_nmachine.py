@@ -140,9 +140,13 @@ class TestBuildSplitMachine:
             )
 
     def test_wrong_state_count_rejected(self):
-        spec = SplitSpec(copy_counts=(2,))
-        with pytest.raises(errors.SpecMismatch):
-            build_split_machine(perturbed_coin_epsilon(0.3), spec, {})
+        spec = SplitSpec(copy_counts=(2,), param_names=("q",))
+        source = perturbed_coin_epsilon(0.3)
+        with pytest.raises(errors.SpecMismatch, match="spec covers 1 states, machine has 2"):
+            build_split_machine(source, spec, {"q": 0.1})
+        # the search lays the spec out before its first build
+        with pytest.raises(errors.SpecMismatch, match="spec covers 1 states, machine has 2"):
+            optimize_ideal(source, spec, 0.5)
 
     def test_degenerate_parameter_point(self):
         # q1 = p/2 splits the chain into two invariant components
@@ -671,8 +675,24 @@ class TestOptimizeIdeal:
         source = golden_mean_epsilon(0.5)
         spec = generic_split_spec(source, (2, 1))
         monkeypatch.setattr(nm, "MAX_PARAMS", 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(errors.SpecMismatch, match="6 parameters exceed the cap 2"):
             optimize_ideal(source, spec, 0.2)
+
+    @pytest.mark.parametrize("e_half", [math.nan, math.inf, -math.inf])
+    def test_non_finite_e_half_refused_before_any_build(self, monkeypatch, e_half):
+        source = perturbed_coin_epsilon(0.3)
+        spec = perturbed_coin_split_spec(0.3)
+        built = build_split_machine(source, spec, {"q1": 0.0, "q2": 0.1})
+
+        def no_build(*args):
+            raise AssertionError("a machine was built")
+
+        monkeypatch.setattr(nm, "build_split_machine", no_build)
+        message = f"e_half must be finite, got {e_half}"
+        with pytest.raises(errors.DegenerateParameter, match=message):
+            optimize_ideal(source, spec, e_half)
+        with pytest.raises(errors.DegenerateParameter, match=message):
+            assess_split_machine(built, {}, e_half, 1.0)
 
 
 #: the search's parameters and C_n2 at seed 0, recorded as ``float.hex``
@@ -1053,3 +1073,23 @@ class TestMemoisedSearchMatchesReference:
         assert search[:2] == [np.zeros(2).tobytes(), np.array([0.25, 0.0]).tobytes()]
         assert search.count(np.array([0.25, 0.0]).tobytes()) == 1
         assert len(set(search)) == len(search)
+
+    def test_each_summed_matrix_is_solved_once(self, monkeypatch):
+        # in the generic (2, 1) split each row's two symbol shares enter the
+        # summed matrix only through their total, so many points share one
+        source, spec, e_half = _optimizer_case("golden-mean-generic-2-1")
+        totals = []
+        build = nm.build_split_machine
+
+        def recording_build(*args):
+            built = build(*args)
+            totals.append(np.add.reduce(built.stacked).tobytes())
+            return built
+
+        monkeypatch.setattr(nm, "build_split_machine", recording_build)
+        optimize_ideal(source, spec, e_half, OptimizeOptions(seed=0))
+        search = totals[:-2]
+        assert len(set(search)) == len(search)
+        # a memo keyed by the parameter vector alone builds 10012 machines
+        # here, and this one 2657
+        assert len(totals) < 3000
