@@ -187,6 +187,8 @@ class _Row:
     #: the p at which the process degenerates: generated grids leave it out,
     #: and a given grid that holds it is refused
     degenerate_p: float | None = None
+    #: whether ``ideal_params`` reads its branch
+    branched = True
 
     def __init__(self, p: float, horizon: int, truncation: int | None):
         self.p = p
@@ -282,6 +284,7 @@ class _SnsRow(_Row):
 class _GoldenMeanRow(_Row):
     columns = _SHARED_COLUMNS
     models = ("golden-mean", None)
+    branched = False
 
     #: the split that injects negativity but never lowers memory
     spec = property(lambda row: nm.golden_mean_bad_split_spec(row.p))
@@ -526,6 +529,8 @@ def cmd_construct_nmachine(args) -> int:
     row_type = _NMACHINE_ROWS[args.process]
     if "truncation" not in _reads(row_type.models[0]):
         _refuse_unread(f"process {args.process!r}", "--truncation", args.truncation)
+    if not row_type.branched:
+        _refuse_unread(f"process {args.process!r}", "--branch", args.branch)
     row = row_type(args.p, args.horizon, args.truncation)
     source, e_half, c_mu2, spec = row.source, row.e_half, row.c_mu2, row.spec
     if args.split is not None:

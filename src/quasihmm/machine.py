@@ -26,6 +26,7 @@ import numpy as np
 
 from . import linalg
 from .errors import (
+    DegenerateParameter,
     EnumerationCapExceeded,
     MachineFormatError,
     QuasiHmmError,
@@ -134,10 +135,10 @@ class Machine:
 
     def check_enumeration(self, length: int) -> None:
         """Refuse an enumeration of the length-``length`` words before any
-        work: ``ValueError`` for a negative length, ``EnumerationCapExceeded``
-        for more than ``ENUMERATION_CAP`` words."""
+        work: ``DegenerateParameter`` for a negative length,
+        ``EnumerationCapExceeded`` for more than ``ENUMERATION_CAP`` words."""
         if length < 0:
-            raise ValueError("length must be nonnegative")
+            raise DegenerateParameter("length must be nonnegative")
         if len(self.alphabet) ** length > ENUMERATION_CAP:
             raise EnumerationCapExceeded(
                 f"{len(self.alphabet)}^{length} words exceed the cap {ENUMERATION_CAP}"
@@ -228,7 +229,7 @@ class Machine:
                 "future fidelities need nonnegative transition probabilities"
             )
         if horizon < 0:
-            raise ValueError("horizon must be nonnegative")
+            raise DegenerateParameter("horizon must be nonnegative")
         if horizon in self._fidelities:
             return self._fidelities[horizon]
         if self.classify().unifilar:

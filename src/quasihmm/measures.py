@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    DegenerateParameter,
     InvalidAlpha,
     NegativeConditional,
     NegativeEntriesUnsupportedOrder,
@@ -189,7 +190,7 @@ def excess_entropy_half(m: Machine, horizon: int = DEFAULT_HORIZON) -> MeasureRe
             "quasi machines inherit it from their source machine"
         )
     if horizon < 1:
-        raise ValueError("horizon must be at least 1")
+        raise DegenerateParameter("horizon must be at least 1")
     pi = m.stationary
     value = -float(np.log2(pi @ m.future_fidelity_matrix(horizon) @ pi))
     prev = -float(np.log2(pi @ m.future_fidelity_matrix(horizon - 1) @ pi))
@@ -214,7 +215,7 @@ def excess_entropy_shannon(m: Machine, horizon: int = DEFAULT_HORIZON) -> Measur
     if not m.classify().classical:
         raise QuasiMachineUnsupported("Shannon excess entropy needs a classical machine")
     if horizon < 1:
-        raise ValueError("horizon must be at least 1")
+        raise DegenerateParameter("horizon must be at least 1")
     m.check_enumeration(horizon)
     pi = np.clip(m.stationary, 0.0, None)
 

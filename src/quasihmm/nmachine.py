@@ -414,9 +414,10 @@ def assess_split_machine(
     """Collision entropy, negativity bookkeeping, and bound flags for a built
     machine against a given half-order excess entropy and classical memory.
 
-    The advantage is the relative memory advantage |c_n2 - c_mu2| / c_mu2,
-    NaN at a zero baseline.  A NaN or infinite ``e_half`` is refused with
-    ``DegenerateParameter``.
+    The advantage is the signed relative memory advantage
+    (c_mu2 - c_n2) / c_mu2, negative when the split needs more memory than
+    the baseline and NaN at a zero baseline.  A NaN or infinite ``e_half``
+    is refused with ``DegenerateParameter``.
     """
     _check_e_half(e_half)
     pi = machine.stationary
@@ -432,7 +433,7 @@ def assess_split_machine(
         c_mu2=c_mu2,
         negativity=negativity(pi),
         mana=mana(pi),
-        advantage=abs(c_n2 - c_mu2) / c_mu2 if c_mu2 > 0 else float("nan"),
+        advantage=(c_mu2 - c_n2) / c_mu2 if c_mu2 > 0 else float("nan"),
         saturated=abs(c_n2 - e_half) <= threshold,
         bound_violated=c_n2 < e_half - threshold,
     )

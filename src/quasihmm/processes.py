@@ -9,6 +9,7 @@ mass ``TRUNCATION_EPS``.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -202,17 +203,6 @@ def check_sns_survival(truncation: int, p: float) -> None:
         )
 
 
-def sns_root_waiting_grid(n_cut: int, p: float) -> np.ndarray:
-    """Matrix of ``sqrt(phi(m + n))`` for m, n = 0..``n_cut``.
-
-    The waiting time is evaluated once on 0..2 ``n_cut`` and gathered into
-    the Hankel grid; the values are those of evaluating it on the grid.
-    """
-    idx = np.arange(n_cut + 1)
-    root_phi = np.sqrt(sns_waiting_time(np.arange(2 * n_cut + 1), p))
-    return root_phi[idx[:, None] + idx[None, :]]
-
-
 @dataclass(frozen=True)
 class SnsRenewalData:
     """Waiting-time data of the SNS renewal process at parameter ``p``,
@@ -227,6 +217,16 @@ class SnsRenewalData:
         """Unnormalized predictive-state weights ``mu * Phi(n)``, n = 0..N."""
         n = np.arange(self.truncation + 1)
         return self.mean_firing_rate * sns_surviving(n, self.p)
+
+    @functools.cached_property
+    def root_waiting_grid(self) -> np.ndarray:
+        """Hankel grid of ``sqrt(phi(m + n))``, m, n = 0..N: row m is sqrt(phi)
+        from m on, and mu times its square is the joint J(n, m) of forward and
+        reverse states.  A read-only view of sqrt(phi) on 0..2N, evaluated
+        when first read; the past-future overlap and Gram ensemble read it."""
+        n = self.truncation
+        root_phi = np.sqrt(sns_waiting_time(np.arange(2 * n + 1), self.p))
+        return np.lib.stride_tricks.sliding_window_view(root_phi, n + 1)
 
 
 def sns_renewal_data(p: float, truncation: int | None = None) -> SnsRenewalData:
@@ -319,21 +319,18 @@ def sns_past_future_overlap(data: SnsRenewalData) -> tuple[float, float]:
         sum_m ( sum_n mu * sqrt(phi(m+n) * Phi(n)) )^2
 
     This is the quantity whose negative log is the process's half-order excess
-    entropy.  Both sums are truncated at ``data.truncation``; the second return
-    value estimates the truncation residual by comparison with a slightly
-    shallower truncation.
+    entropy.  Both sums are truncated at ``data.truncation`` and read
+    ``data.root_waiting_grid``; the second return value estimates the
+    truncation residual by comparison with the sums over the grid's leading
+    block at a slightly shallower truncation.
     """
-    p = data.p
+    root_sur = np.sqrt(sns_surviving(np.arange(data.truncation + 1), data.p))
+    terms = data.root_waiting_grid * root_sur[None, :]
 
     def overlap(n_cut: int) -> float:
-        idx = np.arange(n_cut + 1)
-        mu = data.mean_firing_rate
-        root_phi = sns_root_waiting_grid(n_cut, p)
-        root_sur = np.sqrt(sns_surviving(idx, p))
-        inner = mu * (root_phi * root_sur[None, :]).sum(axis=1)
+        inner = data.mean_firing_rate * terms[: n_cut + 1, : n_cut + 1].sum(axis=1)
         return float(np.sum(inner**2))
 
     value = overlap(data.truncation)
     shallower = max(2, data.truncation - max(2, data.truncation // 10))
-    residual = abs(value - overlap(shallower))
-    return value, residual
+    return value, abs(value - overlap(shallower))

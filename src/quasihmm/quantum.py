@@ -20,15 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IsometryViolated, NonPSD, QuasiMachineUnsupported
+from .errors import DegenerateParameter, IsometryViolated, NonPSD, QuasiMachineUnsupported
 from .machine import Machine, make_machine
-from .processes import (
-    SnsRenewalData,
-    check_open_unit,
-    check_sns_survival,
-    sns_root_waiting_grid,
-    sns_surviving,
-)
+from .processes import SnsRenewalData, check_open_unit, check_sns_survival, sns_surviving
 
 RENYI2 = "renyi2"
 VON_NEUMANN = "von-neumann"
@@ -96,7 +90,7 @@ def gram_from_machine(m: Machine, horizon: int) -> GramEnsemble:
     fails, and then eigensolves its own ensemble.
     """
     if horizon < 1:
-        raise ValueError("horizon must be at least 1")
+        raise DegenerateParameter("horizon must be at least 1")
     current = m.future_fidelity_matrix(horizon)
     previous = m.future_fidelity_matrix(horizon - 1)
     return GramEnsemble(
@@ -114,16 +108,16 @@ def sns_gram_ensemble(data: SnsRenewalData) -> GramEnsemble:
     numbers k, so overlap (m, n) is
     ``sum_k sqrt(phi(m+k) phi(n+k)) / sqrt(Phi(m) Phi(n))`` (unit diagonal).
     State index and overlap sum are truncated at the same depth; weights are
-    the renormalized truncated predictive-state distribution.  A truncation
-    whose Phi(N) underflows to 0 is refused with ``TruncationTooLarge``
-    before anything is divided.
+    the renormalized truncated predictive-state distribution.  The numerators
+    are the product of ``data.root_waiting_grid`` with itself, taken from one
+    contiguous copy on both sides.  A truncation whose Phi(N) underflows to 0
+    is refused with ``TruncationTooLarge`` before the grid is read.
     """
     p, n_cut = data.p, data.truncation
     check_sns_survival(n_cut, p)
-    idx = np.arange(n_cut + 1)
-    root_phi = sns_root_waiting_grid(n_cut, p)
+    root_phi = np.ascontiguousarray(data.root_waiting_grid)
     numer = root_phi @ root_phi.T
-    root_sur = np.sqrt(sns_surviving(idx, p))
+    root_sur = np.sqrt(sns_surviving(np.arange(n_cut + 1), p))
     overlaps = numer / np.outer(root_sur, root_sur)
     np.fill_diagonal(overlaps, overlaps.diagonal().clip(max=1.0))
 

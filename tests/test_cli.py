@@ -1148,6 +1148,12 @@ class TestUnreadOptionsAreRefused:
                            "--truncation", "5")
         assert message == f"process {process!r} takes no --truncation"
 
+    @pytest.mark.parametrize("branch", [BRANCH_PLUS, BRANCH_MINUS])
+    def test_construct_nmachine_branch_of_a_process_without_one(self, capsys, branch):
+        message = _refused(capsys, "construct-nmachine", "--process", "golden-mean-bad",
+                           "--p", "0.3", "--branch", branch)
+        assert message == "process 'golden-mean-bad' takes no --branch"
+
     @pytest.mark.parametrize("flag", [
         ("--process", "sns"), ("--p-grid", "0.1,0.2"), ("--p-min", "0.2"), ("--p-max", "0.5"),
         ("--p-step", "0.2"), ("--truncation", "5"),

@@ -27,6 +27,7 @@ from quasihmm.machine import (
     make_machine,
     same_process,
 )
+from quasihmm.measures import excess_entropy_half, excess_entropy_shannon
 from quasihmm.nmachine import (
     build_split_machine,
     generic_split_spec,
@@ -42,6 +43,7 @@ from quasihmm.processes import (
     sns_g_machine,
     unbiased_coin,
 )
+from quasihmm.quantum import gram_from_machine
 from quasihmm.transforms import apply_map, two_state_map
 
 _UNIFILAR = [
@@ -236,7 +238,7 @@ class TestEnumerationCap:
         assert coin.conditional_future_matrix(4).shape == (2, 16)
         with pytest.raises(errors.EnumerationCapExceeded, match=r"2\^5 words exceed the cap 16"):
             coin.conditional_future_matrix(5)
-        with pytest.raises(ValueError, match="length must be nonnegative"):
+        with pytest.raises(errors.DegenerateParameter, match="length must be nonnegative"):
             coin.conditional_future_matrix(-1)
 
     def test_word_distribution(self, coin):
@@ -252,6 +254,19 @@ class TestEnumerationCap:
 
     def test_unifilar_recursion_enumerates_nothing(self, coin):
         assert coin.future_fidelity_matrix(9).shape == (2, 2)
+
+
+@pytest.mark.parametrize("refuse, message", [
+    (lambda m: excess_entropy_half(m, 0), "horizon must be at least 1"),
+    (lambda m: excess_entropy_shannon(m, 0), "horizon must be at least 1"),
+    (lambda m: gram_from_machine(m, 0), "horizon must be at least 1"),
+    (lambda m: m.future_fidelity_matrix(-1), "horizon must be nonnegative"),
+    (lambda m: m.check_enumeration(-1), "length must be nonnegative"),
+], ids=["excess_entropy_half", "excess_entropy_shannon", "gram_from_machine",
+        "future_fidelity_matrix", "check_enumeration"])
+def test_bad_horizon_or_length_is_a_degenerate_parameter(coin, refuse, message):
+    with pytest.raises(errors.DegenerateParameter, match=f"^{message}$"):
+        refuse(coin)
 
 
 class TestClassify:

@@ -542,6 +542,13 @@ class TestGoldenMeanBad:
         assert result.c_n2 > result.c_mu2
         assert not result.saturated
 
+    @pytest.mark.parametrize("p, q", [(0.5, -0.2), (0.4, -0.2), (0.3, 0.2)])
+    def test_advantage_is_negative(self, p, q):
+        # the split needs more memory than the source, so it has none
+        result = golden_mean_bad(p, q)
+        assert result.advantage < 0
+        assert result.advantage == (result.c_mu2 - result.c_n2) / result.c_mu2
+
     @pytest.mark.parametrize("q", [-0.4, -0.2, 0.3])
     def test_generates_source_process(self, q):
         result = golden_mean_bad(0.5, q)

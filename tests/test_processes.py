@@ -25,12 +25,11 @@ from quasihmm.processes import (
     sns_g_machine,
     sns_past_future_overlap,
     sns_renewal_data,
-    sns_root_waiting_grid,
     sns_surviving,
     sns_waiting_time,
     unbiased_coin,
 )
-from quasihmm.quantum import wigner_qubit_representation
+from quasihmm.quantum import sns_gram_ensemble, wigner_qubit_representation
 from quasihmm.transforms import rjmc_domain_check, rjmc_parameters
 
 GRID = [0.1, 0.2, 0.3, 0.4, 0.6, 0.7, 0.8, 0.9]
@@ -337,12 +336,86 @@ class TestSeriesMatchReference:
 
     @pytest.mark.parametrize("p", SERIES_GRID)
     def test_root_waiting_grid_matches_grid_evaluation(self, p):
-        n_cut = sns_default_truncation(p)
-        idx = np.arange(n_cut + 1)
+        data = sns_renewal_data(p)
+        idx = np.arange(data.truncation + 1)
         expected = np.sqrt(sns_waiting_time(idx[:, None] + idx[None, :], p))
-        got = sns_root_waiting_grid(n_cut, p)
+        got = data.root_waiting_grid
         assert got.shape == expected.shape
         np.testing.assert_array_max_ulp(got, expected, 2)
+
+
+# --- the grid's readers before it was one view of the renewal data ----------
+
+
+def _gathered_root_waiting_grid(n_cut, p):
+    idx = np.arange(n_cut + 1)
+    root_phi = np.sqrt(sns_waiting_time(np.arange(2 * n_cut + 1), p))
+    return root_phi[idx[:, None] + idx[None, :]]
+
+
+def _gathered_past_future_overlap(data):
+    p = data.p
+
+    def overlap(n_cut):
+        idx = np.arange(n_cut + 1)
+        mu = data.mean_firing_rate
+        root_phi = _gathered_root_waiting_grid(n_cut, p)
+        root_sur = np.sqrt(sns_surviving(idx, p))
+        inner = mu * (root_phi * root_sur[None, :]).sum(axis=1)
+        return float(np.sum(inner**2))
+
+    value = overlap(data.truncation)
+    shallower = max(2, data.truncation - max(2, data.truncation // 10))
+    residual = abs(value - overlap(shallower))
+    return value, residual
+
+
+def _gathered_gram_ensemble(data):
+    """(overlaps, weights, residual) of the SNS Gram ensemble."""
+    p, n_cut = data.p, data.truncation
+    idx = np.arange(n_cut + 1)
+    root_phi = _gathered_root_waiting_grid(n_cut, p)
+    numer = root_phi @ root_phi.T
+    root_sur = np.sqrt(sns_surviving(idx, p))
+    overlaps = numer / np.outer(root_sur, root_sur)
+    np.fill_diagonal(overlaps, overlaps.diagonal().clip(max=1.0))
+
+    weights = data.stationary_weights()
+    weights = weights / weights.sum()
+    residual = float(np.max(np.abs(numer.diagonal() / root_sur**2 - 1.0)))
+    return overlaps, weights, residual
+
+
+GRID_CASES = [(p, None) for p in SERIES_GRID] + [(0.99, None), (0.5, 120)]
+
+
+class TestOneRootWaitingGrid:
+    """The overlap, its residual and the Gram ensemble read one strided grid
+    of the renewal data and keep the bits of one gathered grid per read."""
+
+    @pytest.mark.parametrize("p, truncation", GRID_CASES)
+    def test_readers_keep_their_bits(self, p, truncation):
+        data = sns_renewal_data(p, truncation)
+        expected = _gathered_root_waiting_grid(data.truncation, p)
+        assert np.ascontiguousarray(data.root_waiting_grid).tobytes() == expected.tobytes()
+
+        value, residual = sns_past_future_overlap(data)
+        want_value, want_residual = _gathered_past_future_overlap(data)
+        assert (value.hex(), residual.hex()) == (want_value.hex(), want_residual.hex())
+
+        gram = sns_gram_ensemble(data)
+        overlaps, weights, gram_residual = _gathered_gram_ensemble(data)
+        assert gram.overlaps.tobytes() == overlaps.tobytes()
+        assert gram.weights.tobytes() == weights.tobytes()
+        assert gram.residual.hex() == gram_residual.hex()
+
+    def test_grid_is_one_read_only_view(self):
+        data = sns_renewal_data(0.5)
+        grid = data.root_waiting_grid
+        assert grid is data.root_waiting_grid
+        assert not grid.flags.writeable
+        # row m + 1 starts one float after row m: 2N + 1 floats, not (N + 1)^2
+        assert grid.strides == (grid.itemsize, grid.itemsize)
 
 
 class TestStateCap:

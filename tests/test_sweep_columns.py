@@ -259,6 +259,25 @@ class TestOnlyPrintedColumnsAreComputed:
         assert code == 0
         assert calls == {"sns_renewal_data": len(cli.default_grid("sns"))}
 
+    @pytest.mark.parametrize("figure", ["fig9", "fig10"])
+    def test_one_waiting_time_evaluation_per_sns_row(self, capsys, monkeypatch, figure):
+        # the overlap, its residual and the Gram ensemble read one grid
+        calls = {}
+        _counting(monkeypatch, procs, "sns_waiting_time", calls)
+        code, _, _ = run(capsys, "reproduce", figure)
+        assert code == 0
+        assert calls == {"sns_waiting_time": len(cli.default_grid("sns"))}
+
+    def test_no_waiting_time_evaluation_for_a_row_without_the_grid(self, capsys, tmp_path,
+                                                                    monkeypatch):
+        calls = {}
+        _counting(monkeypatch, procs, "sns_waiting_time", calls)
+        code, _, err = run_config(capsys, tmp_path, {
+            "process": "sns", "p_grid": [0.3, 0.6], "outputs": ["p", "C_mu2"],
+        })
+        assert (code, err) == (0, "")
+        assert calls == {}
+
     def test_no_row_outlives_its_call(self, capsys, monkeypatch):
         calls = {}
         _counting(monkeypatch, procs, "sns_past_future_overlap", calls)
